@@ -27,8 +27,6 @@ from .experiments import (
     EqualityResult,
     ExperimentConfig,
     FluctResult,
-    FactorizationReport,
-    MinorIdentityReport,
     RealProbResult,
     run_equality,
     run_fluctuations,
@@ -48,8 +46,6 @@ from .recordio import ResultRecord, RunManifest, Stat, manifest_timestamp, write
 
 __all__ = ["main"]
 
-RUN_EXPERIMENTS = ("lyapunov", "stability", "fluctuations", "realprob", "verify")
-
 EXIT_OK = 0
 EXIT_CONFIG = 2
 EXIT_NUMERIC = 3
@@ -66,7 +62,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p_an.add_argument("--ensemble", required=True)
 
     p_run = sub.add_parser("run", help="run an experiment from a config file")
-    p_run.add_argument("experiment", choices=RUN_EXPERIMENTS)
+    p_run.add_argument("experiment", choices=tuple(_EXPERIMENTS))
     p_run.add_argument("--config", required=True, help="key=value config file")
     p_run.add_argument("--threads", type=int, default=None)
     p_run.add_argument("--out", default=None, help="override the config's output path")
@@ -112,9 +108,13 @@ def _stat_vec(prefix: str, values, se=None, count=None) -> dict[str, Stat]:
     return out
 
 
+def _common(spec: EnsembleSpec) -> dict:
+    return dict(d=spec.d, field=spec.field, ensemble=spec.ensemble_text)
+
+
 def _records_lyapunov(config: ExperimentConfig) -> list[ResultRecord]:
     spec = config.spec
-    common = dict(d=spec.d, field=spec.field, ensemble=spec.ensemble_text)
+    common = _common(spec)
     ref = analytic_spectrum(spec) if supports_analytic_spectrum(spec) else None
 
     est = single_step_estimate(spec, config.mc_samples, config.stream().derive(6, 0, 0))
@@ -147,8 +147,7 @@ def _records_lyapunov(config: ExperimentConfig) -> list[ResultRecord]:
 
 
 def _records_stability(result: EqualityResult) -> list[ResultRecord]:
-    spec = result.spec
-    common = dict(d=spec.d, field=spec.field, ensemble=spec.ensemble_text)
+    common = _common(result.spec)
     records = []
     for pn in result.per_n:
         stats: dict[str, Stat] = {}
@@ -194,9 +193,7 @@ def _records_fluctuations(result: FluctResult) -> list[ResultRecord]:
     return [
         ResultRecord(
             experiment="fluctuations",
-            d=spec.d,
-            field=spec.field,
-            ensemble=spec.ensemble_text,
+            **_common(spec),
             n=result.n,
             replications=result.count,
             seq=0,
@@ -221,9 +218,7 @@ def _records_realprob(result: RealProbResult) -> list[ResultRecord]:
         records.append(
             ResultRecord(
                 experiment="realprob",
-                d=spec.d,
-                field=spec.field,
-                ensemble=spec.ensemble_text,
+                **_common(spec),
                 n=pn.n,
                 replications=result.replications,
                 seq=0,
@@ -233,14 +228,14 @@ def _records_realprob(result: RealProbResult) -> list[ResultRecord]:
     return records
 
 
-def _records_verify(minor: MinorIdentityReport, factor_report: FactorizationReport, config: ExperimentConfig) -> list[ResultRecord]:
+def _records_verify(config: ExperimentConfig) -> tuple[list[ResultRecord], bool]:
+    """Records of both verification runs, and whether any check failed."""
     spec = config.spec
+    minor, factor_report = run_minor_identity(config), run_factorization_checks(config)
     records = [
         ResultRecord(
             experiment="verify:minor-identity",
-            d=spec.d,
-            field=spec.field,
-            ensemble=spec.ensemble_text,
+            **_common(spec),
             n=spec.d,
             replications=minor.trials,
             seq=0,
@@ -271,7 +266,17 @@ def _records_verify(minor: MinorIdentityReport, factor_report: FactorizationRepo
                 },
             )
         )
-    return records
+    return records, not (minor.passed and factor_report.passed)
+
+
+# experiment -> (config -> (records, failed), (stat, file suffix) of its --emit-plotdata curve)
+_EXPERIMENTS = {
+    "lyapunov": (lambda config: (_records_lyapunov(config), False), None),
+    "stability": (lambda config: (_records_stability(run_equality(config)), False), ("maxgap", ".gapcurve.txt")),
+    "fluctuations": (lambda config: (_records_fluctuations(run_fluctuations(config)), False), None),
+    "realprob": (lambda config: (_records_realprob(run_real_probability(config)), False), ("p_hat", ".phat.txt")),
+    "verify": (_records_verify, None),
+}
 
 
 def _print_records(records: Sequence[ResultRecord], out=None) -> None:
@@ -288,13 +293,10 @@ def _print_records(records: Sequence[ResultRecord], out=None) -> None:
 
 def _emit_plotdata(experiment: str, records: Sequence[ResultRecord], out_path: str) -> list[str]:
     """Two-column (n, value) curve files for the per-n experiments."""
-    curves = {
-        "stability": ("maxgap", ".gapcurve.txt"),
-        "realprob": ("p_hat", ".phat.txt"),
-    }
-    if experiment not in curves:
+    curve = _EXPERIMENTS[experiment][1]
+    if curve is None:
         return []
-    stat_name, suffix = curves[experiment]
+    stat_name, suffix = curve
     path = out_path + suffix
     rows = [(rec.n, rec.stats[stat_name].value) for rec in records if stat_name in rec.stats]
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
@@ -304,26 +306,9 @@ def _emit_plotdata(experiment: str, records: Sequence[ResultRecord], out_path: s
 
 
 def cmd_run(experiment: str, config: ExperimentConfig, emit_plotdata: bool = False) -> int:
-    if experiment == "lyapunov":
-        records = _records_lyapunov(config)
-        failed = False
-    elif experiment == "stability":
-        records = _records_stability(run_equality(config))
-        failed = False
-    elif experiment == "fluctuations":
-        records = _records_fluctuations(run_fluctuations(config))
-        failed = False
-    elif experiment == "realprob":
-        records = _records_realprob(run_real_probability(config))
-        failed = False
-    elif experiment == "verify":
-        minor = run_minor_identity(config)
-        factor_report = run_factorization_checks(config)
-        records = _records_verify(minor, factor_report, config)
-        failed = not (minor.passed and factor_report.passed)
-    else:
+    if experiment not in _EXPERIMENTS:
         raise ValueError(f"unknown experiment {experiment!r}")
-
+    records, failed = _EXPERIMENTS[experiment][0](config)
     records = [replace(rec, seq=i) for i, rec in enumerate(records, start=1)]
 
     if config.out is not None:

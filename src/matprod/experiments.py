@@ -5,6 +5,12 @@ with standard errors or Wilson intervals. Replications are processed in
 fixed-size chunks, each chunk on its own derived random stream, and chunk
 results are folded in index order - so aggregated statistics are identical
 for any thread count adopted.
+
+The trajectory runners (equality, fluctuations, reality) share one chunk
+worker: it draws each replication's factors in turn, advances the whole
+chunk as one stack (evolve_stack, one SVD call a step), and hands the stack
+at each grid point to the runner's observer. A replication that fails a
+check anywhere on its trajectory is dropped at every grid point.
 """
 from __future__ import annotations
 
@@ -20,16 +26,16 @@ from .ensembles import EnsembleSpec, sample_haar_unitary, sample_isotropic, samp
 from .exponents import (
     SPREAD_ACCURACY_CAP,
     ExponentEstimate,
+    ProductStack,
     SpreadOverflowError,
-    advance,
     analytic_spectrum,
     analytic_truncated_logdet,
-    init_state,
+    evolve_stack,
     single_step_estimate,
     stability_from_state,
     supports_analytic_spectrum,
 )
-from .linalg import NumericError, SingularInputError, count_complex_pairs, eig_by_modulus, lq_positive, principal_minor, svd_descending
+from .linalg import NumericError, SingularInputError, complex_pair_counts, eig_by_modulus, lq_positive, principal_minor, svd_descending
 from .rng import RngStream
 
 __all__ = [
@@ -147,27 +153,64 @@ def _reference_estimate(config: ExperimentConfig, exp_index: int) -> tuple[np.nd
     return est.mean, est.se, "single-step"
 
 
-def _evolve_through_grid(spec: EnsembleSpec, n_grid: Sequence[int], gen) -> list:
-    """One replication: advance a fresh product through the grid.
+def _evolve_chunks(config: ExperimentConfig, exp_index: int, grid: Sequence[int], observe: Callable) -> list:
+    """observe(stacks) for every chunk of replications, in chunk order.
 
-    Returns the list of states at the grid points. All factor samples for the
-    trajectory are drawn up front in one batch so the draw order is a fixed
-    function of the stream.
+    stacks are the chunk's ProductStacks at the grid points; the last one
+    tells which replications survived their whole trajectory.
     """
-    n_max = n_grid[-1]
-    factors = sample_isotropic(spec, gen, size=n_max) if n_max > 1 else sample_isotropic(spec, gen)[None, ...]
-    state = init_state(factors[0])
-    out = []
-    targets = iter(n_grid)
-    target = next(targets)
-    while True:
-        if state.n == target:
-            out.append(state)
-            nxt = next(targets, None)
-            if nxt is None:
-                return out
-            target = nxt
-        state = advance(state, factors[state.n])
+    spec, n_max, base = config.spec, grid[-1], config.stream()
+
+    def worker(ci: int, count: int):
+        gen = base.derive(exp_index, 1, ci).generator()
+        # each replication's factors in one batch, one replication after the
+        # other, so the draw order is a fixed function of the stream
+        draws = [sample_isotropic(spec, gen, size=n_max) if n_max > 1 else sample_isotropic(spec, gen)
+                 for _ in range(count)]
+        return observe(evolve_stack(np.reshape(draws, (count, n_max, spec.d, spec.d)), grid))
+
+    return _map_chunks(_chunk_jobs(config.replications), worker, config.threads)
+
+
+def _observe_exponents(stacks: list[ProductStack]):
+    """Scaled log singular values and log eigenvalue moduli, (B, grid, d)
+    each, and which rows to keep: a row whose spectrum cannot be taken is
+    dropped like one that failed a step."""
+    ok = stacks[-1].ok
+    sig = np.stack([s.log_sigma / s.n for s in stacks], axis=1)
+    stab = np.full_like(sig, np.nan)
+    for t in np.flatnonzero(ok):
+        try:
+            for gi, s in enumerate(stacks):
+                stab[t, gi] = stability_from_state(s.row(t)) / s.n
+        except _SKIP_ERRORS:
+            ok[t] = False
+    return sig, stab, ok
+
+
+def _exponent_samples(config: ExperimentConfig, exp_index: int, grid: Sequence[int]):
+    """(singular, stability) samples of the surviving replications, (used, len(grid), d) each."""
+    parts = _evolve_chunks(config, exp_index, grid, _observe_exponents)
+    sig, stab, ok = (np.concatenate(p) for p in zip(*parts))
+    if int(ok.sum()) < 2:
+        raise NumericError("fewer than 2 replications survived; cannot report statistics")
+    return sig[ok], stab[ok]
+
+
+def _observe_reality(stacks: list[ProductStack]):
+    """All-real and classified counts per grid point over the surviving rows;
+    rows over the accuracy cap, or whose eigenvalue iteration fails, are not
+    classified."""
+    ok = stacks[-1].ok
+    real = np.zeros(len(stacks), dtype=np.int64)
+    classified = np.zeros(len(stacks), dtype=np.int64)
+    for gi, s in enumerate(stacks):
+        rows = np.flatnonzero(ok & (s.spread <= SPREAD_ACCURACY_CAP))
+        ls = s.log_sigma[rows]
+        pairs = complex_pair_counts((s.v_frame[rows] @ s.u_frame[rows]) * np.exp(ls - ls[:, :1])[:, None, :])
+        classified[gi] = np.count_nonzero(pairs >= 0)
+        real[gi] = np.count_nonzero(pairs == 0)
+    return real, classified
 
 
 @dataclass(frozen=True)
@@ -227,32 +270,8 @@ def run_equality(config: ExperimentConfig) -> EqualityResult:
     spec = config.spec
     ref, ref_se, ref_source = _reference_estimate(config, _EXP_EQUALITY)
     grid = config.n_grid
-    base = config.stream()
-
-    def worker(ci: int, count: int):
-        gen = base.derive(_EXP_EQUALITY, 1, ci).generator()
-        sig = np.full((count, len(grid), spec.d), np.nan)
-        stab = np.full((count, len(grid), spec.d), np.nan)
-        ok = np.zeros(count, dtype=bool)
-        for t in range(count):
-            try:
-                states = _evolve_through_grid(spec, grid, gen)
-                for gi, st in enumerate(states):
-                    sig[t, gi] = st.log_sigma / st.n
-                    stab[t, gi] = stability_from_state(st) / st.n
-                ok[t] = True
-            except _SKIP_ERRORS:
-                continue
-        return sig, stab, ok
-
-    parts = _map_chunks(_chunk_jobs(config.replications), worker, config.threads)
-    sig = np.concatenate([p[0] for p in parts])
-    stab = np.concatenate([p[1] for p in parts])
-    ok = np.concatenate([p[2] for p in parts])
-    sig, stab = sig[ok], stab[ok]
-    used = int(ok.sum())
-    if used < 2:
-        raise NumericError("fewer than 2 replications survived; cannot report statistics")
+    sig, stab = _exponent_samples(config, _EXP_EQUALITY, grid)
+    used = sig.shape[0]
 
     per_n = []
     for gi, n in enumerate(grid):
@@ -317,30 +336,8 @@ def run_fluctuations(config: ExperimentConfig) -> FluctResult:
     spec = config.spec
     n = config.n_grid[-1]
     base = config.stream()
-
-    def worker(ci: int, count: int):
-        gen = base.derive(_EXP_FLUCT, 1, ci).generator()
-        sig = np.full((count, spec.d), np.nan)
-        stab = np.full((count, spec.d), np.nan)
-        ok = np.zeros(count, dtype=bool)
-        for t in range(count):
-            try:
-                (state,) = _evolve_through_grid(spec, (n,), gen)
-                sig[t] = state.log_sigma / n
-                stab[t] = stability_from_state(state) / n
-                ok[t] = True
-            except _SKIP_ERRORS:
-                continue
-        return sig, stab, ok
-
-    parts = _map_chunks(_chunk_jobs(config.replications), worker, config.threads)
-    sig = np.concatenate([p[0] for p in parts])
-    stab = np.concatenate([p[1] for p in parts])
-    ok = np.concatenate([p[2] for p in parts])
-    sig, stab = sig[ok], stab[ok]
-    used = int(ok.sum())
-    if used < 2:
-        raise NumericError("fewer than 2 replications survived; cannot report statistics")
+    sig, stab = (a[:, 0] for a in _exponent_samples(config, _EXP_FLUCT, (n,)))
+    used = sig.shape[0]
 
     x = math.sqrt(n) * sig
     y = math.sqrt(n) * stab
@@ -409,34 +406,7 @@ def run_real_probability(config: ExperimentConfig) -> RealProbResult:
     if spec.field != "real":
         raise ValueError("realprob requires field=real")
     grid = config.n_grid
-    base = config.stream()
-
-    def worker(ci: int, count: int):
-        gen = base.derive(_EXP_REALPROB, 1, ci).generator()
-        real = np.zeros(len(grid), dtype=np.int64)
-        classified = np.zeros(len(grid), dtype=np.int64)
-        for _ in range(count):
-            try:
-                states = _evolve_through_grid(spec, grid, gen)
-            except _SKIP_ERRORS:
-                continue
-            for gi, st in enumerate(states):
-                if st.spread > SPREAD_ACCURACY_CAP:
-                    continue
-                c = float(st.log_sigma[0])
-                w = (st.v_frame @ st.u_frame) * np.exp(st.log_sigma - c)[None, :]
-                try:
-                    pairs = count_complex_pairs(w)
-                except NumericError:
-                    continue
-                classified[gi] += 1
-                if pairs == 0:
-                    real[gi] += 1
-        return real, classified
-
-    parts = _map_chunks(_chunk_jobs(config.replications), worker, config.threads)
-    real = np.sum([p[0] for p in parts], axis=0)
-    classified = np.sum([p[1] for p in parts], axis=0)
+    real, classified = np.sum(_evolve_chunks(config, _EXP_REALPROB, grid, _observe_reality), axis=0)
 
     per_n = []
     for gi, n in enumerate(grid):
@@ -593,55 +563,9 @@ def run_factorization_checks(config: ExperimentConfig) -> FactorizationReport:
                 done += b
             for j in range(1, nrows + 1):
                 k = dof_scale * (d - j + 1)
-                rows.append(
-                    CheckRow(
-                        check=f"lq-diag-mean:rows={nrows}",
-                        field=field,
-                        d=d,
-                        index=j,
-                        estimate=float(diag_mom.mean()[j - 1]),
-                        reference=float(k),
-                        se=float(diag_mom.mean_se()[j - 1]),
-                        samples=diag_mom.n,
-                    )
-                )
-                rows.append(
-                    CheckRow(
-                        check=f"lq-diag-var:rows={nrows}",
-                        field=field,
-                        d=d,
-                        index=j,
-                        estimate=float(diag_mom.var()[j - 1]),
-                        reference=float(2 * k),
-                        se=float(diag_mom.var_se()[j - 1]),
-                        samples=diag_mom.n,
-                    )
-                )
+                rows += _mean_var_rows(f"lq-diag-{{}}:rows={nrows}", field, d, j, diag_mom, j - 1, float(k), float(2 * k))
             if off_mom is not None:
-                rows.append(
-                    CheckRow(
-                        check=f"lq-offdiag-mean:rows={nrows}",
-                        field=field,
-                        d=d,
-                        index=nrows,
-                        estimate=float(off_mom.mean()[0]),
-                        reference=0.0,
-                        se=float(off_mom.mean_se()[0]),
-                        samples=off_mom.n,
-                    )
-                )
-                rows.append(
-                    CheckRow(
-                        check=f"lq-offdiag-var:rows={nrows}",
-                        field=field,
-                        d=d,
-                        index=nrows,
-                        estimate=float(off_mom.var()[0]),
-                        reference=1.0,
-                        se=float(off_mom.var_se()[0]),
-                        samples=off_mom.n,
-                    )
-                )
+                rows += _mean_var_rows(f"lq-offdiag-{{}}:rows={nrows}", field, d, nrows, off_mom, 0, 0.0, 1.0)
 
     for d in range(1, spec.d + 1):
         m = 4 * d
@@ -672,6 +596,17 @@ def run_factorization_checks(config: ExperimentConfig) -> FactorizationReport:
 
 
 _BATCH_CHECKS = 8192
+
+
+def _mean_var_rows(check: str, field: str, d: int, index: int, mom: _Moments, col: int,
+                   mean_ref: float, var_ref: float) -> list[CheckRow]:
+    """Check rows of one moment column's mean and variance; check has a {} for mean/var."""
+    return [
+        CheckRow(check.format("mean"), field, d, index, float(mom.mean()[col]), mean_ref,
+                 float(mom.mean_se()[col]), mom.n),
+        CheckRow(check.format("var"), field, d, index, float(mom.var()[col]), var_ref,
+                 float(mom.var_se()[col]), mom.n),
+    ]
 
 
 def _ginibre_block(rows: int, cols: int, field: str, gen, size: int) -> np.ndarray:

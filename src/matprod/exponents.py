@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import Callable
 
 import mpmath as mp
 import numpy as np
@@ -27,7 +28,6 @@ from .linalg import (
     SingularInputError,
     eig_by_modulus,
     qr_positive,
-    svd_descending,
     _as_matrix,
 )
 from .rng import as_generator
@@ -37,6 +37,8 @@ __all__ = [
     "SPREAD_ACCURACY_CAP",
     "SpreadOverflowError",
     "ProductState",
+    "ProductStack",
+    "evolve_stack",
     "init_state",
     "advance",
     "stability_from_state",
@@ -89,53 +91,153 @@ class ProductState:
         return float(self.log_sigma[0] - self.log_sigma[-1])
 
 
+@dataclass(frozen=True)
+class ProductStack:
+    """B running products stepped together; row b is one ProductState.
+
+    A row that fails a check keeps the exception in failure[b] and is reset
+    to the identity (zero log sigma, identity frames), so no NaN or inf
+    enters the stacked arithmetic of the other rows.
+    """
+
+    n: int
+    log_sigma: np.ndarray         # (B, d)
+    u_frame: np.ndarray           # (B, d, d)
+    v_frame: np.ndarray           # (B, d, d)
+    accuracy_warning: np.ndarray  # (B,) bool, sticky
+    failure: np.ndarray           # (B,) object: None, or the exception that dropped the row
+
+    @property
+    def ok(self) -> np.ndarray:
+        return np.equal(self.failure, None)
+
+    @property
+    def spread(self) -> np.ndarray:
+        return self.log_sigma[:, 0] - self.log_sigma[:, -1]
+
+    def row(self, b: int) -> ProductState:
+        warn = bool(self.accuracy_warning[b])
+        return ProductState(self.n, self.log_sigma[b], self.u_frame[b], self.v_frame[b], warn)
+
+
+def _fail(failure: np.ndarray, mask: np.ndarray, error: Callable) -> np.ndarray:
+    """failure with each row of mask that is still ok set to error(row)."""
+    if mask.any():
+        failure = failure.copy()
+        for b in np.flatnonzero(np.equal(failure, None) & mask):
+            failure[b] = error(b)
+    return failure
+
+
+def _identity_rows(failure: np.ndarray, vec: np.ndarray, fill: float, *frames: np.ndarray) -> tuple:
+    """vec (B, d) and frame stacks with each failed row reset: vec to fill, frames to I."""
+    ok = np.equal(failure, None)
+    if ok.all():
+        return (vec, *frames)
+    eye = np.eye(vec.shape[-1])
+    return (np.where(ok[:, None], vec, fill), *(np.where(ok[:, None, None], f, eye) for f in frames))
+
+
+def _regular(m: np.ndarray) -> np.ndarray:
+    """Per-matrix test that a stack of factors is not numerically singular."""
+    sv = np.linalg.svd(m, compute_uv=False)
+    return sv[..., -1] > RANK_RTOL * sv[..., 0]
+
+
+def _svd_rows(a: np.ndarray, failure: np.ndarray) -> tuple:
+    """One SVD call for the whole stack, or one a row if that call fails;
+    a row that then does not converge fails with NumericError."""
+    try:
+        return (*np.linalg.svd(a), failure)
+    except np.linalg.LinAlgError:
+        pass
+    eye = np.broadcast_to(np.eye(a.shape[-1], dtype=a.dtype), a.shape)
+    left, sigma, right, failure = eye.copy(), np.ones(a.shape[:-1]), eye.copy(), failure.copy()
+    for b in np.flatnonzero(np.equal(failure, None)):
+        try:
+            left[b], sigma[b], right[b] = np.linalg.svd(a[b])
+        except np.linalg.LinAlgError as exc:
+            failure[b] = NumericError(f"SVD did not converge on input of shape {a[b].shape}")
+            failure[b].__cause__ = exc
+    return left, sigma, right, failure
+
+
+def _init_rows(m1: np.ndarray) -> ProductStack:
+    left, sigma, right, failure = _svd_rows(m1, np.full(m1.shape[0], None, dtype=object))
+    singular = sigma[:, -1] <= RANK_RTOL * sigma[:, 0]
+    failure = _fail(failure, singular, lambda b: SingularInputError("initial factor is numerically singular"))
+    sigma, left, right = _identity_rows(failure, sigma, 1.0, left, right)
+    return ProductStack(1, np.log(sigma), left, right, np.zeros(m1.shape[0], dtype=bool), failure)
+
+
+def _advance_rows(stack: ProductStack, m: np.ndarray, regular: np.ndarray | None = None) -> ProductStack:
+    """Stack of P_n @ m from the stack of P_n, with one SVD call.
+
+    Works entirely on the shifted scale exp(log_sigma - max): the new log
+    singular values are exact up to the conditioning of the single step,
+    independent of how large the accumulated spread is. regular, the
+    factors' non-singularity, is computed here unless given.
+    """
+    spread = stack.spread
+    failure = _fail(stack.failure, spread > SPREAD_HARD_CAP, lambda b: SpreadOverflowError(
+        f"log-singular-value spread {spread[b]:.1f} exceeds hard cap {SPREAD_HARD_CAP}"))
+    regular = _regular(m) if regular is None else regular
+    failure = _fail(failure, ~regular, lambda b: SingularInputError("factor is numerically singular"))
+    log_sigma, u, v, m = _identity_rows(failure, stack.log_sigma, 0.0, stack.u_frame, stack.v_frame, m)
+    c = log_sigma[:, :1]
+    left, sigma, right, failure = _svd_rows(np.exp(log_sigma - c)[:, :, None] * (v @ m), failure)
+    failure = _fail(failure, sigma[:, -1] <= 0.0, lambda b: SingularInputError(
+        "factor drove the product to numerical singularity"))
+    sigma, left, right = _identity_rows(failure, sigma, 1.0, left, right)
+    log_sigma = np.log(sigma) + c
+    new_spread = log_sigma[:, 0] - log_sigma[:, -1]
+    warn = stack.accuracy_warning | (spread > SPREAD_ACCURACY_CAP) | (new_spread > SPREAD_ACCURACY_CAP)
+    return ProductStack(stack.n + 1, log_sigma, u @ left, right, warn, failure)
+
+
+def evolve_stack(factors, n_grid) -> list[ProductStack]:
+    """Stacks at each grid point of B products; factors is (B, n, d, d).
+
+    Row b is the product factors[b, 0] @ factors[b, 1] @ ... The last stack
+    tells which rows survived the whole trajectory. The finiteness and
+    singularity checks of the factors run once for the whole stack.
+    """
+    arr = _as_matrix(factors, "factors")
+    if arr.ndim != 4 or arr.shape[-1] != arr.shape[-2] or arr.shape[1] < n_grid[-1]:
+        raise ValueError(f"factors must be (B, n >= {n_grid[-1]}, d, d), got shape {arr.shape}")
+    regular = _regular(arr[:, 1:n_grid[-1]])
+    stack = _init_rows(arr[:, 0])
+    stacks = []
+    for n in n_grid:
+        while stack.n < n:
+            stack = _advance_rows(stack, arr[:, stack.n], regular[:, stack.n - 1])
+        stacks.append(stack)
+    return stacks
+
+
+def _only_row(stack: ProductStack) -> ProductState:
+    if stack.failure[0] is not None:
+        raise stack.failure[0]
+    return stack.row(0)
+
+
 def init_state(m1) -> ProductState:
     """State of the one-factor product: straight SVD of the first factor."""
     arr = _as_matrix(m1, "m1")
     if arr.ndim != 2 or arr.shape[0] != arr.shape[1]:
         raise ValueError(f"m1 must be a single square matrix, got shape {arr.shape}")
-    triple = svd_descending(arr)
-    if triple.sigma[-1] <= RANK_RTOL * triple.sigma[0]:
-        raise SingularInputError("initial factor is numerically singular")
-    return ProductState(1, np.log(triple.sigma), triple.left, triple.right)
+    return _only_row(_init_rows(arr[None]))
 
 
 def advance(state: ProductState, m) -> ProductState:
-    """State of P_n @ m from the state of P_n.
-
-    Works entirely on the shifted scale exp(log_sigma - max): the new log
-    singular values are exact up to the conditioning of the single step,
-    independent of how large the accumulated spread is.
-    """
+    """State of P_n @ m from the state of P_n: the one-row case of the stack."""
     arr = _as_matrix(m, "m")
     if arr.shape != state.u_frame.shape:
         raise ValueError(f"factor shape {arr.shape} does not match state dimension {state.d}")
-    spread = state.spread
-    if spread > SPREAD_HARD_CAP:
-        raise SpreadOverflowError(
-            f"log-singular-value spread {spread:.1f} exceeds hard cap {SPREAD_HARD_CAP}"
-        )
-    factor_sv = np.linalg.svd(arr, compute_uv=False)
-    if factor_sv[-1] <= RANK_RTOL * factor_sv[0]:
-        raise SingularInputError("factor is numerically singular")
-    c = float(state.log_sigma[0])
-    scaled = np.exp(state.log_sigma - c)[:, None] * (state.v_frame @ arr)
-    triple = svd_descending(scaled)
-    if triple.sigma[-1] <= 0.0:
-        raise SingularInputError("factor drove the product to numerical singularity")
-    log_sigma = np.log(triple.sigma) + c
-    warn = (
-        state.accuracy_warning
-        or spread > SPREAD_ACCURACY_CAP
-        or float(log_sigma[0] - log_sigma[-1]) > SPREAD_ACCURACY_CAP
-    )
-    return ProductState(
-        n=state.n + 1,
-        log_sigma=log_sigma,
-        u_frame=state.u_frame @ triple.left,
-        v_frame=triple.right,
-        accuracy_warning=warn,
-    )
+    one = np.full(1, None, dtype=object)
+    stack = ProductStack(state.n, state.log_sigma[None], state.u_frame[None], state.v_frame[None],
+                         np.array([state.accuracy_warning]), one)
+    return _only_row(_advance_rows(stack, arr[None]))
 
 
 # Above this spread the ratio of extreme eigenvalue moduli of the similarity
@@ -321,19 +423,21 @@ def analytic_spectrum(spec: EnsembleSpec) -> AnalyticSpectrum:
     are independent in all four cases, so the fluctuation covariance is
     diagonal.
     """
+    import scipy.special  # here and in (tri)digamma: ~50 ms, ~4 MB that only closed forms need
+
     d = spec.d
     k = np.arange(d, 0, -1, dtype=np.float64)  # d-i+1 for i = 1..d
     if isinstance(spec.kind, Ginibre):
         a = k / 2 if spec.field == "real" else k
-        lam = 0.5 * (_LOG2 + _digamma_vec(a))
-        var = 0.25 * _trigamma_vec(a)
+        lam = 0.5 * (_LOG2 + scipy.special.psi(a))
+        var = 0.25 * scipy.special.polygamma(1, a)
     elif isinstance(spec.kind, TruncatedHaar):
         m = spec.kind.m
         km = np.arange(m, m - d, -1, dtype=np.float64)  # m-i+1 for i = 1..d
         if spec.field == "real":
             k, km = k / 2, km / 2
-        lam = 0.5 * (_digamma_vec(k) - _digamma_vec(km))
-        var = 0.25 * (_trigamma_vec(k) - _trigamma_vec(km))
+        lam = 0.5 * (scipy.special.psi(k) - scipy.special.psi(km))
+        var = 0.25 * (scipy.special.polygamma(1, k) - scipy.special.polygamma(1, km))
     else:
         raise ValueError(
             f"no closed-form spectrum for ensemble {spec.ensemble_text!r}; "
@@ -348,29 +452,6 @@ def analytic_spectrum(spec: EnsembleSpec) -> AnalyticSpectrum:
 
 
 # --- special functions -------------------------------------------------------
-#
-# Recurrence up to x >= 12, then the asymptotic (Bernoulli) series. Absolute
-# error is far below the 1e-12 contract for x >= 1/4.
-
-_PSI_SERIES = (
-    1.0 / 12.0,
-    1.0 / 120.0,
-    1.0 / 252.0,
-    1.0 / 240.0,
-    1.0 / 132.0,
-    691.0 / 32760.0,
-    1.0 / 12.0,
-)
-
-_PSI1_SERIES = (
-    1.0 / 6.0,
-    1.0 / 30.0,
-    1.0 / 42.0,
-    1.0 / 30.0,
-    5.0 / 66.0,
-    691.0 / 2730.0,
-    7.0 / 6.0,
-)
 
 
 def digamma(x: float) -> float:
@@ -378,15 +459,8 @@ def digamma(x: float) -> float:
     x = float(x)
     if not x > 0:
         raise ValueError(f"digamma requires x > 0, got {x}")
-    acc = 0.0
-    while x < 12.0:
-        acc -= 1.0 / x
-        x += 1.0
-    r2 = 1.0 / (x * x)
-    series = 0.0
-    for coef in reversed(_PSI_SERIES):
-        series = r2 * (coef - series)
-    return acc + math.log(x) - 0.5 / x - series
+    import scipy.special
+    return float(scipy.special.psi(x))
 
 
 def trigamma(x: float) -> float:
@@ -394,24 +468,8 @@ def trigamma(x: float) -> float:
     x = float(x)
     if not x > 0:
         raise ValueError(f"trigamma requires x > 0, got {x}")
-    acc = 0.0
-    while x < 12.0:
-        acc += 1.0 / (x * x)
-        x += 1.0
-    r = 1.0 / x
-    r2 = r * r
-    series = 0.0
-    for coef in reversed(_PSI1_SERIES):
-        series = r2 * (coef - series)
-    return acc + r + 0.5 * r2 + r * series
-
-
-def _digamma_vec(a: np.ndarray) -> np.ndarray:
-    return np.array([digamma(x) for x in np.atleast_1d(a)])
-
-
-def _trigamma_vec(a: np.ndarray) -> np.ndarray:
-    return np.array([trigamma(x) for x in np.atleast_1d(a)])
+    import scipy.special
+    return float(scipy.special.polygamma(1, x))
 
 
 def elog_chisq(k: int) -> float:

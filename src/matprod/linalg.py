@@ -7,6 +7,7 @@ accept stacked input: leading axes broadcast and the last two are the matrix.
 """
 from __future__ import annotations
 
+import contextlib
 from dataclasses import dataclass
 from typing import Iterable
 
@@ -24,6 +25,7 @@ __all__ = [
     "svd_descending",
     "eig_by_modulus",
     "count_complex_pairs",
+    "complex_pair_counts",
     "principal_minor",
     "RANK_RTOL",
 ]
@@ -197,6 +199,26 @@ def count_complex_pairs(a) -> int:
     except scipy.linalg.LinAlgError as exc:
         raise NumericError(f"Schur iteration did not converge (shape {arr.shape})") from exc
     return int(np.count_nonzero(np.diagonal(t, -1)))
+
+
+def complex_pair_counts(a) -> np.ndarray:
+    """count_complex_pairs of each matrix of a real (B, d, d) stack, with one eigvals call.
+
+    Counts the eigenvalues with imaginary part exactly > 0: LAPACK reads them
+    off the same real Schur 2x2 blocks, one per conjugate pair. If the stacked
+    call fails, each matrix is taken alone, and one that does not converge counts -1.
+    """
+    arr = _as_matrix(a)
+    if np.iscomplexobj(arr) or arr.ndim != 3 or arr.shape[1] != arr.shape[2]:
+        raise ValueError(f"complex_pair_counts takes a real (B, d, d) stack, got {arr.dtype} {arr.shape}")
+    try:
+        return np.count_nonzero(np.linalg.eigvals(arr).imag > 0, axis=-1)
+    except np.linalg.LinAlgError:
+        counts = np.full(arr.shape[0], -1)
+        for b, m in enumerate(arr):
+            with contextlib.suppress(np.linalg.LinAlgError):
+                counts[b] = np.count_nonzero(np.linalg.eigvals(m).imag > 0)
+        return counts
 
 
 def principal_minor(a, index_set: Iterable[int]):

@@ -17,6 +17,7 @@ from matprod.ensembles import (
 )
 from matprod.exponents import (
     SPREAD_ACCURACY_CAP,
+    SPREAD_HARD_CAP,
     ProductState,
     SpreadOverflowError,
     advance,
@@ -24,6 +25,7 @@ from matprod.exponents import (
     analytic_truncated_logdet,
     digamma,
     elog_chisq,
+    evolve_stack,
     init_state,
     lyapunov_qr_stream,
     single_step_estimate,
@@ -31,7 +33,7 @@ from matprod.exponents import (
     supports_analytic_spectrum,
     trigamma,
 )
-from matprod.linalg import SingularInputError, qr_positive
+from matprod.linalg import NumericError, SingularInputError, qr_positive
 from matprod.rng import RngStream
 
 from conftest import rel_err
@@ -271,6 +273,137 @@ def test_state_reconstruction_small_n(stream):
     assert st_.spread < SPREAD_ACCURACY_CAP
     recon = st_.u_frame @ (np.exp(st_.log_sigma)[:, None] * st_.v_frame)
     assert rel_err(recon, prod) < 1e-8
+
+
+# --- stacked engine -------------------------------------------------------
+
+ENGINE_GRID = (1, 3, 6)
+
+
+def _evolve(factors, grid=ENGINE_GRID):
+    stacks = evolve_stack(factors, grid)
+    return stacks, stacks[-1]
+
+
+def _engine_factors(field, d, ensemble, rows=5, n=6):
+    kind = {
+        "ginibre": Ginibre(),
+        "haar-scaled:const(1)": HaarScaled(ScalarLaw("const", (1.0,))),
+        "truncated-haar": TruncatedHaar(d + 2),
+    }[ensemble]
+    gen = RngStream(616, (d, rows)).generator()
+    spec = EnsembleSpec(field, d, kind)
+    return np.stack([sample_isotropic(spec, gen, size=n) for _ in range(rows)])
+
+
+@pytest.mark.parametrize("ensemble", ["ginibre", "haar-scaled:const(1)", "truncated-haar"])
+@pytest.mark.parametrize("field", ["real", "complex"])
+@pytest.mark.parametrize("d", [1, 2, 4])
+def test_stack_matches_explicit_products(field, d, ensemble):
+    factors = _engine_factors(field, d, ensemble)
+    seen, final = _evolve(factors)
+    assert final.ok.all() and all(f is None for f in final.failure)
+    for n, stack in zip(ENGINE_GRID, seen):
+        assert stack.n == n
+        for b in range(factors.shape[0]):
+            prod = np.linalg.multi_dot([np.eye(d), *factors[b, :n]])
+            sv = np.linalg.svd(prod, compute_uv=False)
+            assert np.max(np.abs(stack.log_sigma[b] - np.log(sv))) < 1e-8
+            st_ = stack.row(b)
+            recon = st_.u_frame @ (np.exp(st_.log_sigma)[:, None] * st_.v_frame)
+            assert rel_err(recon, prod) < 1e-8
+
+
+def _assert_rows_equal(stacks, keep, clean):
+    for stack, ref in zip(stacks, clean):
+        for name in ("log_sigma", "u_frame", "v_frame", "accuracy_warning", "ok"):
+            assert np.array_equal(getattr(stack, name)[keep], getattr(ref, name)), name
+
+
+def _assert_reset(stack, b):
+    d = stack.log_sigma.shape[1]
+    assert np.array_equal(stack.log_sigma[b], np.zeros(d))
+    assert np.array_equal(stack.u_frame[b], np.eye(d))
+    assert np.array_equal(stack.v_frame[b], np.eye(d))
+
+
+def test_stack_singular_factor_drops_only_its_row():
+    factors = _engine_factors("real", 3, "ginibre")
+    bad = factors.copy()
+    bad[2, 4] = [[1.0, 1.0, 0.0], [1.0, 1.0, 0.0], [0.0, 0.0, 1.0]]
+    seen, final = _evolve(bad)
+    keep = np.arange(5) != 2
+    clean, _ = _evolve(factors[keep])
+    _assert_rows_equal(seen, keep, clean)
+    assert final.ok.tolist() == [True, True, False, True, True]
+    assert isinstance(final.failure[2], SingularInputError)
+    assert "factor is numerically singular" in str(final.failure[2])
+    assert seen[1].ok[2]  # still alive at n=3, dropped at step 5
+    _assert_reset(final, 2)
+
+
+def test_stack_singular_first_factor_drops_only_its_row():
+    factors = _engine_factors("complex", 2, "ginibre")
+    factors[0, 0] = 0.0
+    seen, final = _evolve(factors)
+    clean, _ = _evolve(factors[1:])
+    _assert_rows_equal(seen, slice(1, None), clean)
+    assert isinstance(final.failure[0], SingularInputError)
+    assert not seen[0].ok[0]
+    _assert_reset(final, 0)
+
+
+def test_stack_row_over_hard_cap_drops_only_its_row():
+    # factors graded by 1e-11 (spread 25.3 a step, still regular) carry one
+    # row past the hard cap; a full grid brings that row over it before a step
+    factors = _engine_factors("real", 2, "ginibre", rows=4, n=40)
+    graded = factors.copy()
+    graded[1] = np.diag([1.0, 1e-11])
+    grid = (1, 20, 40)
+    seen, final = _evolve(graded, grid)
+    keep = np.arange(4) != 1
+    clean, _ = _evolve(factors[keep], grid)
+    _assert_rows_equal(seen, keep, clean)
+    assert seen[1].ok[1] and seen[1].accuracy_warning[1]
+    assert final.ok.tolist() == [True, False, True, True]
+    assert isinstance(final.failure[1], SpreadOverflowError)
+    spread_28 = 28 * 11 * math.log(10)  # the first spread over the cap
+    assert spread_28 - 11 * math.log(10) <= SPREAD_HARD_CAP < spread_28
+    assert str(final.failure[1]) == f"log-singular-value spread {spread_28:.1f} exceeds hard cap {SPREAD_HARD_CAP}"
+    _assert_reset(final, 1)
+
+
+def test_stack_svd_fallback_drops_only_unconverged_rows(monkeypatch):
+    factors = _engine_factors("real", 2, "ginibre")
+    _, clean = _evolve(factors)
+    svd = np.linalg.svd
+    calls = []
+
+    def flaky(a, *args, **kwargs):
+        # the first stacked SVD fails, and so does row 3 when taken alone
+        if kwargs.get("compute_uv", True) and len(calls) < 6:
+            calls.append(a.shape)
+            if a.ndim == 3 or len(calls) == 5:
+                raise np.linalg.LinAlgError("SVD did not converge")
+        return svd(a, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "svd", flaky)
+    _, final = _evolve(factors)
+    assert final.ok.tolist() == [True, True, True, False, True]
+    assert isinstance(final.failure[3], NumericError)
+    keep = np.arange(5) != 3
+    assert np.array_equal(final.log_sigma[keep], clean.log_sigma[keep])
+    _assert_reset(final, 3)
+
+
+def test_evolve_stack_rejects_bad_factors():
+    factors = _engine_factors("real", 2, "ginibre")
+    with pytest.raises(ValueError, match="non-finite"):
+        bad = factors.copy()
+        bad[1, 2, 0, 0] = np.nan
+        evolve_stack(bad, ENGINE_GRID)
+    with pytest.raises(ValueError, match="must be"):
+        evolve_stack(factors, (1, 7))
 
 
 # --- stability exponents -----------------------------------------------

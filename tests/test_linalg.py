@@ -9,6 +9,7 @@ from matprod.linalg import (
     NumericError,
     QrPair,
     SingularInputError,
+    complex_pair_counts,
     count_complex_pairs,
     eig_by_modulus,
     lq_positive,
@@ -226,6 +227,73 @@ def test_pairs_vs_eigenvalue_reality():
         assert nonreal % 2 == 0
         assert count_complex_pairs(a) == nonreal // 2
         checked += 1
+
+
+def _classification_corpus(d: int, count: int) -> np.ndarray:
+    """Gaussian matrices, and orthogonal-times-graded-diagonal ones with log
+    spreads up to 30, the shape the reality experiment classifies."""
+    gen = np.random.default_rng(1000 + d)
+    plain = gen.standard_normal((count, d, d))
+    q, _ = np.linalg.qr(gen.standard_normal((count, d, d)))
+    spread = gen.uniform(0.0, 30.0, size=(count, 1))
+    logs = -np.sort(gen.uniform(0.0, 1.0, size=(count, d)), axis=1) * spread
+    return np.concatenate([plain, q * np.exp(logs)[:, None, :]])
+
+
+@pytest.mark.parametrize("d", [2, 3, 4, 5])
+def test_batched_pair_counts_match_schur_oracle(d):
+    corpus = _classification_corpus(d, 1500)
+    counts = complex_pair_counts(corpus)
+    assert counts.shape == (corpus.shape[0],)
+    assert [int(c) for c in counts] == [count_complex_pairs(a) for a in corpus]
+
+
+def test_batched_pair_counts_borderline_cases():
+    def rotation(t):
+        return np.array([[np.cos(t), -np.sin(t)], [np.sin(t), np.cos(t)]])
+
+    # expected None: below double resolution, where only agreement with the
+    # oracle is asserted (LAPACK deflates a rotation by 1e-150 to the identity)
+    cases = [
+        (np.eye(3), 0),
+        (np.array([[1.0, 1.0], [0.0, 1.0]]), 0),  # Jordan block
+        (np.array([[1.0, 1.0, 0.0], [0.0, 1.0, 1.0], [0.0, 0.0, 1.0]]), 0),
+        (np.array([[1.0, 1.0], [-1e-20, 1.0]]), 1),  # perturbed Jordan block: 1 +- 1e-10 i
+        (np.diag([2.0, 2.0, -1.0, -1.0]), 0),  # repeated entries
+        (np.array([[0.0, -1.0], [1.0, 0.0]]), 1),
+        (np.array([[-0.5]]), 0),  # d = 1
+        (rotation(1e-8), 1),
+        (rotation(1e-30), 1),
+        (rotation(1e-150), None),
+    ]
+    for a, expected in cases:
+        oracle = count_complex_pairs(a)
+        assert complex_pair_counts(a[None]).tolist() == [oracle]
+        assert expected is None or oracle == expected
+    stacked = np.stack([np.eye(2), np.array([[0.0, -1.0], [1.0, 0.0]]), rotation(1e-8)])
+    assert complex_pair_counts(stacked).tolist() == [0, 1, 1]
+
+
+def test_batched_pair_counts_fallback_marks_only_unconverged(monkeypatch):
+    corpus = _classification_corpus(3, 4)
+    expected = [count_complex_pairs(a) for a in corpus]
+    eigvals = np.linalg.eigvals
+
+    def flaky(a):
+        # the stacked call fails, and so does the third matrix taken alone
+        if a.ndim == 3 or np.array_equal(a, corpus[2]):
+            raise np.linalg.LinAlgError("Eigenvalues did not converge")
+        return eigvals(a)
+
+    monkeypatch.setattr(np.linalg, "eigvals", flaky)
+    assert complex_pair_counts(corpus).tolist() == expected[:2] + [-1] + expected[3:]
+
+
+def test_batched_pair_counts_rejects_bad_input():
+    with pytest.raises(ValueError):
+        complex_pair_counts(np.eye(2, dtype=complex)[None])
+    with pytest.raises(ValueError):
+        complex_pair_counts(np.eye(2))
 
 
 # --- principal_minor ---------------------------------------------------------
