@@ -24,10 +24,8 @@ from . import __version__
 from .configtext import ConfigError, config_to_text, parse_config
 from .ensembles import EnsembleSpec, parse_ensemble
 from .experiments import (
-    EqualityResult,
+    _EXP_LYAPUNOV,
     ExperimentConfig,
-    FluctResult,
-    RealProbResult,
     run_equality,
     run_fluctuations,
     run_factorization_checks,
@@ -108,174 +106,105 @@ def _stat_vec(prefix: str, values, se=None, count=None) -> dict[str, Stat]:
     return out
 
 
-def _common(spec: EnsembleSpec) -> dict:
-    return dict(d=spec.d, field=spec.field, ensemble=spec.ensemble_text)
+def _record(experiment: str, spec: EnsembleSpec, n: int, replications: int, stats: dict[str, Stat],
+            d: Optional[int] = None, field: Optional[str] = None) -> ResultRecord:
+    """A record of spec's ensemble; d and field default to spec's. cmd_run numbers the records."""
+    return ResultRecord(experiment, d or spec.d, field or spec.field, spec.ensemble_text, n, replications, 0, stats)
 
 
-def _records_lyapunov(config: ExperimentConfig) -> list[ResultRecord]:
-    spec = config.spec
-    common = _common(spec)
-    ref = analytic_spectrum(spec) if supports_analytic_spectrum(spec) else None
-
-    est = single_step_estimate(spec, config.mc_samples, config.stream().derive(6, 0, 0))
-    stats = _stat_vec("lambda", est.mean, est.se, est.count)
-    if ref is not None:
-        stats.update(_stat_vec("ref_lambda", ref.lyapunov))
-    rec1 = ResultRecord(
-        experiment="lyapunov:single-step",
-        n=1,
-        replications=config.mc_samples,
-        seq=0,
-        stats=stats,
-        **common,
-    )
-
-    stream_res = lyapunov_qr_stream(spec, config.mc_samples, config.stream().derive(6, 1, 0))
-    stats = _stat_vec("lambda", stream_res.mean, stream_res.se, config.mc_samples)
-    if ref is not None:
-        stats.update(_stat_vec("ref_lambda", ref.lyapunov))
-    stats["skipped"] = Stat(float(stream_res.skipped))
-    rec2 = ResultRecord(
-        experiment="lyapunov:qr-stream",
-        n=config.mc_samples,
-        replications=1,
-        seq=0,
-        stats=stats,
-        **common,
-    )
-    return [rec1, rec2]
+def _lyapunov(config: ExperimentConfig) -> list[ResultRecord]:
+    spec, mc = config.spec, config.mc_samples
+    ref = _stat_vec("ref_lambda", analytic_spectrum(spec).lyapunov) if supports_analytic_spectrum(spec) else {}
+    est = single_step_estimate(spec, mc, config.stream().derive(_EXP_LYAPUNOV, 0, 0))
+    qr = lyapunov_qr_stream(spec, mc, config.stream().derive(_EXP_LYAPUNOV, 1, 0))
+    return [
+        _record("lyapunov:single-step", spec, 1, mc, {**_stat_vec("lambda", est.mean, est.se, est.count), **ref}),
+        _record("lyapunov:qr-stream", spec, mc, 1,
+                {**_stat_vec("lambda", qr.mean, qr.se, mc), **ref, "skipped": Stat(float(qr.skipped))}),
+    ]
 
 
-def _records_stability(result: EqualityResult) -> list[ResultRecord]:
-    common = _common(result.spec)
+def _stability(config: ExperimentConfig) -> list[ResultRecord]:
+    result = run_equality(config)
     records = []
     for pn in result.per_n:
-        stats: dict[str, Stat] = {}
-        stats.update(_stat_vec("mean_singular", pn.mean_singular, pn.se_singular, pn.count))
-        stats.update(_stat_vec("mean_stability", pn.mean_stability, pn.se_stability, pn.count))
-        stats.update(
-            _stat_vec("gap_singular_stability", pn.gap_singular_stability.mean, pn.gap_singular_stability.se)
-        )
-        stats.update(_stat_vec("gap_singular_ref", pn.gap_singular_ref.mean, pn.gap_singular_ref.se))
-        stats.update(_stat_vec("gap_stability_ref", pn.gap_stability_ref.mean, pn.gap_stability_ref.se))
+        stats = {
+            **_stat_vec("mean_singular", pn.mean_singular, pn.se_singular, pn.count),
+            **_stat_vec("mean_stability", pn.mean_stability, pn.se_stability, pn.count),
+        }
+        for gap in ("gap_singular_stability", "gap_singular_ref", "gap_stability_ref"):
+            stats.update(_stat_vec(gap, getattr(pn, gap).mean, getattr(pn, gap).se))
         stats["maxgap"] = Stat(pn.maxgap_mean, pn.maxgap_se, pn.count)
         stats["maxgap_worst"] = Stat(pn.maxgap_max)
         stats.update(_stat_vec("ref_lambda", result.reference, result.reference_se))
         stats["skipped"] = Stat(float(result.skipped))
-        records.append(
-            ResultRecord(
-                experiment="stability",
-                n=pn.n,
-                replications=pn.count,
-                seq=0,
-                stats=stats,
-                **common,
-            )
-        )
+        records.append(_record("stability", result.spec, pn.n, pn.count, stats))
     return records
 
 
-def _records_fluctuations(result: FluctResult) -> list[ResultRecord]:
-    spec = result.spec
+def _fluctuations(config: ExperimentConfig) -> list[ResultRecord]:
+    result = run_fluctuations(config)
     stats: dict[str, Stat] = {}
-    d = spec.d
-    for i in range(d):
-        for j in range(i, d):
-            stats[f"cov_singular_{i + 1}_{j + 1}"] = Stat(
+    for i in range(result.spec.d):
+        for j in range(i, result.spec.d):
+            ij = f"{i + 1}_{j + 1}"
+            stats[f"cov_singular_{ij}"] = Stat(
                 float(result.cov_singular[i, j]), float(result.cov_singular_se[i, j]), result.count
             )
-            stats[f"cov_stability_{i + 1}_{j + 1}"] = Stat(
+            stats[f"cov_stability_{ij}"] = Stat(
                 float(result.cov_stability[i, j]), float(result.cov_stability_se[i, j]), result.count
             )
-            stats[f"cov_diff_se_{i + 1}_{j + 1}"] = Stat(float(result.cov_diff_se[i, j]))
-            stats[f"ref_cov_{i + 1}_{j + 1}"] = Stat(float(result.reference_cov[i, j]))
+            stats[f"cov_diff_se_{ij}"] = Stat(float(result.cov_diff_se[i, j]))
+            stats[f"ref_cov_{ij}"] = Stat(float(result.reference_cov[i, j]))
     stats["skipped"] = Stat(float(result.skipped))
+    return [_record("fluctuations", result.spec, result.n, result.count, stats)]
+
+
+def _realprob(config: ExperimentConfig) -> list[ResultRecord]:
+    result = run_real_probability(config)
     return [
-        ResultRecord(
-            experiment="fluctuations",
-            **_common(spec),
-            n=result.n,
-            replications=result.count,
-            seq=0,
-            stats=stats,
-        )
-    ]
-
-
-def _records_realprob(result: RealProbResult) -> list[ResultRecord]:
-    spec = result.spec
-    records = []
-    for pn in result.per_n:
-        se = (pn.p_hat * (1 - pn.p_hat) / pn.trials) ** 0.5 if pn.trials else 0.0
-        stats = {
-            "p_hat": Stat(pn.p_hat, se, pn.trials),
+        _record("realprob", result.spec, pn.n, result.replications, {
+            "p_hat": Stat(pn.p_hat, (pn.p_hat * (1 - pn.p_hat) / pn.trials) ** 0.5, pn.trials),
             "all_real": Stat(float(pn.all_real)),
             "trials": Stat(float(pn.trials)),
             "wilson_low": Stat(pn.wilson_low),
             "wilson_high": Stat(pn.wilson_high),
             "excluded": Stat(float(pn.excluded)),
-        }
-        records.append(
-            ResultRecord(
-                experiment="realprob",
-                **_common(spec),
-                n=pn.n,
-                replications=result.replications,
-                seq=0,
-                stats=stats,
-            )
-        )
+        })
+        for pn in result.per_n
+    ]
+
+
+def _verify(config: ExperimentConfig) -> list[ResultRecord]:
+    """Records of both verification runs; a check that failed has passed = 0."""
+    spec = config.spec
+    minor = run_minor_identity(config)
+    records = [
+        _record("verify:minor-identity", spec, spec.d, minor.trials, {
+            "max_coefficient_residual": Stat(minor.max_coefficient_residual),
+            "max_factorization_residual": Stat(minor.max_factorization_residual),
+            "max_partial_product_excess": Stat(minor.max_partial_product_excess),
+            "tol": Stat(minor.tol),
+            "passed": Stat(float(minor.passed)),
+        })
+    ]
+    for row in run_factorization_checks(config).rows:
+        records.append(_record(f"verify:{row.check}:field={row.field}:d={row.d}", spec, row.index, row.samples, {
+            "estimate": Stat(row.estimate, row.se, row.samples),
+            "reference": Stat(row.reference),
+            "z": Stat(row.z),
+            "passed": Stat(float(row.passed)),
+        }, d=row.d, field=row.field))
     return records
 
 
-def _records_verify(config: ExperimentConfig) -> tuple[list[ResultRecord], bool]:
-    """Records of both verification runs, and whether any check failed."""
-    spec = config.spec
-    minor, factor_report = run_minor_identity(config), run_factorization_checks(config)
-    records = [
-        ResultRecord(
-            experiment="verify:minor-identity",
-            **_common(spec),
-            n=spec.d,
-            replications=minor.trials,
-            seq=0,
-            stats={
-                "max_coefficient_residual": Stat(minor.max_coefficient_residual),
-                "max_factorization_residual": Stat(minor.max_factorization_residual),
-                "max_partial_product_excess": Stat(minor.max_partial_product_excess),
-                "tol": Stat(minor.tol),
-                "passed": Stat(float(minor.passed)),
-            },
-        )
-    ]
-    for row in factor_report.rows:
-        records.append(
-            ResultRecord(
-                experiment=f"verify:{row.check}:field={row.field}:d={row.d}",
-                d=row.d,
-                field=row.field,
-                ensemble=spec.ensemble_text,
-                n=row.index,
-                replications=row.samples,
-                seq=0,
-                stats={
-                    "estimate": Stat(row.estimate, row.se, row.samples),
-                    "reference": Stat(row.reference),
-                    "z": Stat(row.z),
-                    "passed": Stat(float(row.passed)),
-                },
-            )
-        )
-    return records, not (minor.passed and factor_report.passed)
-
-
-# experiment -> (config -> (records, failed), (stat, file suffix) of its --emit-plotdata curve)
+# experiment -> (config -> records, (stat, file suffix) of its --emit-plotdata curve)
 _EXPERIMENTS = {
-    "lyapunov": (lambda config: (_records_lyapunov(config), False), None),
-    "stability": (lambda config: (_records_stability(run_equality(config)), False), ("maxgap", ".gapcurve.txt")),
-    "fluctuations": (lambda config: (_records_fluctuations(run_fluctuations(config)), False), None),
-    "realprob": (lambda config: (_records_realprob(run_real_probability(config)), False), ("p_hat", ".phat.txt")),
-    "verify": (_records_verify, None),
+    "lyapunov": (_lyapunov, None),
+    "stability": (_stability, ("maxgap", ".gapcurve.txt")),
+    "fluctuations": (_fluctuations, None),
+    "realprob": (_realprob, ("p_hat", ".phat.txt")),
+    "verify": (_verify, None),
 }
 
 
@@ -308,8 +237,7 @@ def _emit_plotdata(experiment: str, records: Sequence[ResultRecord], out_path: s
 def cmd_run(experiment: str, config: ExperimentConfig, emit_plotdata: bool = False) -> int:
     if experiment not in _EXPERIMENTS:
         raise ValueError(f"unknown experiment {experiment!r}")
-    records, failed = _EXPERIMENTS[experiment][0](config)
-    records = [replace(rec, seq=i) for i, rec in enumerate(records, start=1)]
+    records = [replace(rec, seq=i) for i, rec in enumerate(_EXPERIMENTS[experiment][0](config), start=1)]
 
     if config.out is not None:
         manifest = RunManifest(
@@ -327,7 +255,7 @@ def cmd_run(experiment: str, config: ExperimentConfig, emit_plotdata: bool = Fal
         raise ConfigError("--emit-plotdata needs an output path (out=... or --out)")
 
     _print_records(records)
-    if failed:
+    if any(rec.stats["passed"].value == 0 for rec in records if "passed" in rec.stats):
         print("verification FAILED: at least one check outside tolerance", file=sys.stderr)
         return EXIT_NUMERIC
     return EXIT_OK

@@ -2,8 +2,8 @@
 
 Accepted syntax per line: one or more ``key=value`` assignments separated by
 whitespace; spaces around ``=`` are allowed, values may be double-quoted,
-``#`` starts a comment. Unknown and duplicate keys are rejected by name and
-line.
+``#`` outside a quoted value starts a comment. An unterminated quote, and
+unknown and duplicate keys, are rejected by name and line.
 """
 from __future__ import annotations
 
@@ -30,7 +30,7 @@ CONFIG_KEYS = (
 
 _REQUIRED = ("seed", "field", "d", "ensemble", "n_grid", "replications")
 
-_ASSIGN_RE = re.compile(r'\s*([A-Za-z_][A-Za-z0-9_]*)\s*=\s*("[^"]*"|\S+)')
+_ASSIGN_RE = re.compile(r'\s*([A-Za-z_][A-Za-z0-9_]*)\s*=\s*("[^"]*"?|[^\s#]+)')
 
 
 class ConfigError(ValueError):
@@ -40,19 +40,18 @@ class ConfigError(ValueError):
 def _scan_assignments(text: str) -> list[tuple[str, str, int]]:
     found = []
     for lineno, line in enumerate(text.splitlines(), start=1):
-        body = line.split("#", 1)[0]
         pos = 0
-        while pos < len(body):
-            if body[pos:].strip() == "":
-                break
-            match = _ASSIGN_RE.match(body, pos)
+        while line[pos:].strip() and not line[pos:].lstrip().startswith("#"):
+            match = _ASSIGN_RE.match(line, pos)
             if match is None:
                 raise ConfigError(
-                    f"line {lineno}: cannot parse {body[pos:].strip()!r}; "
+                    f"line {lineno}: cannot parse {line[pos:].split('#', 1)[0].strip()!r}; "
                     "expected key=value"
                 )
             value = match.group(2)
             if value.startswith('"'):
+                if len(value) < 2 or not value.endswith('"'):
+                    raise ConfigError(f"line {lineno}: unterminated quote in the value of {match.group(1)!r}")
                 value = value[1:-1]
             found.append((match.group(1), value, lineno))
             pos = match.end()

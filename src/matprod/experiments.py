@@ -25,9 +25,9 @@ import numpy as np
 from .ensembles import EnsembleSpec, sample_haar_unitary, sample_isotropic, sample_singular_values
 from .exponents import (
     SPREAD_ACCURACY_CAP,
-    ExponentEstimate,
     ProductStack,
     SpreadOverflowError,
+    _batches,
     analytic_spectrum,
     analytic_truncated_logdet,
     evolve_stack,
@@ -68,6 +68,10 @@ _EXP_FLUCT = 2
 _EXP_REALPROB = 3
 _EXP_FACTOR = 4
 _EXP_MINOR = 5
+_EXP_LYAPUNOV = 6  # role 0 single-step, role 1 QR stream (cli's lyapunov records)
+
+# Worst relative residual the exact minor identities may show.
+_MINOR_TOL = 1e-8
 
 _Z95 = 1.959963984540054
 
@@ -84,7 +88,6 @@ class ExperimentConfig:
     replications: int
     mc_samples: int = 100_000
     threads: int = 1
-    estimators: frozenset[str] = frozenset()
     out: Optional[str] = None
     format: str = "jsonl"
 
@@ -103,10 +106,8 @@ class ExperimentConfig:
             raise ValueError(f"threads must be >= 1, got {self.threads}")
         if self.format not in ("jsonl", "csv"):
             raise ValueError(f"format must be jsonl or csv, got {self.format!r}")
-        unknown = set(self.estimators) - {"single-step-reference"}
-        if unknown:
-            raise ValueError(f"unknown estimator toggles: {sorted(unknown)}")
-        object.__setattr__(self, "estimators", frozenset(self.estimators))
+        if self.out is not None and '"' in self.out:
+            raise ValueError(f"out must not contain a double quote, got {self.out!r}")
 
     def stream(self) -> RngStream:
         return RngStream(self.seed)
@@ -142,15 +143,15 @@ def _map_chunks(jobs, worker: Callable, threads: int) -> list:
         return list(ex.map(lambda job: worker(*job), jobs))
 
 
-def _reference_estimate(config: ExperimentConfig, exp_index: int) -> tuple[np.ndarray, np.ndarray, str]:
-    """Reference exponent vector, its SE per component, and its source tag."""
-    if "single-step-reference" not in config.estimators and supports_analytic_spectrum(config.spec):
-        spectrum = analytic_spectrum(config.spec)
-        return spectrum.lyapunov, np.zeros(config.spec.d), "analytic"
-    est = single_step_estimate(
-        config.spec, config.mc_samples, config.stream().derive(exp_index, 0, 0)
-    )
-    return est.mean, est.se, "single-step"
+def _reference(config: ExperimentConfig, exp_index: int) -> tuple[np.ndarray, np.ndarray, np.ndarray, str]:
+    """Reference exponents, their SEs, the fluctuation covariance and the source tag:
+    the closed form where one exists, else the single-step estimate on stream (exp_index, 0, 0)."""
+    spec = config.spec
+    if supports_analytic_spectrum(spec):
+        spectrum = analytic_spectrum(spec)
+        return spectrum.lyapunov, np.zeros(spec.d), np.diag(spectrum.variance), "analytic"
+    est = single_step_estimate(spec, config.mc_samples, config.stream().derive(exp_index, 0, 0))
+    return est.mean, est.se, est.cov, "single-step"
 
 
 def _evolve_chunks(config: ExperimentConfig, exp_index: int, grid: Sequence[int], observe: Callable) -> list:
@@ -268,7 +269,7 @@ def run_equality(config: ExperimentConfig) -> EqualityResult:
     and counted.
     """
     spec = config.spec
-    ref, ref_se, ref_source = _reference_estimate(config, _EXP_EQUALITY)
+    ref, ref_se, _, ref_source = _reference(config, _EXP_EQUALITY)
     grid = config.n_grid
     sig, stab = _exponent_samples(config, _EXP_EQUALITY, grid)
     used = sig.shape[0]
@@ -335,7 +336,6 @@ def run_fluctuations(config: ExperimentConfig) -> FluctResult:
         raise ValueError("fluctuation runs need replications >= 100")
     spec = config.spec
     n = config.n_grid[-1]
-    base = config.stream()
     sig, stab = (a[:, 0] for a in _exponent_samples(config, _EXP_FLUCT, (n,)))
     used = sig.shape[0]
 
@@ -347,14 +347,7 @@ def run_fluctuations(config: ExperimentConfig) -> FluctResult:
     yc = y - y.mean(axis=0)
     prod_diff = xc[:, :, None] * xc[:, None, :] - yc[:, :, None] * yc[:, None, :]
     diff_se = prod_diff.std(axis=0, ddof=1) / math.sqrt(used)
-
-    if "single-step-reference" not in config.estimators and supports_analytic_spectrum(spec):
-        ref_cov = np.diag(analytic_spectrum(spec).variance)
-        ref_source = "analytic"
-    else:
-        est = single_step_estimate(spec, config.mc_samples, base.derive(_EXP_FLUCT, 0, 0))
-        ref_cov = est.cov
-        ref_source = "single-step"
+    _, _, ref_cov, ref_source = _reference(config, _EXP_FLUCT)
 
     return FluctResult(
         spec=spec,
@@ -518,14 +511,11 @@ def run_factorization_checks(config: ExperimentConfig) -> FactorizationReport:
     for d in range(1, spec.d + 1):
         gen = base.derive(_EXP_FACTOR, 1, d).generator()
         corner = [_Moments(1) for _ in range(d)]
-        done = 0
-        while done < mc:
-            b = min(_BATCH_CHECKS, mc - done)
+        for _, b in _batches(mc):
             u = sample_haar_unitary(d, field, gen, size=b)
             for i in range(1, d + 1):
                 dets = np.linalg.det(u[:, :i, :i])
                 corner[i - 1].add(np.log(np.abs(dets))[:, None])
-            done += b
         for i in range(1, d + 1):
             mom = corner[i - 1]
             rows.append(
@@ -548,9 +538,7 @@ def run_factorization_checks(config: ExperimentConfig) -> FactorizationReport:
             gen = base.derive(_EXP_FACTOR, 2, d, nrows).generator()
             diag_mom = _Moments(nrows)
             off_mom = _Moments(1) if nrows > 1 else None
-            done = 0
-            while done < mc:
-                b = min(_BATCH_CHECKS, mc - done)
+            for _, b in _batches(mc):
                 g = _ginibre_block(nrows, d, field, gen, b)
                 t = lq_positive(g).t
                 tdiag = np.diagonal(t, axis1=-2, axis2=-1).real
@@ -560,7 +548,6 @@ def run_factorization_checks(config: ExperimentConfig) -> FactorizationReport:
                     tril = t[:, li, lj]
                     parts = [tril.real, tril.imag] if field == "complex" else [tril]
                     off_mom.add(np.concatenate(parts, axis=1).reshape(-1, 1))
-                done += b
             for j in range(1, nrows + 1):
                 k = dof_scale * (d - j + 1)
                 rows += _mean_var_rows(f"lq-diag-{{}}:rows={nrows}", field, d, j, diag_mom, j - 1, float(k), float(2 * k))
@@ -571,14 +558,10 @@ def run_factorization_checks(config: ExperimentConfig) -> FactorizationReport:
         m = 4 * d
         gen = base.derive(_EXP_FACTOR, 3, d).generator()
         mom = _Moments(1)
-        done = 0
-        samples = min(mc, 20_000)
-        while done < samples:
-            b = min(_BATCH_CHECKS, samples - done)
+        for _, b in _batches(min(mc, 20_000)):
             u = sample_haar_unitary(m, field, gen, size=b)
             block = m * np.abs(u[:, :d, :d]) ** 2
             mom.add(block.reshape(b, -1).mean(axis=1)[:, None])
-            done += b
         rows.append(
             CheckRow(
                 check="corner-scaling",
@@ -593,9 +576,6 @@ def run_factorization_checks(config: ExperimentConfig) -> FactorizationReport:
         )
 
     return FactorizationReport(rows=tuple(rows))
-
-
-_BATCH_CHECKS = 8192
 
 
 def _mean_var_rows(check: str, field: str, d: int, index: int, mom: _Moments, col: int,
@@ -635,7 +615,7 @@ class MinorIdentityReport:
         )
 
 
-def run_minor_identity(config: ExperimentConfig, tol: float = 1e-8) -> MinorIdentityReport:
+def run_minor_identity(config: ExperimentConfig) -> MinorIdentityReport:
     """Exact identities on random unitary-times-diagonal matrices.
 
     For each trial, checks (i) that order-i principal-minor sums equal the
@@ -688,7 +668,7 @@ def run_minor_identity(config: ExperimentConfig, tol: float = 1e-8) -> MinorIden
     return MinorIdentityReport(
         spec=spec,
         trials=config.replications,
-        tol=tol,
+        tol=_MINOR_TOL,
         max_coefficient_residual=worst_coeff,
         max_factorization_residual=worst_factor,
         max_partial_product_excess=worst_bound,

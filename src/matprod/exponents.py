@@ -60,7 +60,7 @@ __all__ = [
 SPREAD_HARD_CAP = 690.0
 SPREAD_ACCURACY_CAP = 30.0
 
-_BATCH = 8192
+_BATCH = 8192  # samples per vectorized draw in the Monte Carlo estimators and checks
 _LOG2 = math.log(2.0)
 
 
@@ -374,6 +374,11 @@ class ExponentEstimate:
         return cls(mean=mean, cov=cov, count=count)
 
 
+def _batches(total: int) -> list[tuple[int, int]]:
+    """(start, size) of the consecutive blocks of at most _BATCH covering range(total)."""
+    return [(start, min(_BATCH, total - start)) for start in range(0, total, _BATCH)]
+
+
 def single_step_estimate(spec: EnsembleSpec, n_samples: int, rng) -> ExponentEstimate:
     """Exponent estimate from single factors.
 
@@ -388,14 +393,11 @@ def single_step_estimate(spec: EnsembleSpec, n_samples: int, rng) -> ExponentEst
     gen = as_generator(rng)
     d = spec.d
     logs = np.empty((n_samples, d), dtype=np.float64)
-    done = 0
-    while done < n_samples:
-        b = min(_BATCH, n_samples - done)
+    for start, b in _batches(n_samples):
         dvals = sample_singular_values(spec, gen, size=b)
         v = sample_haar_unitary(d, spec.field, gen, size=b)
         pair = qr_positive(dvals[:, :, None] * v)
-        logs[done:done + b] = np.log(np.diagonal(pair.r, axis1=-2, axis2=-1).real)
-        done += b
+        logs[start:start + b] = np.log(np.diagonal(pair.r, axis1=-2, axis2=-1).real)
     return ExponentEstimate.from_samples(logs)
 
 

@@ -1,5 +1,8 @@
+import dataclasses
+
 import pytest
 
+from matprod import cli
 from matprod.cli import main
 from matprod.recordio import read_jsonl
 
@@ -121,6 +124,106 @@ def test_run_verify_small_exit_0(tmp_path, capsys):
     assert any(e.startswith("verify:corner-logdet") for e in experiments)
 
 
+def test_run_verify_failure_exit_3(tmp_path, monkeypatch, capsys):
+    real_minor = cli.run_minor_identity
+    monkeypatch.setattr(
+        cli, "run_minor_identity", lambda config: dataclasses.replace(real_minor(config), max_coefficient_residual=1.0)
+    )
+    out = str(tmp_path / "v.jsonl")
+    cfg = write_cfg(
+        tmp_path,
+        f'seed=5 field=real d=2 ensemble=ginibre n_grid=2 replications=20 mc_samples=2000 out="{out}"',
+    )
+    assert main(["run", "verify", "--config", cfg]) == 3
+    assert "verification FAILED" in capsys.readouterr().err
+    rows = read_jsonl(out)[1]
+    assert rows[0]["experiment"] == "verify:minor-identity"
+    assert rows[0]["stats"]["passed"]["value"] == 0
+
+
+def test_run_realprob_nothing_classified_exit_3(tmp_path, capsys):
+    # at n=200 every real d=2 product is past the accuracy cap
+    cfg = write_cfg(tmp_path, "seed=15 field=real d=2 ensemble=ginibre n_grid=200 replications=4")
+    assert main(["run", "realprob", "--config", cfg]) == 3
+    assert "no classifiable replications" in capsys.readouterr().err
+
+
+def test_out_with_double_quote_exit_2(tmp_path, capsys):
+    cfg = write_cfg(tmp_path, "seed=1 field=real d=2 ensemble=ginibre n_grid=2 replications=10")
+    assert main(["run", "realprob", "--config", cfg, "--out", str(tmp_path / 'a"b.jsonl')]) == 2
+    assert "double quote" in capsys.readouterr().err
+
+
+_CHECK_ROW = "estimate+se+count reference z passed"
+_STABILITY_ROW = (
+    "mean_singular_1+se+count mean_singular_2+se+count mean_stability_1+se+count mean_stability_2+se+count "
+    "gap_singular_stability_1+se gap_singular_stability_2+se gap_singular_ref_1+se gap_singular_ref_2+se "
+    "gap_stability_ref_1+se gap_stability_ref_2+se maxgap+se+count maxgap_worst ref_lambda_1+se ref_lambda_2+se skipped"
+)
+_REALPROB_ROW = "p_hat+se+count all_real trials wilson_low wilson_high excluded"
+
+RECORD_SCHEMAS = {
+    "lyapunov": [
+        ("lyapunov:single-step", 1, "lambda_1+se+count lambda_2+se+count ref_lambda_1 ref_lambda_2"),
+        ("lyapunov:qr-stream", 2000, "lambda_1+se+count lambda_2+se+count ref_lambda_1 ref_lambda_2 skipped"),
+    ],
+    "stability": [("stability", 2, _STABILITY_ROW), ("stability", 4, _STABILITY_ROW)],
+    "fluctuations": [
+        (
+            "fluctuations",
+            4,
+            "cov_singular_1_1+se+count cov_stability_1_1+se+count cov_diff_se_1_1 ref_cov_1_1 "
+            "cov_singular_1_2+se+count cov_stability_1_2+se+count cov_diff_se_1_2 ref_cov_1_2 "
+            "cov_singular_2_2+se+count cov_stability_2_2+se+count cov_diff_se_2_2 ref_cov_2_2 skipped",
+        ),
+    ],
+    "realprob": [("realprob", 2, _REALPROB_ROW), ("realprob", 4, _REALPROB_ROW)],
+    "verify": [
+        (
+            "verify:minor-identity",
+            2,
+            "max_coefficient_residual max_factorization_residual max_partial_product_excess tol passed",
+        ),
+        ("verify:corner-logdet:field=real:d=1", 1, _CHECK_ROW),
+        ("verify:corner-logdet:field=real:d=2", 1, _CHECK_ROW),
+        ("verify:corner-logdet:field=real:d=2", 2, _CHECK_ROW),
+        ("verify:lq-diag-mean:rows=1:field=real:d=1", 1, _CHECK_ROW),
+        ("verify:lq-diag-var:rows=1:field=real:d=1", 1, _CHECK_ROW),
+        ("verify:lq-diag-mean:rows=2:field=real:d=2", 1, _CHECK_ROW),
+        ("verify:lq-diag-var:rows=2:field=real:d=2", 1, _CHECK_ROW),
+        ("verify:lq-diag-mean:rows=2:field=real:d=2", 2, _CHECK_ROW),
+        ("verify:lq-diag-var:rows=2:field=real:d=2", 2, _CHECK_ROW),
+        ("verify:lq-offdiag-mean:rows=2:field=real:d=2", 2, _CHECK_ROW),
+        ("verify:lq-offdiag-var:rows=2:field=real:d=2", 2, _CHECK_ROW),
+        ("verify:lq-diag-mean:rows=1:field=real:d=2", 1, _CHECK_ROW),
+        ("verify:lq-diag-var:rows=1:field=real:d=2", 1, _CHECK_ROW),
+        ("verify:corner-scaling:field=real:d=1", 4, _CHECK_ROW),
+        ("verify:corner-scaling:field=real:d=2", 8, _CHECK_ROW),
+    ],
+}
+
+
+@pytest.mark.parametrize("experiment", sorted(RECORD_SCHEMAS))
+def test_record_schema(experiment, tmp_path, monkeypatch, capsys):
+    """Tag, n and the stat names in printed order, each marked with the se/count it carries."""
+    written = []
+    monkeypatch.setattr(cli, "write_records", lambda records, fmt, path, manifest: written.extend(records))
+    cfg = write_cfg(tmp_path, "seed=3 field=real d=2 ensemble=ginibre n_grid=2,4 replications=100 mc_samples=2000")
+    assert main(["run", experiment, "--config", cfg, "--out", str(tmp_path / "r.jsonl")]) == 0
+    schema = [
+        (
+            rec.experiment,
+            rec.n,
+            " ".join(
+                name + ("+se" if stat.se is not None else "") + ("+count" if stat.count is not None else "")
+                for name, stat in rec.stats.items()
+            ),
+        )
+        for rec in written
+    ]
+    assert schema == RECORD_SCHEMAS[experiment]
+
+
 def test_run_fluctuations_records(tmp_path):
     out = str(tmp_path / "f.jsonl")
     cfg = write_cfg(
@@ -168,13 +271,20 @@ def test_cli_version(capsys):
 
 
 def test_cli_module_entry_point():
+    import os
+    import pathlib
     import subprocess
     import sys
 
+    import matprod
+
+    # the child imports the same matprod, installed or not
+    path = [str(pathlib.Path(matprod.__file__).parents[1]), os.environ.get("PYTHONPATH", "")]
     proc = subprocess.run(
         [sys.executable, "-m", "matprod.cli", "analytic", "--field", "real", "--d", "1", "--ensemble", "ginibre"],
         capture_output=True,
         text=True,
+        env={**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, path))},
     )
     assert proc.returncode == 0
     assert "-0.6351814227" in proc.stdout

@@ -51,6 +51,12 @@ def test_type_errors_name_key_and_line():
         parse_config(MINIMAL + " format=yaml")
 
 
+def test_quoted_hash_kept_and_unterminated_quote_rejected():
+    assert parse_config(MINIMAL + ' out="run#1.jsonl"  # comment').out == "run#1.jsonl"
+    with pytest.raises(ConfigError, match="line 2: unterminated quote in the value of 'out'"):
+        parse_config(MINIMAL + '\nout="abc')
+
+
 def test_garbage_line_reports_position():
     with pytest.raises(ConfigError, match="line 2: cannot parse"):
         parse_config(MINIMAL + "\n=== broken ===")
@@ -75,6 +81,7 @@ def test_round_trip_identity():
     for text in (
         MINIMAL,
         MINIMAL + " mc_samples=5000 threads=4 format=csv out=o.csv",
+        MINIMAL + ' out="run#1.jsonl"',
         "seed=7 field=complex d=3 ensemble=custom:laws(const(2),uniform(0.5,1.5),lognormal(0,1)) n_grid=2,4,8 replications=12",
     ):
         config = parse_config(text)

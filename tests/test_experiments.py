@@ -21,6 +21,8 @@ from matprod.experiments import (
     run_real_probability,
     wilson_interval,
 )
+from matprod.exponents import single_step_estimate
+from matprod.rng import RngStream
 
 GINIBRE_R2 = EnsembleSpec("real", 2, Ginibre())
 GINIBRE_R3 = EnsembleSpec("real", 3, Ginibre())
@@ -56,8 +58,6 @@ def test_config_rejects_bad_counts():
         cfg(GINIBRE_R2, threads=0)
     with pytest.raises(ValueError):
         cfg(GINIBRE_R2, format="xml")
-    with pytest.raises(ValueError):
-        cfg(GINIBRE_R2, estimators=frozenset({"magic"}))
 
 
 # --- wilson ------------------------------------------------------------------
@@ -116,11 +116,6 @@ def test_equality_reference_sources():
     res = run_equality(cfg(GINIBRE_R2, replications=16))
     assert res.reference_source == "analytic"
     assert np.allclose(res.reference_se, 0.0)
-    forced = run_equality(
-        cfg(GINIBRE_R2, replications=16, mc_samples=4000, estimators=frozenset({"single-step-reference"}))
-    )
-    assert forced.reference_source == "single-step"
-    assert np.all(forced.reference_se > 0)
     custom = run_equality(
         cfg(
             EnsembleSpec("real", 2, CustomSingular(values=(2.0, 1.0))),
@@ -129,6 +124,7 @@ def test_equality_reference_sources():
         )
     )
     assert custom.reference_source == "single-step"
+    assert np.all(custom.reference_se > 0)
 
 
 def test_equality_statistics_carry_counts():
@@ -174,6 +170,14 @@ def test_fluctuations_reference_and_shapes():
     assert np.allclose(np.diag(res.reference_cov), [math.pi**2 / 24, math.pi**2 / 8])
     assert res.reference_cov[0, 1] == 0.0
     assert np.all(res.cov_diff_se >= 0)
+
+
+def test_fluctuations_single_step_reference():
+    spec = EnsembleSpec("real", 2, HaarScaled(ScalarLaw("lognormal", (0.0, 1.0))))
+    res = run_fluctuations(cfg(spec, seed=8, n_grid=(4,), replications=100, mc_samples=3000))
+    assert res.reference_source == "single-step"
+    expected = single_step_estimate(spec, 3000, RngStream(8).derive(2, 0, 0)).cov
+    np.testing.assert_array_equal(res.reference_cov, expected)
 
 
 # --- reality probability ------------------------------------------------
