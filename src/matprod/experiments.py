@@ -602,7 +602,7 @@ class MinorIdentityReport:
     spec: EnsembleSpec
     trials: int
     tol: float
-    max_coefficient_residual: float   # minor sums vs char-poly coefficients
+    max_coefficient_residual: float   # minor sums vs char-poly coefficients, over the sum of |minors|
     max_factorization_residual: float  # [w s]_J vs [w]_J [s]_J
     max_partial_product_excess: float             # eigenvalue over singular partial products
 
@@ -645,17 +645,18 @@ def run_minor_identity(config: ExperimentConfig) -> MinorIdentityReport:
             sigma = svd_descending(a).sigma
             for i in range(1, d + 1):
                 total = 0.0 + 0.0j
+                magnitude = 0.0  # scale of the rounding in total, also where total is 0
                 for subset in itertools.combinations(range(d), i):
                     minor_a = principal_minor(a, subset)
                     total += minor_a
+                    magnitude += abs(minor_a)
                     ref = principal_minor(w, subset) * np.prod(s[list(subset)])
                     scale = max(abs(minor_a), abs(ref))
                     if scale > 0:
                         wf = max(wf, abs(minor_a - ref) / scale)
                 elem = (-1) ** i * coeffs[i]
-                scale = max(abs(total), abs(elem))
-                if scale > 0:
-                    wc = max(wc, abs(total - elem) / scale)
+                if magnitude > 0:
+                    wc = max(wc, abs(total - elem) / magnitude)
             excess = np.cumsum(np.log(np.abs(eig))) - np.cumsum(np.log(sigma))
             wh = max(wh, float(np.exp(excess.max()) - 1.0))
         return wc, wf, wh

@@ -141,6 +141,22 @@ def test_run_verify_failure_exit_3(tmp_path, monkeypatch, capsys):
     assert rows[0]["stats"]["passed"]["value"] == 0
 
 
+def test_run_verify_trace_zero_minor_sum_exit_0(tmp_path, capsys):
+    # a real 2x2 Haar reflection has trace 0, so the order-1 minor sum and
+    # its eigenvalue twin are both rounding noise; their residual is scaled
+    # by the summed minors' magnitudes, not by the noise itself
+    out = str(tmp_path / "v.jsonl")
+    cfg = write_cfg(
+        tmp_path,
+        f'seed=14 field=real d=2 ensemble="haar-scaled:lognormal(0,1)" n_grid=1 replications=150 out="{out}"',
+    )
+    assert main(["run", "verify", "--config", cfg]) == 0
+    minor = read_jsonl(out)[1][0]
+    assert minor["experiment"] == "verify:minor-identity"
+    assert minor["stats"]["max_coefficient_residual"]["value"] <= 1e-8
+    assert minor["stats"]["passed"]["value"] == 1
+
+
 def test_run_realprob_nothing_classified_exit_3(tmp_path, capsys):
     # at n=200 every real d=2 product is past the accuracy cap
     cfg = write_cfg(tmp_path, "seed=15 field=real d=2 ensemble=ginibre n_grid=200 replications=4")

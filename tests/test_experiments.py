@@ -206,6 +206,17 @@ def test_realprob_trend_toward_one():
     assert abs(p1.p_hat - 1 / math.sqrt(2)) < 4 * math.sqrt(0.207 / 2000)
 
 
+def test_realprob_two_factor_closed_form():
+    # P(all eigenvalues real) of a product of two real 2x2 Ginibre matrices
+    # is pi/4 (Lakshminarayan 2013); the seed was fixed before the first run
+    res = run_real_probability(cfg(GINIBRE_R2, seed=2016, n_grid=(1, 2), replications=200_000, threads=2))
+    p2 = res.per_n[1]
+    assert p2.n == 2 and p2.trials == 200_000
+    z = (p2.p_hat - math.pi / 4) / math.sqrt(math.pi / 4 * (1 - math.pi / 4) / p2.trials)
+    print(f"two-factor anchor: p(2)={p2.p_hat:.5f} vs pi/4={math.pi / 4:.5f}, z={z:.2f}")
+    assert abs(z) < 3
+
+
 def test_realprob_soft_trend_in_dimension():
     # reported trend, not a hard assertion: p_hat should not grow with d
     values = {}

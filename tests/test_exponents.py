@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 import scipy.special
+from scipy.linalg import block_diag
 from hypothesis import given, settings, strategies as st
 
 from matprod.ensembles import (
@@ -33,7 +34,8 @@ from matprod.exponents import (
     supports_analytic_spectrum,
     trigamma,
 )
-from matprod.linalg import NumericError, SingularInputError, qr_positive
+from matprod import exponents
+from matprod.linalg import NumericError, SingularInputError, eig_by_modulus, qr_positive
 from matprod.rng import RngStream
 
 from conftest import rel_err
@@ -432,8 +434,8 @@ def test_stability_scalar():
 
 
 def test_stability_extended_precision_branch_consistent(stream):
-    # drive the spread just past the double-precision branch and compare
-    # against the same spectrum computed at its exact double-branch twin
+    # drive the spread just past the plain LAPACK branch and compare
+    # against the same spectrum computed by LAPACK on the whole similarity
     gen = stream.derive(6).generator()
     q = sample_haar_unitary(3, "real", gen)
     u = sample_haar_unitary(3, "real", gen)
@@ -463,7 +465,7 @@ def test_stability_extended_precision_complex_field(stream):
     w = (q @ u) * np.exp(ls)[None, :]
     expected = np.sort(np.log(np.abs(np.linalg.eigvals(w))))[::-1]
     assert np.max(np.abs(got - expected)) < 1e-7
-    # wide spread: extended branch; the log-modulus sum is pinned by the
+    # wide spread: graded deflation; the log-modulus sum is pinned by the
     # determinant of the similarity
     ls = np.array([30.0, 0.0, -60.0])
     st_ = ProductState(n=5, log_sigma=ls, u_frame=u, v_frame=q)
@@ -481,6 +483,167 @@ def test_stability_partial_product_bound(stream):
     stab = stability_from_state(st_)
     for k in range(1, 4):
         assert stab[:k].sum() <= st_.log_sigma[:k].sum() + 1e-8
+
+
+# --- wide spreads: graded block deflation against the mpmath oracle ------
+
+
+_EXTENDED = exponents._log_eig_moduli_extended  # the oracle, saved before the fallbacks fixture wraps it
+
+
+def _oracle(state):
+    c = float(state.log_sigma[0])
+    return _EXTENDED(state.v_frame @ state.u_frame, state.log_sigma - c) + c
+
+
+@pytest.fixture
+def fallbacks(monkeypatch):
+    """Blocks stability_from_state hands to the extended-precision path."""
+    seen = []
+
+    def counted(q, log_scale):
+        seen.append(q.shape[0])
+        return _EXTENDED(q, log_scale)
+
+    monkeypatch.setattr(exponents, "_log_eig_moduli_extended", counted)
+    return seen
+
+
+# (ensemble, field, d, spreads): each state is the first of its trajectory past the spread
+ORACLE_SPECS = [
+    (Ginibre(), "real", 2, (25, 120, 400)),
+    (Ginibre(), "complex", 2, (25, 300)),
+    (Ginibre(), "real", 3, (25, 90, 250)),
+    (Ginibre(), "complex", 3, (30, 500)),
+    (Ginibre(), "real", 4, (25, 150)),
+    (Ginibre(), "complex", 4, (25, 60, 350)),
+    (Ginibre(), "real", 5, (25, 200)),
+    (Ginibre(), "complex", 5, (25, 52, 120)),
+    (Ginibre(), "real", 6, (25, 80)),
+    (Ginibre(), "complex", 6, (25, 300)),
+    (TruncatedHaar(5), "real", 3, (25, 200)),
+    (TruncatedHaar(6), "complex", 4, (25, 100)),
+    (TruncatedHaar(8), "complex", 6, (40,)),
+    (CustomSingular(values=(3.0, 1.0, 0.5, 0.1)), "real", 4, (25, 300)),
+    (CustomSingular(values=(2.0, 1.5, 1.0, 0.4, 0.1)), "complex", 5, (25, 150)),
+    # spread at most 1.61 a step, so the first state past 688 is within 2 of the hard cap
+    (CustomSingular(values=(1.0, 0.2)), "real", 2, (688,)),
+]
+
+
+def _oracle_corpus():
+    states = []
+    for i, (kind, field, d, spreads) in enumerate(ORACLE_SPECS):
+        spec = EnsembleSpec(field, d, kind)
+        gen = RngStream(1601, (i,)).generator()
+        state = init_state(sample_isotropic(spec, gen))
+        for spread in spreads:
+            while state.spread <= spread:
+                state = advance(state, sample_isotropic(spec, gen))
+            states.append((spec.tag(), state))
+    return states
+
+
+def test_wide_spectrum_matches_oracle_without_fallback(fallbacks):
+    states = _oracle_corpus()
+    spreads = [state.spread for _, state in states]
+    assert min(spreads) > 25 and SPREAD_HARD_CAP - 2 <= max(spreads) <= SPREAD_HARD_CAP
+    for tag, state in states:
+        got = stability_from_state(state)
+        assert not fallbacks, (tag, state.n)
+        assert np.max(np.abs(got - _oracle(state))) <= 1e-10, (tag, state.n, state.spread)
+
+
+def _frames_state(q, log_sigma):
+    """State whose similarity is q @ diag(exp(log_sigma)): identity left frame."""
+    q = np.asarray(q)
+    return ProductState(n=1, log_sigma=np.asarray(log_sigma, dtype=np.float64),
+                        u_frame=np.eye(q.shape[0], dtype=q.dtype), v_frame=q)
+
+
+def _rotation(c):
+    s = math.sqrt(1.0 - c * c)
+    return np.array([[c, -s], [s, c]])
+
+
+def test_wide_spectrum_permutation_frames_fall_back(fallbacks):
+    # Q11 = 0 at the split: the leading block has no inverse
+    swap = _frames_state([[0.0, 1.0], [1.0, 0.0]], [10.0, -30.0])
+    got = stability_from_state(swap)
+    assert fallbacks == [2]
+    assert np.max(np.abs(got - _oracle(swap))) <= 1e-10
+    assert np.allclose(got, [-10.0, -10.0], atol=1e-12)  # eigenvalues +-exp(-10)
+    cycle = _frames_state(np.roll(np.eye(3), 1, axis=0), [20.0, 0.0, -40.0])
+    got = stability_from_state(cycle)
+    assert fallbacks == [2, 3]
+    assert np.max(np.abs(got - _oracle(cycle))) <= 1e-10
+    assert np.allclose(got, -20.0 / 3, atol=1e-12)  # cube roots of exp(-20)
+
+
+def test_wide_spectrum_straddling_conjugate_pair_falls_back(fallbacks):
+    # a rotation by nearly 90 degrees across the gap of 18 has a complex
+    # pair of modulus exp(-21), one eigenvalue on each side of the split: no
+    # real invariant subspace separates them, so the Riccati iteration
+    # diverges (Q11 itself is conditioned well enough to be tried)
+    state = _frames_state(block_diag(np.eye(1), _rotation(3e-5)), [0.0, -12.0, -30.0])
+    assert exponents._split(state.v_frame, state.log_sigma, 2) is None
+    got = stability_from_state(state)
+    assert fallbacks == [3]
+    assert np.max(np.abs(got - _oracle(state))) <= 1e-10
+    assert np.allclose(got, [0.0, -21.0, -21.0], atol=1e-9)
+
+
+@pytest.mark.parametrize("field", ["real", "complex"])
+def test_wide_spectrum_nearly_singular_leading_block_falls_back(field, fallbacks, stream):
+    # the 2x2 leading block has a singular value of 1e-7: split blocks would
+    # carry errors of ~1e-9, so the block goes to the extended-precision path
+    gen = stream.derive(99).generator()
+    left = block_diag(sample_haar_unitary(2, field, gen), sample_haar_unitary(2, field, gen))
+    right = block_diag(sample_haar_unitary(2, field, gen), sample_haar_unitary(2, field, gen))
+    q = left @ block_diag(np.eye(1), _rotation(1e-7), np.eye(1)) @ right
+    state = _frames_state(q, [0.0, -2.0, -42.0, -45.0])
+    assert np.linalg.svd(q[:2, :2], compute_uv=False)[-1] == pytest.approx(1e-7, rel=1e-6)
+    got = stability_from_state(state)
+    assert fallbacks == [4]
+    assert np.max(np.abs(got - _oracle(state))) <= 1e-10
+
+
+@pytest.mark.parametrize("log_sigma", [
+    [10.0, 10.0, -20.0, -20.0],   # equal scales on each side of the split
+    [0.0, -30.0, -30.0, -30.0],   # a single leading scale over three equal ones
+    [0.0, -30.0, -60.0],          # two equal largest gaps
+    [5.0, 5.0, 5.0, 5.0, -40.0],  # four equal scales over one
+])
+@pytest.mark.parametrize("field", ["real", "complex"])
+def test_wide_spectrum_equal_scales(field, log_sigma, fallbacks, stream):
+    gen = stream.derive(100, len(log_sigma)).generator()
+    d = len(log_sigma)
+    state = ProductState(n=3, log_sigma=np.array(log_sigma), u_frame=sample_haar_unitary(d, field, gen),
+                         v_frame=sample_haar_unitary(d, field, gen))
+    got = stability_from_state(state)
+    assert not fallbacks
+    assert np.max(np.abs(got - _oracle(state))) <= 1e-10
+
+
+@pytest.mark.parametrize("field", ["real", "complex"])
+@pytest.mark.parametrize("d", [1, 2, 3, 5])
+def test_narrow_spectrum_is_plain_lapack(field, d):
+    # at spread <= 25 the output is bit for bit that of LAPACK on the shifted similarity
+    spec = EnsembleSpec(field, d, Ginibre())
+    gen = RngStream(1602, (d,)).generator()
+    state = init_state(sample_isotropic(spec, gen))
+    seen = 0
+    while True:
+        q = state.v_frame @ state.u_frame
+        c = float(state.log_sigma[0])
+        lapack = np.log(np.abs(eig_by_modulus(q * np.exp(state.log_sigma - c)[None, :]))) + c
+        assert np.array_equal(stability_from_state(state), lapack)
+        seen += 1
+        nxt = advance(state, sample_isotropic(spec, gen))
+        if nxt.spread > 25.0 or seen == 40:
+            break
+        state = nxt
+    assert d == 1 or state.spread > 12.0
 
 
 # --- scaled-Haar degenerate ensemble ------------------------------------
