@@ -34,6 +34,7 @@ __all__ = [
     "sample_truncated_haar",
     "sample_singular_values",
     "sample_isotropic",
+    "sample_isotropic_chunk",
     "sample_right_isotropic",
     "UNITARY_TOL",
 ]
@@ -356,6 +357,27 @@ def sample_isotropic(spec: EnsembleSpec, rng, size=None) -> np.ndarray:
     u = sample_haar_unitary(spec.d, spec.field, gen, size=size)
     v = sample_haar_unitary(spec.d, spec.field, gen, size=size)
     return u @ (dvals[..., :, None] * v)
+
+
+def sample_isotropic_chunk(spec: EnsembleSpec, rng, count: int, n: int) -> np.ndarray:
+    """Factors of count replications of n factors each, (count, n, d, d).
+
+    The stream is read as by count calls of sample_isotropic, one batch of
+    n a replication. Ginibre takes one draw for the whole chunk: laid out as
+    (count, 1 or 2, n, d, d), the real and then the imaginary parts of each
+    replication come off the stream in that order. Other kinds interleave
+    several laws within a replication, so they are drawn one at a time.
+    """
+    gen = as_generator(rng)
+    d = spec.d
+    if isinstance(spec.kind, Ginibre):
+        if spec.field == "real":
+            return gen.standard_normal((count, n, d, d))
+        x = gen.standard_normal((count, 2, n, d, d))
+        return x[:, 0] + 1j * x[:, 1]
+    draws = [sample_isotropic(spec, gen, size=n) if n > 1 else sample_isotropic(spec, gen)
+             for _ in range(count)]
+    return np.reshape(draws, (count, n, d, d))
 
 
 def sample_right_isotropic(spec: EnsembleSpec, u_fixed, rng, size=None) -> np.ndarray:

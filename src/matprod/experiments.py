@@ -7,10 +7,11 @@ results are folded in index order - so aggregated statistics are identical
 for any thread count adopted.
 
 The trajectory runners (equality, fluctuations, reality) share one chunk
-worker: it draws each replication's factors in turn, advances the whole
-chunk as one stack (evolve_stack, one SVD call a step), and hands the stack
-at each grid point to the runner's observer. A replication that fails a
-check anywhere on its trajectory is dropped at every grid point.
+worker: it draws the chunk's factors (sample_isotropic_chunk, in the order
+of one replication after the other), advances the whole chunk as one stack
+(evolve_stack, one SVD call a step), and hands the stack at each grid point
+to the runner's observer. A replication that fails a check anywhere on its
+trajectory is dropped at every grid point.
 """
 from __future__ import annotations
 
@@ -22,20 +23,19 @@ from typing import Callable, Optional, Sequence
 
 import numpy as np
 
-from .ensembles import EnsembleSpec, sample_haar_unitary, sample_isotropic, sample_singular_values
+from .ensembles import EnsembleSpec, sample_haar_unitary, sample_isotropic_chunk, sample_singular_values
 from .exponents import (
     SPREAD_ACCURACY_CAP,
     ProductStack,
-    SpreadOverflowError,
     _batches,
     analytic_spectrum,
     analytic_truncated_logdet,
     evolve_stack,
     single_step_estimate,
-    stability_from_state,
+    stability_rows,
     supports_analytic_spectrum,
 )
-from .linalg import NumericError, SingularInputError, complex_pair_counts, eig_by_modulus, lq_positive, principal_minor, svd_descending
+from .linalg import NumericError, complex_pair_counts, eig_by_modulus, lq_positive, principal_minor, svd_descending
 from .rng import RngStream
 
 __all__ = [
@@ -74,9 +74,6 @@ _EXP_LYAPUNOV = 6  # role 0 single-step, role 1 QR stream (cli's lyapunov record
 _MINOR_TOL = 1e-8
 
 _Z95 = 1.959963984540054
-
-_SKIP_ERRORS = (SingularInputError, SpreadOverflowError, NumericError)
-
 
 @dataclass(frozen=True)
 class ExperimentConfig:
@@ -164,11 +161,7 @@ def _evolve_chunks(config: ExperimentConfig, exp_index: int, grid: Sequence[int]
 
     def worker(ci: int, count: int):
         gen = base.derive(exp_index, 1, ci).generator()
-        # each replication's factors in one batch, one replication after the
-        # other, so the draw order is a fixed function of the stream
-        draws = [sample_isotropic(spec, gen, size=n_max) if n_max > 1 else sample_isotropic(spec, gen)
-                 for _ in range(count)]
-        return observe(evolve_stack(np.reshape(draws, (count, n_max, spec.d, spec.d)), grid))
+        return observe(evolve_stack(sample_isotropic_chunk(spec, gen, count, n_max), grid))
 
     return _map_chunks(_chunk_jobs(config.replications), worker, config.threads)
 
@@ -180,12 +173,11 @@ def _observe_exponents(stacks: list[ProductStack]):
     ok = stacks[-1].ok
     sig = np.stack([s.log_sigma / s.n for s in stacks], axis=1)
     stab = np.full_like(sig, np.nan)
-    for t in np.flatnonzero(ok):
-        try:
-            for gi, s in enumerate(stacks):
-                stab[t, gi] = stability_from_state(s.row(t)) / s.n
-        except _SKIP_ERRORS:
-            ok[t] = False
+    for gi, s in enumerate(stacks):
+        rows = np.flatnonzero(ok)
+        logs, failure = stability_rows(s.log_sigma[rows], s.u_frame[rows], s.v_frame[rows])
+        stab[rows, gi] = logs / s.n
+        ok[rows] = np.equal(failure, None)
     return sig, stab, ok
 
 

@@ -26,7 +26,7 @@ from .linalg import (
     RANK_RTOL,
     NumericError,
     SingularInputError,
-    eig_by_modulus,
+    eigvals_rows,
     qr_positive,
     _as_matrix,
 )
@@ -41,6 +41,7 @@ __all__ = [
     "evolve_stack",
     "init_state",
     "advance",
+    "stability_rows",
     "stability_from_state",
     "QrStreamResult",
     "lyapunov_qr_stream",
@@ -62,6 +63,7 @@ SPREAD_ACCURACY_CAP = 30.0
 
 _BATCH = 8192  # samples per vectorized draw in the Monte Carlo estimators and checks
 _LOG2 = math.log(2.0)
+_LOG_REGULAR_BOUND = math.log(100 * RANK_RTOL)
 
 
 class SpreadOverflowError(OverflowError):
@@ -139,9 +141,22 @@ def _identity_rows(failure: np.ndarray, vec: np.ndarray, fill: float, *frames: n
 
 
 def _regular(m: np.ndarray) -> np.ndarray:
-    """Per-matrix test that a stack of factors is not numerically singular."""
-    sv = np.linalg.svd(m, compute_uv=False)
-    return sv[..., -1] > RANK_RTOL * sv[..., 0]
+    """Per-matrix test that a stack of factors is not numerically singular:
+    sigma_min > RANK_RTOL * sigma_max.
+
+    sigma_min / sigma_max >= |det| / ||m||_F^d, so a factor whose bound, taken
+    in logs, clears 100 * RANK_RTOL passes without an SVD; only the others
+    take the SVD test, so every verdict is the SVD's.
+    """
+    _, logdet = np.linalg.slogdet(m)
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        frob_sq = np.sum(np.abs(m) ** 2, axis=(-2, -1))
+        regular = logdet - 0.5 * m.shape[-1] * np.log(frob_sq) > _LOG_REGULAR_BOUND
+    rest = ~regular
+    if rest.any():
+        sv = np.linalg.svd(m[rest], compute_uv=False)
+        regular[rest] = sv[..., -1] > RANK_RTOL * sv[..., 0]
+    return regular
 
 
 def _svd_rows(a: np.ndarray, failure: np.ndarray) -> tuple:
@@ -205,7 +220,7 @@ def evolve_stack(factors, n_grid) -> list[ProductStack]:
     arr = _as_matrix(factors, "factors")
     if arr.ndim != 4 or arr.shape[-1] != arr.shape[-2] or arr.shape[1] < n_grid[-1]:
         raise ValueError(f"factors must be (B, n >= {n_grid[-1]}, d, d), got shape {arr.shape}")
-    regular = _regular(arr[:, 1:n_grid[-1]])
+    regular = _regular(arr[:, 1:n_grid[-1]]) if n_grid[-1] > 1 else None
     stack = _init_rows(arr[:, 0])
     stacks = []
     for n in n_grid:
@@ -276,8 +291,23 @@ def _log_eig_moduli_extended(q: np.ndarray, log_scale: np.ndarray) -> np.ndarray
     return np.array(logs)
 
 
-def _split(q: np.ndarray, log_scale: np.ndarray, k: int) -> tuple[np.ndarray, np.ndarray] | None:
-    """Blocks a1, a2 with eig(q D) = eig(a1 D1) and eig(a2 D2), or None.
+def _inv_rows(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Inverse of each matrix of a stack, and which rows have one: one call
+    for the whole stack, or one a row if LAPACK meets an exactly singular one."""
+    try:
+        return np.linalg.inv(a), np.ones(a.shape[0], dtype=bool)
+    except np.linalg.LinAlgError:
+        pass
+    inv, ok = np.zeros_like(a), np.zeros(a.shape[0], dtype=bool)
+    for b, m in enumerate(a):
+        with contextlib.suppress(np.linalg.LinAlgError):
+            inv[b], ok[b] = np.linalg.inv(m), True
+    return inv, ok
+
+
+def _split(q: np.ndarray, log_scale: np.ndarray, k: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Block stacks a1, a2 with eig(q D) = eig(a1 D1) and eig(a2 D2), row by
+    row, and which rows split.
 
     D = diag(exp(log_scale)) is split after index k. The similarity by
     [[I, 0], [X, I]] zeroes the lower left block when X solves the block
@@ -285,76 +315,121 @@ def _split(q: np.ndarray, log_scale: np.ndarray, k: int) -> tuple[np.ndarray, np
     exp(ls2_i - ls1_j) <= exp(-gap), which leaves a1 = Q11 + Q12 (X o R) and
     a2 = Q22 - X Q12: only O(1) quantities, whatever the spread. The fixed
     point iteration from X = Q21 Q11^-1 contracts by about
-    exp(-gap) ||Q11^-1||^2 a step. None when Q11 is too ill-conditioned,
-    the iteration stalls or diverges (a real conjugate pair straddling the
-    split leaves no real solution), or anything is non-finite.
+    exp(-gap) ||Q11^-1||^2 a step. A row does not split when Q11 is too
+    ill-conditioned, its iteration stalls or diverges (a real conjugate pair
+    straddling the split leaves no real solution), or anything is
+    non-finite. Rows are iterated together; each one leaves the iteration
+    when it converges or fails, so it sees the iterates it would alone.
     """
-    q11, q12, q21, q22 = q[:k, :k], q[:k, k:], q[k:, :k], q[k:, k:]
-    try:
-        inv = np.linalg.inv(q11)
-    except np.linalg.LinAlgError:
-        return None
-    if not np.abs(inv).max() * np.abs(q).max() <= _SPLIT_COND:
-        return None
-    r = np.exp(log_scale[k:, None] - log_scale[None, :k])
-    x, step = q21 @ inv, math.inf
+    a1, a2 = np.empty_like(q[:, :k, :k]), np.empty_like(q[:, k:, k:])
+    inv, ok = _inv_rows(q[:, :k, :k])
+    ok &= np.abs(inv).max(axis=(1, 2)) * np.abs(q).max(axis=(1, 2)) <= _SPLIT_COND
+    rows = np.flatnonzero(ok)
+    ok[:] = False
+    q, inv = q[rows], inv[rows]
+    r = np.exp(log_scale[rows, k:, None] - log_scale[rows, None, :k])
+    x, step = q[:, k:, :k] @ inv, np.full(rows.size, math.inf)
     for _ in range(_SPLIT_MAXITER):
+        if not rows.size:
+            break
+        q12, q21, q22 = q[:, :k, k:], q[:, k:, :k], q[:, k:, k:]
         new = (q21 + (q22 - x @ q12) @ (x * r)) @ inv
-        last, step, x = step, np.abs(new - x).max(), new
-        if step <= 4 * _EPS * np.abs(x).max():
-            a1, a2 = q11 + q12 @ (x * r), q22 - x @ q12
-            return (a1, a2) if np.isfinite(a1).all() and np.isfinite(a2).all() else None
-        if not step < last:
-            return None
-    return None
+        last, step, x = step, np.abs(new - x).max(axis=(1, 2)), new
+        done = step <= 4 * _EPS * np.abs(x).max(axis=(1, 2))
+        if done.any():
+            # blocks as views of whole rows, with the strides each row has alone:
+            # BLAS may sum in another order for another stride
+            qd, xd = q[done], x[done]
+            b1 = qd[:, :k, :k] + qd[:, :k, k:] @ (xd * r[done])
+            b2 = qd[:, k:, k:] - xd @ qd[:, :k, k:]
+            a1[rows[done]], a2[rows[done]] = b1, b2
+            ok[rows[done]] = np.isfinite(b1).all(axis=(1, 2)) & np.isfinite(b2).all(axis=(1, 2))
+        going = ~done & (step < last)
+        if not going.all():
+            rows, q, inv, r, x, step = (v[going] for v in (rows, q, inv, r, x, step))
+    return a1, a2, ok
+
+
+def _log_eig_moduli_lapack(q: np.ndarray, log_scale: np.ndarray) -> np.ndarray:
+    """Descending log-moduli of eig(q[b] @ diag(exp(log_scale[b]))) for each
+    row b by LAPACK on the shifted similarity (eigvals_rows): -inf for a
+    modulus of 0, NaN in a row whose iteration does not converge."""
+    c = log_scale[:, :1]
+    w = eigvals_rows(q * np.exp(log_scale - c)[:, None, :])
+    with np.errstate(divide="ignore"):
+        return np.log(np.sort(np.abs(w), axis=1))[:, ::-1] + c
 
 
 def _log_eig_moduli_graded(q: np.ndarray, log_scale: np.ndarray) -> np.ndarray:
-    """Descending log-moduli of eig(q @ diag(exp(log_scale))), log_scale descending.
+    """Descending log-moduli of eig(q[b] @ diag(exp(log_scale[b]))) for each
+    row b of a stack, each log_scale[b] descending.
 
-    Graded block deflation: a 1x1 block is read off, one of spread up to
-    _EIG_DOUBLE_SPREAD goes to LAPACK (-inf for a modulus of 0), and a wider
-    one is split at its largest gap (_split) and each part recursed on. A
-    block whose split fails, or whose parts give a non-finite or unconverged
-    result, alone goes to the extended-precision path.
+    Graded block deflation: 1x1 blocks are read off, blocks of spread up to
+    _EIG_DOUBLE_SPREAD go to LAPACK together (NaN in a row whose iteration
+    does not converge), and wider ones, grouped by the index of their
+    largest gap, are split there (_split) and each part recursed on. A block
+    whose split fails, or whose parts give a non-finite result, alone goes
+    to the extended-precision path.
     """
-    if log_scale.shape[0] == 1:
+    d = log_scale.shape[1]
+    if d == 1:
         with np.errstate(divide="ignore"):
-            return np.log(np.abs(q[0])) + log_scale
-    if log_scale[0] - log_scale[-1] <= _EIG_DOUBLE_SPREAD:
-        c = float(log_scale[0])
-        mod = np.abs(eig_by_modulus(q * np.exp(log_scale - c)[None, :]))
-        with np.errstate(divide="ignore"):
-            return np.log(mod) + c
-    k = int(np.argmax(log_scale[:-1] - log_scale[1:])) + 1
-    blocks, logs = _split(q, log_scale, k), None
-    if blocks is not None:
-        with contextlib.suppress(NumericError):
-            logs = np.concatenate([_log_eig_moduli_graded(blocks[0], log_scale[:k]),
-                                   _log_eig_moduli_graded(blocks[1], log_scale[k:])])
-    if logs is not None and np.isfinite(logs).all():
-        return np.sort(logs)[::-1]
-    c = float(log_scale[0])
-    return _log_eig_moduli_extended(q, log_scale - c) + c
+            return np.log(np.abs(q[:, 0])) + log_scale
+    out = np.empty(log_scale.shape)
+    wide = ~(log_scale[:, 0] - log_scale[:, -1] <= _EIG_DOUBLE_SPREAD)
+    narrow = np.flatnonzero(~wide)
+    if narrow.size:
+        out[narrow] = _log_eig_moduli_lapack(q[narrow], log_scale[narrow])
+    split_at = np.argmax(log_scale[:, :-1] - log_scale[:, 1:], axis=1) + 1
+    for k in np.unique(split_at[wide]).tolist():
+        rows = np.flatnonzero(wide & (split_at == k))
+        a1, a2, ok = _split(q[rows], log_scale[rows], k)
+        logs = np.full((rows.size, d), np.nan)
+        if ok.any():
+            parts = rows[ok]
+            logs[ok] = np.concatenate([_log_eig_moduli_graded(a1[ok], log_scale[parts, :k]),
+                                       _log_eig_moduli_graded(a2[ok], log_scale[parts, k:])], axis=1)
+        fine = np.isfinite(logs).all(axis=1)
+        out[rows[fine]] = np.sort(logs[fine], axis=1)[:, ::-1]
+        for b in rows[~fine]:
+            c = float(log_scale[b, 0])
+            out[b] = _log_eig_moduli_extended(q[b], log_scale[b] - c) + c
+    return out
 
 
-def stability_from_state(state: ProductState) -> np.ndarray:
-    """Descending log-moduli of the eigenvalues of the running product.
+def stability_rows(log_sigma: np.ndarray, u_frame: np.ndarray, v_frame: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Descending log-moduli of the eigenvalues of each of a stack of running
+    products, (B, d), and per row None or the exception that rules it out.
 
     Uses the similarity v @ u @ diag(exp(log_sigma)), which shares the
     product's spectrum, so no explicit (and overflowing) product is ever
-    formed. Mild spreads go straight through LAPACK, wide ones through the
-    graded block deflation, in double precision either way; the
-    extended-precision path takes only the blocks that cannot be split.
+    formed. Mild spreads go through LAPACK, wide ones through the graded
+    block deflation, in double precision either way; the extended-precision
+    path takes only the blocks that cannot be split.
     """
-    if state.spread > SPREAD_HARD_CAP:
-        raise SpreadOverflowError(
-            f"log-singular-value spread {state.spread:.1f} exceeds hard cap {SPREAD_HARD_CAP}"
-        )
-    logs = _log_eig_moduli_graded(state.v_frame @ state.u_frame, state.log_sigma)
-    if np.any(logs == -np.inf):
-        raise NumericError("eigenvalue modulus underflowed to zero")
-    return logs
+    spread = log_sigma[:, 0] - log_sigma[:, -1]
+    failure = _fail(np.full(spread.shape, None, dtype=object), spread > SPREAD_HARD_CAP,
+                    lambda b: SpreadOverflowError(
+                        f"log-singular-value spread {spread[b]:.1f} exceeds hard cap {SPREAD_HARD_CAP}"))
+    logs = np.full(log_sigma.shape, np.nan)
+    rows = np.flatnonzero(np.equal(failure, None))
+    if rows.size:
+        logs[rows] = _log_eig_moduli_graded(v_frame[rows] @ u_frame[rows], log_sigma[rows])
+    shape = u_frame.shape[1:]
+    failure = _fail(failure, np.isnan(logs).any(axis=1), lambda b: NumericError(
+        f"eigenvalue iteration did not converge (shape {shape})"))
+    failure = _fail(failure, (logs == -np.inf).any(axis=1), lambda b: NumericError(
+        "eigenvalue modulus underflowed to zero"))
+    return logs, failure
+
+
+def stability_from_state(state: ProductState) -> np.ndarray:
+    """Descending log-moduli of the eigenvalues of the running product: the
+    one-row case of stability_rows, raising what rules the row out."""
+    logs, failure = stability_rows(state.log_sigma[None], state.u_frame[None], state.v_frame[None])
+    if failure[0] is not None:
+        raise failure[0]
+    return logs[0]
 
 
 @dataclass(frozen=True)
@@ -396,7 +471,7 @@ def lyapunov_qr_stream(spec: EnsembleSpec, n_steps: int, rng) -> QrStreamResult:
     d = spec.d
     q = np.eye(d, dtype=spec.dtype)
     rows = np.empty((n_steps, d), dtype=np.float64)
-    skipped = 0
+    skipped = in_a_row = 0
     k = 0
     while k < n_steps:
         m = sample_isotropic(spec, gen)
@@ -404,11 +479,13 @@ def lyapunov_qr_stream(spec: EnsembleSpec, n_steps: int, rng) -> QrStreamResult:
             pair = qr_positive(m @ q)
         except SingularInputError:
             skipped += 1
-            if skipped > 1000:
+            in_a_row += 1
+            if in_a_row > 1000:
                 raise NumericError(
                     "more than 1000 singular samples in a row; ensemble is degenerate"
                 ) from None
             continue
+        in_a_row = 0
         rows[k] = np.log(np.diagonal(pair.r).real)
         q = pair.q
         k += 1

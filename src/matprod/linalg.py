@@ -26,6 +26,7 @@ __all__ = [
     "eig_by_modulus",
     "count_complex_pairs",
     "complex_pair_counts",
+    "eigvals_rows",
     "principal_minor",
     "RANK_RTOL",
 ]
@@ -211,14 +212,23 @@ def complex_pair_counts(a) -> np.ndarray:
     arr = _as_matrix(a)
     if np.iscomplexobj(arr) or arr.ndim != 3 or arr.shape[1] != arr.shape[2]:
         raise ValueError(f"complex_pair_counts takes a real (B, d, d) stack, got {arr.dtype} {arr.shape}")
+    w = eigvals_rows(arr)
+    return np.where(np.isnan(w).any(axis=-1), -1, np.count_nonzero(w.imag > 0, axis=-1))
+
+
+def eigvals_rows(a: np.ndarray) -> np.ndarray:
+    """Eigenvalues of each matrix of a (B, d, d) stack, unsorted, with one
+    eigvals call; if that call fails, each matrix is taken alone, and one
+    that does not converge gets a row of NaN."""
     try:
-        return np.count_nonzero(np.linalg.eigvals(arr).imag > 0, axis=-1)
+        return np.linalg.eigvals(a)
     except np.linalg.LinAlgError:
-        counts = np.full(arr.shape[0], -1)
-        for b, m in enumerate(arr):
-            with contextlib.suppress(np.linalg.LinAlgError):
-                counts[b] = np.count_nonzero(np.linalg.eigvals(m).imag > 0)
-        return counts
+        pass
+    w = np.full(a.shape[:-1], np.nan, dtype=np.complex128)
+    for b, m in enumerate(a):
+        with contextlib.suppress(np.linalg.LinAlgError):
+            w[b] = np.linalg.eigvals(m)
+    return w
 
 
 def principal_minor(a, index_set: Iterable[int]):

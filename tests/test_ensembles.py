@@ -15,11 +15,13 @@ from matprod.ensembles import (
     sample_ginibre,
     sample_haar_unitary,
     sample_isotropic,
+    sample_isotropic_chunk,
     sample_right_isotropic,
     sample_singular_values,
     sample_truncated_haar,
 )
 from matprod.linalg import lq_positive
+from matprod.rng import RngStream
 
 from conftest import unitary_defect
 
@@ -238,6 +240,43 @@ def test_isotropic_singular_values_equal_sampled_diag(stream):
     m = sample_isotropic(spec, stream.derive(51), size=20)
     sv = np.linalg.svd(m, compute_uv=False)
     assert np.max(np.abs(sv - np.array([3.0, 2.0, 0.5]))) < 1e-10
+
+
+def _state(gen):
+    """The generator's full state as text (Philox keeps arrays in it)."""
+    return repr(gen.bit_generator.state)
+
+
+def _per_replication(spec, gen, count, n):
+    return [sample_isotropic(spec, gen, size=n) if n > 1 else sample_isotropic(spec, gen) for _ in range(count)]
+
+
+@pytest.mark.parametrize("field", ["real", "complex"])
+@pytest.mark.parametrize("n", [1, 2, 100])
+@pytest.mark.parametrize("d", [1, 2, 5])
+def test_isotropic_chunk_is_the_per_replication_draws(field, n, d):
+    # one draw for the chunk reads the stream exactly as one draw a replication
+    spec = EnsembleSpec(field, d, Ginibre())
+    chunk_gen, loop_gen = (RngStream(1603, (d, n)).generator() for _ in range(2))
+    chunk = sample_isotropic_chunk(spec, chunk_gen, 7, n)
+    loop = np.reshape(_per_replication(spec, loop_gen, 7, n), (7, n, d, d))
+    assert chunk.shape == (7, n, d, d) and chunk.dtype == spec.dtype
+    assert chunk.tobytes() == loop.tobytes()
+    assert _state(chunk_gen) == _state(loop_gen)
+
+
+@pytest.mark.parametrize("spec", [
+    EnsembleSpec("real", 3, TruncatedHaar(5)),
+    EnsembleSpec("complex", 2, HaarScaled(ScalarLaw("lognormal", (0.0, 1.0)))),
+])
+def test_isotropic_chunk_other_kinds_draw_one_replication_at_a_time(spec):
+    chunk_gen, loop_gen, flat_gen = (RngStream(1604).generator() for _ in range(3))
+    chunk = sample_isotropic_chunk(spec, chunk_gen, 5, 4)
+    loop = np.reshape(_per_replication(spec, loop_gen, 5, 4), (5, 4, spec.d, spec.d))
+    assert chunk.tobytes() == loop.tobytes()
+    assert _state(chunk_gen) == _state(loop_gen)
+    # the u/D/v laws interleave within a replication, so one flat batch reads the stream otherwise
+    assert not np.array_equal(chunk.reshape(20, spec.d, spec.d), sample_isotropic(spec, flat_gen, size=20))
 
 
 def test_ginibre_two_construction_routes_agree(stream):

@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -31,11 +32,12 @@ from matprod.exponents import (
     lyapunov_qr_stream,
     single_step_estimate,
     stability_from_state,
+    stability_rows,
     supports_analytic_spectrum,
     trigamma,
 )
 from matprod import exponents
-from matprod.linalg import NumericError, SingularInputError, eig_by_modulus, qr_positive
+from matprod.linalg import RANK_RTOL, NumericError, SingularInputError, eig_by_modulus, qr_positive
 from matprod.rng import RngStream
 
 from conftest import rel_err
@@ -408,6 +410,55 @@ def test_evolve_stack_rejects_bad_factors():
         evolve_stack(factors, (1, 7))
 
 
+def _svd_regular(m):
+    sv = np.linalg.svd(m, compute_uv=False)
+    return sv[..., -1] > RANK_RTOL * sv[..., 0]
+
+
+def _regular_quietly(m):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        return exponents._regular(m)
+
+
+@pytest.mark.parametrize("field", ["real", "complex"])
+def test_regular_matches_svd_test(field):
+    gen = RngStream(1605, (len(field),)).generator()
+    for d in (2, 3, 5):
+        # sigma = (1, ..., 1, ratio), ratio within 0.1% of the SVD test's
+        # threshold and of the ratio at which |det| / ||m||_F^d meets 100 RANK_RTOL
+        ratios = np.outer([RANK_RTOL, 100 * RANK_RTOL * d ** (d / 2)], 1 + np.linspace(-1e-3, 1e-3, 200))
+        sigma = np.ones(ratios.shape + (d,))
+        sigma[..., -1] = ratios
+        u, v = (sample_haar_unitary(d, field, gen, size=ratios.size).reshape(ratios.shape + (d, d)) for _ in range(2))
+        m = u @ (sigma[..., None] * v)
+        got = _regular_quietly(m)
+        assert got.shape == ratios.shape and np.array_equal(got, _svd_regular(m))
+        assert 0 < got[0].sum() < ratios.shape[1] and got[1].all()
+    # exactly singular, zero, d = 1 with extreme scales, d = 64 where ||m||_F^d is out of range
+    dtype = np.complex128 if field == "complex" else np.float64
+    rank_one = np.outer([1.0, 2.0, 3.0], [1.0, -1.0, 0.5j if field == "complex" else 0.5])
+    odd = [np.stack([rank_one, np.zeros((3, 3), dtype), np.eye(3, dtype=dtype)]),
+           np.array([0.0, 1e-300, -3.0, 1e300]).astype(dtype).reshape(4, 1, 1)]
+    big = sample_isotropic(EnsembleSpec(field, 64, Ginibre()), gen, size=3) * np.array([1e-10, 1.0, 1e10])[:, None, None]
+    dup = big[1].copy()
+    dup[:, 5] = dup[:, 7]
+    odd.append(np.concatenate([big, dup[None], np.zeros((1, 64, 64), dtype)]))
+    for m in odd:
+        assert np.array_equal(_regular_quietly(m), _svd_regular(m))
+    assert [_regular_quietly(m).tolist() for m in odd] == [[False, False, True], [False, True, True, True],
+                                                          [True, True, True, False, False]]
+
+
+def test_regular_takes_no_svd_for_well_conditioned_factors(monkeypatch):
+    factors = sample_isotropic(EnsembleSpec("real", 2, Ginibre()), RngStream(1606).generator(), size=1000)
+    calls = []
+    svd = np.linalg.svd
+    monkeypatch.setattr(np.linalg, "svd", lambda *a, **k: calls.append(1) or svd(*a, **k))
+    assert exponents._regular(factors.reshape(50, 20, 2, 2)).all()
+    assert not calls
+
+
 # --- stability exponents -----------------------------------------------
 
 
@@ -498,7 +549,7 @@ def _oracle(state):
 
 @pytest.fixture
 def fallbacks(monkeypatch):
-    """Blocks stability_from_state hands to the extended-precision path."""
+    """Blocks stability_rows (and so stability_from_state) hands to the extended-precision path."""
     seen = []
 
     def counted(q, log_scale):
@@ -548,10 +599,20 @@ def test_wide_spectrum_matches_oracle_without_fallback(fallbacks):
     states = _oracle_corpus()
     spreads = [state.spread for _, state in states]
     assert min(spreads) > 25 and SPREAD_HARD_CAP - 2 <= max(spreads) <= SPREAD_HARD_CAP
+    alone = {}
     for tag, state in states:
-        got = stability_from_state(state)
+        got = alone[id(state)] = stability_from_state(state)
         assert not fallbacks, (tag, state.n)
         assert np.max(np.abs(got - _oracle(state))) <= 1e-10, (tag, state.n, state.spread)
+    # the corpus as stacks, one for each dimension and field: the same results bit for bit
+    groups = {}
+    for _, state in states:
+        groups.setdefault((state.d, state.u_frame.dtype), []).append(state)
+    for group in groups.values():
+        logs, failure = stability_rows(*(np.stack([getattr(s, a) for s in group])
+                                         for a in ("log_sigma", "u_frame", "v_frame")))
+        assert not fallbacks and np.equal(failure, None).all()
+        assert all(np.array_equal(got, alone[id(s)]) for s, got in zip(group, logs))
 
 
 def _frames_state(q, log_sigma):
@@ -586,26 +647,90 @@ def test_wide_spectrum_straddling_conjugate_pair_falls_back(fallbacks):
     # real invariant subspace separates them, so the Riccati iteration
     # diverges (Q11 itself is conditioned well enough to be tried)
     state = _frames_state(block_diag(np.eye(1), _rotation(3e-5)), [0.0, -12.0, -30.0])
-    assert exponents._split(state.v_frame, state.log_sigma, 2) is None
+    assert not exponents._split(state.v_frame[None], state.log_sigma[None], 2)[2][0]
     got = stability_from_state(state)
     assert fallbacks == [3]
     assert np.max(np.abs(got - _oracle(state))) <= 1e-10
     assert np.allclose(got, [0.0, -21.0, -21.0], atol=1e-9)
 
 
+def _nearly_singular_leading_block(field, gen):
+    """4x4 unitary whose leading 2x2 block has a singular value of 1e-7."""
+    left = block_diag(sample_haar_unitary(2, field, gen), sample_haar_unitary(2, field, gen))
+    right = block_diag(sample_haar_unitary(2, field, gen), sample_haar_unitary(2, field, gen))
+    return left @ block_diag(np.eye(1), _rotation(1e-7), np.eye(1)) @ right
+
+
 @pytest.mark.parametrize("field", ["real", "complex"])
 def test_wide_spectrum_nearly_singular_leading_block_falls_back(field, fallbacks, stream):
     # the 2x2 leading block has a singular value of 1e-7: split blocks would
     # carry errors of ~1e-9, so the block goes to the extended-precision path
-    gen = stream.derive(99).generator()
-    left = block_diag(sample_haar_unitary(2, field, gen), sample_haar_unitary(2, field, gen))
-    right = block_diag(sample_haar_unitary(2, field, gen), sample_haar_unitary(2, field, gen))
-    q = left @ block_diag(np.eye(1), _rotation(1e-7), np.eye(1)) @ right
+    q = _nearly_singular_leading_block(field, stream.derive(99).generator())
     state = _frames_state(q, [0.0, -2.0, -42.0, -45.0])
     assert np.linalg.svd(q[:2, :2], compute_uv=False)[-1] == pytest.approx(1e-7, rel=1e-6)
     got = stability_from_state(state)
     assert fallbacks == [4]
     assert np.max(np.abs(got - _oracle(state))) <= 1e-10
+
+
+def test_stacked_spectrum_rows_match_rows_alone(fallbacks, stream):
+    # one stack mixing every path; each row must come out as it does alone
+    gen = stream.derive(101).generator()
+    rows = [(sample_haar_unitary(4, "real", gen), ls) for ls in (
+        [0.0, -3.0, -9.0, -20.0],      # narrow
+        [1.0, 0.5, -4.0, -24.0],       # narrow
+        [0.0, -30.0, -35.0, -40.0],    # wide, split after index 1
+        [0.0, -2.0, -40.0, -42.0],     # wide, after 2
+        [0.0, -1.0, -3.0, -50.0],      # wide, after 3
+        [0.0, -30.0, -60.0, -90.0],    # wide, each lower block split again
+    )] + [
+        (block_diag(np.eye(2), _rotation(3e-5)), [0.0, -3.0, -12.0, -30.0]),  # straddling pair: diverges
+        (np.roll(np.eye(4), 1, axis=0), [20.0, 0.0, -10.0, -40.0]),          # singular Q11
+        (_nearly_singular_leading_block("real", gen), [0.0, -2.0, -42.0, -45.0]),
+        (sample_haar_unitary(4, "real", gen), [400.0, 0.0, -100.0, -300.0]),  # over the hard cap
+        (np.diag([1.0, 1.0, 1.0, 0.0]), [0.0, -1.0, -2.0, -3.0]),          # an eigenvalue 0
+    ]
+    log_sigma = np.array([ls for _, ls in rows])
+    v = np.array([q for q, _ in rows])
+    u = np.broadcast_to(np.eye(4), v.shape)
+    logs, failure = stability_rows(log_sigma, u, v)
+    assert fallbacks == [4, 4, 4]
+    assert [type(f).__name__ for f in failure] == ["NoneType"] * 9 + ["SpreadOverflowError", "NumericError"]
+    assert "underflowed" in str(failure[-1])
+    for b in range(len(rows)):
+        alone, fail = stability_rows(log_sigma[b:b + 1], u[b:b + 1], v[b:b + 1])
+        assert np.array_equal(logs[b], alone[0], equal_nan=True), b
+        assert repr(fail[0]) == repr(failure[b])
+        if b < 9:
+            state = _frames_state(v[b], log_sigma[b])
+            assert np.max(np.abs(logs[b] - _oracle(state))) <= 1e-10, b
+    assert fallbacks == [4, 4, 4] * 2
+
+
+def test_stacked_spectrum_eigvals_fallback_drops_only_unconverged(monkeypatch, fallbacks, stream):
+    gen = stream.derive(102).generator()
+    log_sigma = np.array([[0.0, -1.0, -5.0], [0.0, -2.0, -4.0], [1.0, -3.0, -9.0], [0.0, -30.0, -32.0]])
+    v = sample_haar_unitary(3, "real", gen, size=4)
+    u = sample_haar_unitary(3, "real", gen, size=4)
+    clean, _ = stability_rows(log_sigma, u, v)
+    q = v[2] @ u[2]
+    bad = q * np.exp(log_sigma[2] - log_sigma[2, 0])[None, :]  # what LAPACK sees of row 2
+    eigvals = np.linalg.eigvals
+
+    def flaky(a):
+        # every stacked call fails, and so does row 2 taken alone
+        if a.ndim == 3 or np.array_equal(a, bad):
+            raise np.linalg.LinAlgError("Eigenvalues did not converge")
+        return eigvals(a)
+
+    monkeypatch.setattr(np.linalg, "eigvals", flaky)
+    logs, failure = stability_rows(log_sigma, u, v)
+    assert isinstance(failure[2], NumericError) and "did not converge (shape (3, 3))" in str(failure[2])
+    assert np.isnan(logs[2]).all() and not fallbacks
+    keep = [0, 1, 3]  # row 3 is wide: its lower block took the per-matrix call
+    assert np.equal(failure[keep], None).all() and np.array_equal(logs[keep], clean[keep])
+    with pytest.raises(NumericError, match="did not converge"):
+        stability_from_state(ProductState(1, log_sigma[2], u[2], v[2]))
 
 
 @pytest.mark.parametrize("log_sigma", [
@@ -686,6 +811,35 @@ def test_qr_stream_running_mean_shape(stream):
     assert res.running_mean.shape == (50, 2)
     assert np.allclose(res.running_mean[-1], res.mean)
     assert res.skipped == 0
+
+
+def _counting_qr(monkeypatch, fails):
+    """Patch the stream's QR so that call i (from 0) raises SingularInputError when fails(i)."""
+    calls = []
+
+    def qr(a):
+        calls.append(1)
+        if fails(len(calls) - 1):
+            raise SingularInputError("forced")
+        return qr_positive(a)
+
+    monkeypatch.setattr(exponents, "qr_positive", qr)
+    return calls
+
+
+def test_qr_stream_counts_every_skip_but_stops_only_on_a_run(monkeypatch, stream):
+    # 2500 singular samples in all, never two in a row: no run reaches 1000
+    calls = _counting_qr(monkeypatch, lambda i: i % 2 == 0)
+    res = lyapunov_qr_stream(EnsembleSpec("real", 2, Ginibre()), 2500, stream.derive(14))
+    assert res.skipped == 2500 and len(calls) == 5000
+    assert res.increments.shape == (2500, 2) and np.isfinite(res.increments).all()
+
+
+def test_qr_stream_raises_after_1000_singular_samples_in_a_row(monkeypatch, stream):
+    calls = _counting_qr(monkeypatch, lambda i: True)
+    with pytest.raises(NumericError, match="more than 1000 singular samples in a row"):
+        lyapunov_qr_stream(EnsembleSpec("real", 2, Ginibre()), 10, stream.derive(15))
+    assert len(calls) == 1001
 
 
 # --- single-step estimator -----------------------------------------------
