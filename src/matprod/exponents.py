@@ -2,7 +2,8 @@
 
 The running product P_n is never formed explicitly: a ProductState keeps its
 singular values on log scale together with the left/right unitary frames, so
-products of hundreds of factors stay representable. Estimators and analytic
+products of hundreds of factors stay representable; evolve_stack steps them
+by QR and takes the SVD at the grid points only. Estimators and analytic
 reference spectra for the supported ensembles live alongside.
 """
 from __future__ import annotations
@@ -74,8 +75,8 @@ class SpreadOverflowError(OverflowError):
 class ProductState:
     """Running product in factored form: u @ diag(exp(log_sigma)) @ v.
 
-    accuracy_warning turns on (and stays on) once the spread has exceeded
-    SPREAD_ACCURACY_CAP, marking the smallest exponents as untrusted.
+    accuracy_warning turns on (and stays on) once the spread in SVD form has
+    exceeded SPREAD_ACCURACY_CAP, marking the smallest exponents as untrusted.
     """
 
     n: int
@@ -140,18 +141,17 @@ def _identity_rows(failure: np.ndarray, vec: np.ndarray, fill: float, *frames: n
     return (np.where(ok[:, None], vec, fill), *(np.where(ok[:, None, None], f, eye) for f in frames))
 
 
-def _regular(m: np.ndarray) -> np.ndarray:
+def _regular(m: np.ndarray, r: np.ndarray) -> np.ndarray:
     """Per-matrix test that a stack of factors is not numerically singular:
-    sigma_min > RANK_RTOL * sigma_max.
-
-    sigma_min / sigma_max >= |det| / ||m||_F^d, so a factor whose bound, taken
-    in logs, clears 100 * RANK_RTOL passes without an SVD; only the others
-    take the SVD test, so every verdict is the SVD's.
+    sigma_min > RANK_RTOL * sigma_max, given r from a QR of m, m^H, or either
+    times a unitary. |det m| = prod |r_jj| and ||m||_F = ||r||_F, so a factor
+    whose bound sigma_min / sigma_max >= |det m| / ||m||_F^d, taken in logs,
+    clears 100 * RANK_RTOL passes without an SVD; only the others take the
+    SVD test, so every verdict is the SVD's.
     """
-    _, logdet = np.linalg.slogdet(m)
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        frob_sq = np.sum(np.abs(m) ** 2, axis=(-2, -1))
-        regular = logdet - 0.5 * m.shape[-1] * np.log(frob_sq) > _LOG_REGULAR_BOUND
+        logdet = np.sum(np.log(np.abs(np.diagonal(r, axis1=-2, axis2=-1))), axis=-1)
+        regular = logdet - 0.5 * m.shape[-1] * np.log(np.sum(np.abs(r) ** 2, axis=(-2, -1))) > _LOG_REGULAR_BOUND
     rest = ~regular
     if rest.any():
         sv = np.linalg.svd(m[rest], compute_uv=False)
@@ -185,47 +185,74 @@ def _init_rows(m1: np.ndarray) -> ProductStack:
     return ProductStack(1, np.log(sigma), left, right, np.zeros(m1.shape[0], dtype=bool), failure)
 
 
-def _advance_rows(stack: ProductStack, m: np.ndarray, regular: np.ndarray | None = None) -> ProductStack:
-    """Stack of P_n @ m from the stack of P_n, with one SVD call.
+def _step(stack: ProductStack, m: np.ndarray) -> ProductStack:
+    """Stack of P_n @ m from the stack of P_n = G diag(exp(t)) O, with one
+    batched QR; input and result in that form (u_frame G, log_sigma t, v_frame
+    O, O unitary). The SVD form is the case G unitary.
 
-    Works entirely on the shifted scale exp(log_sigma - max): the new log
-    singular values are exact up to the conditioning of the single step,
-    independent of how large the accumulated spread is. regular, the
-    factors' non-singularity, is computed here unless given.
+    With X = O m = L Q^H (the QR of X^H), P_n @ m = G' diag(exp(t')) O' for
+    t' = t + log|diag L|, O' = diag(ph) Q^H, ph = diag L / |diag L| and
+    G' = G M, M_ij = (L_ij / L_jj) exp(t_i - t_j): exponentials of differences
+    of t only, within the hard cap, so nothing leaves double range.
     """
-    spread = stack.spread
+    t = stack.log_sigma
+    # the per-row range only when the whole stack's passes the cap: a row reduction is ~5% of a step
+    spread = np.ptp(t, axis=1) if np.ptp(t) > SPREAD_HARD_CAP else np.zeros(len(t))
     failure = _fail(stack.failure, spread > SPREAD_HARD_CAP, lambda b: SpreadOverflowError(
         f"log-singular-value spread {spread[b]:.1f} exceeds hard cap {SPREAD_HARD_CAP}"))
-    regular = _regular(m) if regular is None else regular
-    failure = _fail(failure, ~regular, lambda b: SingularInputError("factor is numerically singular"))
-    log_sigma, u, v, m = _identity_rows(failure, stack.log_sigma, 0.0, stack.u_frame, stack.v_frame, m)
-    c = log_sigma[:, :1]
-    left, sigma, right, failure = _svd_rows(np.exp(log_sigma - c)[:, :, None] * (v @ m), failure)
+    t, g, o, m = _identity_rows(failure, t, 0.0, stack.u_frame, stack.v_frame, m)
+    if (t[:, 1:] > t[:, :-1]).any():  # else G takes entries up to exp(t_i - t_j), i > j
+        t, g, o = _descending(t, g, o)
+    q, r = np.linalg.qr((o @ m).conj().swapaxes(-1, -2))
+    failure = _fail(failure, ~_regular(m, r), lambda b: SingularInputError("factor is numerically singular"))
+    failure = _fail(failure, ~np.diagonal(r, axis1=1, axis2=2).all(axis=1), lambda b: SingularInputError(
+        "factor drove the product to numerical singularity"))
+    t, g, o, q, r = _identity_rows(failure, t, 0.0, g, o, q, r)
+    low = r.conj().swapaxes(-1, -2)
+    pivot = np.diagonal(low, axis1=1, axis2=2)
+    size = np.abs(pivot)
+    g = g @ (low / pivot[:, None, :] * np.exp(t[:, :, None] - t[:, None, :]))
+    o = (pivot / size)[:, :, None] * q.conj().swapaxes(-1, -2)
+    return ProductStack(stack.n + 1, t + np.log(size), g, o, stack.accuracy_warning, failure)
+
+
+def _descending(t: np.ndarray, g: np.ndarray, o: np.ndarray) -> tuple:
+    """The same products G diag(exp(t)) O with each row's t sorted descending,
+    G's columns and O's rows permuted alike; a sorted row is left as it is."""
+    rows, order = np.arange(len(t))[:, None], np.argsort(-t, axis=1, kind="stable")
+    return t[rows, order], g[rows, :, order].swapaxes(1, 2), o[rows, order]
+
+
+def _to_svd(stack: ProductStack) -> ProductStack:
+    """The stack in SVD form, from G diag(exp(t)) O: one SVD call for the stack
+    of diag(exp(t - max t)) G^H, t descending. LAPACK takes rows graded from the
+    first to full relative accuracy, and loses small singular values otherwise."""
+    t, g, o = _descending(stack.log_sigma, stack.u_frame, stack.v_frame)
+    right, sigma, left, failure = _svd_rows(np.exp(t - t[:, :1])[:, :, None] * g.conj().swapaxes(1, 2), stack.failure)
     failure = _fail(failure, sigma[:, -1] <= 0.0, lambda b: SingularInputError(
         "factor drove the product to numerical singularity"))
-    sigma, left, right = _identity_rows(failure, sigma, 1.0, left, right)
-    log_sigma = np.log(sigma) + c
-    new_spread = log_sigma[:, 0] - log_sigma[:, -1]
-    warn = stack.accuracy_warning | (spread > SPREAD_ACCURACY_CAP) | (new_spread > SPREAD_ACCURACY_CAP)
-    return ProductStack(stack.n + 1, log_sigma, u @ left, right, warn, failure)
+    sigma, left, right, o = _identity_rows(failure, sigma, 1.0, left, right, o)
+    log_sigma = np.log(sigma) + np.where(np.equal(failure, None)[:, None], t[:, :1], 0.0)
+    warn = stack.accuracy_warning | (log_sigma[:, 0] - log_sigma[:, -1] > SPREAD_ACCURACY_CAP)
+    return ProductStack(stack.n, log_sigma, left.conj().swapaxes(-1, -2), right.conj().swapaxes(-1, -2) @ o, warn, failure)
 
 
 def evolve_stack(factors, n_grid) -> list[ProductStack]:
-    """Stacks at each grid point of B products; factors is (B, n, d, d).
+    """Stacks at each grid point of B products, in SVD form; factors is (B, n, d, d).
 
     Row b is the product factors[b, 0] @ factors[b, 1] @ ... The last stack
-    tells which rows survived the whole trajectory. The finiteness and
-    singularity checks of the factors run once for the whole stack.
+    tells which rows survived the whole trajectory. Between grid points the
+    products are stepped by QR (_step); each grid point takes one SVD call.
     """
     arr = _as_matrix(factors, "factors")
     if arr.ndim != 4 or arr.shape[-1] != arr.shape[-2] or arr.shape[1] < n_grid[-1]:
         raise ValueError(f"factors must be (B, n >= {n_grid[-1]}, d, d), got shape {arr.shape}")
-    regular = _regular(arr[:, 1:n_grid[-1]]) if n_grid[-1] > 1 else None
     stack = _init_rows(arr[:, 0])
     stacks = []
     for n in n_grid:
         while stack.n < n:
-            stack = _advance_rows(stack, arr[:, stack.n], regular[:, stack.n - 1])
+            stack = _step(stack, arr[:, stack.n])
+        stack = _to_svd(stack) if n > 1 else stack
         stacks.append(stack)
     return stacks
 
@@ -245,14 +272,14 @@ def init_state(m1) -> ProductState:
 
 
 def advance(state: ProductState, m) -> ProductState:
-    """State of P_n @ m from the state of P_n: the one-row case of the stack."""
+    """State of P_n @ m from the state of P_n: one QR step and one SVD, the
+    one-row case of the stack; a long run belongs in evolve_stack."""
     arr = _as_matrix(m, "m")
     if arr.shape != state.u_frame.shape:
         raise ValueError(f"factor shape {arr.shape} does not match state dimension {state.d}")
-    one = np.full(1, None, dtype=object)
     stack = ProductStack(state.n, state.log_sigma[None], state.u_frame[None], state.v_frame[None],
-                         np.array([state.accuracy_warning]), one)
-    return _only_row(_advance_rows(stack, arr[None]))
+                         np.array([state.accuracy_warning]), np.full(1, None, dtype=object))
+    return _only_row(_to_svd(_step(stack, arr[None])))
 
 
 # Above this spread the ratio of extreme eigenvalue moduli of the similarity

@@ -14,8 +14,10 @@ from matprod.ensembles import (
     HaarScaled,
     ScalarLaw,
     TruncatedHaar,
+    parse_ensemble,
     sample_haar_unitary,
     sample_isotropic,
+    sample_isotropic_chunk,
 )
 from matprod.exponents import (
     SPREAD_ACCURACY_CAP,
@@ -400,6 +402,91 @@ def test_stack_svd_fallback_drops_only_unconverged_rows(monkeypatch):
     _assert_reset(final, 3)
 
 
+@pytest.mark.filterwarnings("error")
+def test_stack_failures_stay_in_their_rows(monkeypatch):
+    # one stack, five ways to drop a row; nothing non-finite may reach the others
+    factors = _engine_factors("real", 2, "ginibre", rows=8, n=40)
+    grid = (1, 20, 40)
+    bad = factors.copy()
+    bad[1, 1] = 0.0                                    # zero factor at step 2
+    bad[2, 10] = 0.0                                   # zero factor mid-trajectory
+    bad[3, 30] = np.outer([1.0, -2.0], [0.5, 3.0])     # rank-one factor
+    bad[4] = np.diag([1.0, 1e-11])                     # over the hard cap at step 29
+    svd, calls = np.linalg.svd, []
+
+    def flaky(a, *args, **kwargs):
+        # the stacked SVD at the grid point n = 20 fails, and so does row 5 alone
+        if kwargs.get("compute_uv", True) and a.ndim == 3:
+            calls.append(a[5].copy())
+            if len(calls) == 2:
+                raise np.linalg.LinAlgError("SVD did not converge")
+        elif len(calls) >= 2 and np.array_equal(a, calls[1]):
+            raise np.linalg.LinAlgError("SVD did not converge")
+        return svd(a, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "svd", flaky)
+    seen, final = _evolve(bad, grid)
+    monkeypatch.undo()
+    keep = np.arange(8) > 5
+    clean, _ = _evolve(factors[keep], grid)
+    _assert_rows_equal(seen, keep, clean)
+    assert final.ok.tolist() == [True] + [False] * 5 + [True, True]
+    assert seen[0].ok.all() and seen[1].ok.tolist() == [True, False, False, True, True, False, True, True]
+    for b in (1, 2, 3):
+        assert isinstance(final.failure[b], SingularInputError)
+        assert str(final.failure[b]) == "factor is numerically singular"
+    assert isinstance(final.failure[4], SpreadOverflowError) and "exceeds hard cap" in str(final.failure[4])
+    assert isinstance(final.failure[5], NumericError) and "SVD did not converge" in str(final.failure[5])
+    for b in range(1, 6):
+        _assert_reset(final, b)
+    _assert_reset(seen[1], 5)
+    assert all(np.isfinite(getattr(s, a)).all() for s in seen for a in ("log_sigma", "u_frame", "v_frame"))
+
+
+def _explicit_log_sigma(factors, grid, dps):
+    """Descending log singular values of the explicit products at the grid points, by mpmath."""
+    import mpmath as mp
+
+    out = []
+    with mp.workdps(dps):
+        prod, k = mp.eye(factors.shape[-1]), 0
+        for n in grid:
+            while k < n:
+                prod, k = prod * mp.matrix(factors[k].tolist()), k + 1
+            out.append(sorted((float(mp.log(s)) for s in mp.svd(prod, compute_uv=False)), reverse=True))
+    return np.array(out)
+
+
+@pytest.mark.parametrize("field, d, ensemble, grid", [
+    ("real", 2, "ginibre", (1, 10, 50, 100)),
+    ("complex", 5, "ginibre", (10, 50)),
+    ("real", 4, "ginibre", (25, 100)),
+    ("real", 3, "custom:fixed(1,0.99,0.98)", (2, 100, 200)),
+    ("real", 3, "haar-scaled:lognormal(0,1)", (10, 60)),
+])
+def test_stack_matches_extended_precision_products(field, d, ensemble, grid):
+    spec = EnsembleSpec(field, d, parse_ensemble(ensemble))
+    factors = sample_isotropic_chunk(spec, RngStream(1610, (d,)).generator(), 3, grid[-1])
+    stacks = evolve_stack(factors, grid)
+    assert stacks[-1].ok.all()
+    for b in range(3):
+        ref = _explicit_log_sigma(factors[b], grid, 40 + d * grid[-1])
+        got = np.array([s.log_sigma[b] for s in stacks])
+        assert np.max(np.abs(got - ref)) <= 1e-9, (b, np.max(np.abs(got - ref)))
+
+
+@pytest.mark.parametrize("grid", [(10, 35), (10, 20, 35)])
+def test_stack_follows_a_reversal_of_the_growth_order(grid):
+    # the product grows along e1 for 10 factors, then along e2: the steps meet
+    # their log scales out of order near n = 19, and so does a grid point at 20
+    c, s = 0.6, 0.8
+    factors = np.stack([np.array([[c, -s], [s, c]]) @ np.diag([1.0, 1e-10])] + [np.diag([1.0, 1e-10])] * 9
+                       + [np.diag([1e-11, 1.0])] * 25)[None]
+    stacks = evolve_stack(factors, grid)
+    got = np.array([st_.log_sigma[0] for st_ in stacks])
+    assert np.max(np.abs(got - _explicit_log_sigma(factors[0], grid, 400))) <= 1e-9
+
+
 def test_evolve_stack_rejects_bad_factors():
     factors = _engine_factors("real", 2, "ginibre")
     with pytest.raises(ValueError, match="non-finite"):
@@ -416,9 +503,11 @@ def _svd_regular(m):
 
 
 def _regular_quietly(m):
+    # r as a step takes it: the triangular factor of the QR of (O m)^H, here O = I
+    r = np.linalg.qr(m.conj().swapaxes(-1, -2), mode="r")
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        return exponents._regular(m)
+        return exponents._regular(m, r)
 
 
 @pytest.mark.parametrize("field", ["real", "complex"])
@@ -455,7 +544,8 @@ def test_regular_takes_no_svd_for_well_conditioned_factors(monkeypatch):
     calls = []
     svd = np.linalg.svd
     monkeypatch.setattr(np.linalg, "svd", lambda *a, **k: calls.append(1) or svd(*a, **k))
-    assert exponents._regular(factors.reshape(50, 20, 2, 2)).all()
+    m = factors.reshape(50, 20, 2, 2)
+    assert exponents._regular(m, np.linalg.qr(m.swapaxes(-1, -2), mode="r")).all()
     assert not calls
 
 
