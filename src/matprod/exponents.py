@@ -201,12 +201,16 @@ def _step(stack: ProductStack, m: np.ndarray) -> ProductStack:
     failure = _fail(stack.failure, spread > SPREAD_HARD_CAP, lambda b: SpreadOverflowError(
         f"log-singular-value spread {spread[b]:.1f} exceeds hard cap {SPREAD_HARD_CAP}"))
     t, g, o, m = _identity_rows(failure, t, 0.0, stack.u_frame, stack.v_frame, m)
-    if (t[:, 1:] > t[:, :-1]).any():  # else G takes entries up to exp(t_i - t_j), i > j
-        t, g, o = _descending(t, g, o)
+    # a row whose t has fallen out of order by more than a factor e is re-sorted:
+    # else G takes entries up to exp(t_i - t_j), i > j, and loses the small scales
+    out = t[:, 1:] - t[:, :-1] > 1.0
+    if out.any():
+        t, g, o = _descending(t, g, o, out.any(axis=1))
     q, r = np.linalg.qr((o @ m).conj().swapaxes(-1, -2))
     failure = _fail(failure, ~_regular(m, r), lambda b: SingularInputError("factor is numerically singular"))
-    failure = _fail(failure, ~np.diagonal(r, axis1=1, axis2=2).all(axis=1), lambda b: SingularInputError(
-        "factor drove the product to numerical singularity"))
+    if not np.diagonal(r, axis1=1, axis2=2).all():
+        failure = _fail(failure, ~np.diagonal(r, axis1=1, axis2=2).all(axis=1), lambda b: SingularInputError(
+            "factor drove the product to numerical singularity"))
     t, g, o, q, r = _identity_rows(failure, t, 0.0, g, o, q, r)
     low = r.conj().swapaxes(-1, -2)
     pivot = np.diagonal(low, axis1=1, axis2=2)
@@ -216,10 +220,11 @@ def _step(stack: ProductStack, m: np.ndarray) -> ProductStack:
     return ProductStack(stack.n + 1, t + np.log(size), g, o, stack.accuracy_warning, failure)
 
 
-def _descending(t: np.ndarray, g: np.ndarray, o: np.ndarray) -> tuple:
-    """The same products G diag(exp(t)) O with each row's t sorted descending,
-    G's columns and O's rows permuted alike; a sorted row is left as it is."""
-    rows, order = np.arange(len(t))[:, None], np.argsort(-t, axis=1, kind="stable")
+def _descending(t: np.ndarray, g: np.ndarray, o: np.ndarray, which: np.ndarray | bool = True) -> tuple:
+    """The same products G diag(exp(t)) O with t sorted descending in the rows
+    which selects, G's columns and O's rows permuted alike."""
+    order = np.where(np.reshape(which, (-1, 1)), np.argsort(-t, axis=1, kind="stable"), np.arange(t.shape[1]))
+    rows = np.arange(len(t))[:, None]
     return t[rows, order], g[rows, :, order].swapaxes(1, 2), o[rows, order]
 
 
