@@ -151,7 +151,8 @@ def _regular(m: np.ndarray, r: np.ndarray) -> np.ndarray:
     """
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         logdet = np.sum(np.log(np.abs(np.diagonal(r, axis1=-2, axis2=-1))), axis=-1)
-        regular = logdet - 0.5 * m.shape[-1] * np.log(np.sum(np.abs(r) ** 2, axis=(-2, -1))) > _LOG_REGULAR_BOUND
+        frob_sq = np.einsum("...ij,...ij->...", r, r.conj()).real
+        regular = logdet - 0.5 * m.shape[-1] * np.log(frob_sq) > _LOG_REGULAR_BOUND
     rest = ~regular
     if rest.any():
         sv = np.linalg.svd(m[rest], compute_uv=False)
@@ -197,7 +198,7 @@ def _step(stack: ProductStack, m: np.ndarray) -> ProductStack:
     """
     t = stack.log_sigma
     # the per-row range only when the whole stack's passes the cap: a row reduction is ~5% of a step
-    spread = np.ptp(t, axis=1) if np.ptp(t) > SPREAD_HARD_CAP else np.zeros(len(t))
+    spread = np.ptp(t, axis=1) if t.max() - t.min() > SPREAD_HARD_CAP else np.zeros(len(t))
     failure = _fail(stack.failure, spread > SPREAD_HARD_CAP, lambda b: SpreadOverflowError(
         f"log-singular-value spread {spread[b]:.1f} exceeds hard cap {SPREAD_HARD_CAP}"))
     t, g, o, m = _identity_rows(failure, t, 0.0, stack.u_frame, stack.v_frame, m)
