@@ -3,14 +3,15 @@
 The running product P_n is never formed explicitly: a ProductState keeps its
 singular values on log scale together with the left/right unitary frames, so
 products of hundreds of factors stay representable; evolve_stack steps them
-by QR and takes the SVD at the grid points only. Estimators and analytic
+by QR, one step per factor or per folded block of well-conditioned factors,
+and takes the SVD at the grid points only. Estimators and analytic
 reference spectra for the supported ensembles live alongside.
 """
 from __future__ import annotations
 
 import contextlib
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Callable
 
 import numpy as np
@@ -65,6 +66,12 @@ SPREAD_ACCURACY_CAP = 30.0
 _BATCH = 8192  # samples per vectorized draw in the Monte Carlo estimators and checks
 _LOG2 = math.log(2.0)
 _LOG_REGULAR_BOUND = math.log(100 * RANK_RTOL)
+# Between grid points a group of _FOLD consecutive factors takes one QR step as
+# their product when the product of their bounds |det m| / ||m||_F^d, each at
+# most sigma_min / sigma_max, exceeds _FOLD_BOUND (> 100 * RANK_RTOL): see
+# _fold_schedule.
+_FOLD = 4
+_FOLD_BOUND = 1e-6
 
 
 class SpreadOverflowError(OverflowError):
@@ -132,9 +139,8 @@ def _fail(failure: np.ndarray, mask: np.ndarray, error: Callable) -> np.ndarray:
     return failure
 
 
-def _identity_rows(failure: np.ndarray, vec: np.ndarray, fill: float, *frames: np.ndarray) -> tuple:
-    """vec (B, d) and frame stacks with each failed row reset: vec to fill, frames to I."""
-    ok = np.equal(failure, None)
+def _identity_rows(ok: np.ndarray, vec: np.ndarray, fill: float, *frames: np.ndarray) -> tuple:
+    """vec (B, d) and frame stacks with each row not ok reset: vec to fill, frames to I."""
     if ok.all():
         return (vec, *frames)
     eye = np.eye(vec.shape[-1])
@@ -182,14 +188,16 @@ def _init_rows(m1: np.ndarray) -> ProductStack:
     left, sigma, right, failure = _svd_rows(m1, np.full(m1.shape[0], None, dtype=object))
     singular = sigma[:, -1] <= RANK_RTOL * sigma[:, 0]
     failure = _fail(failure, singular, lambda b: SingularInputError("initial factor is numerically singular"))
-    sigma, left, right = _identity_rows(failure, sigma, 1.0, left, right)
+    sigma, left, right = _identity_rows(np.equal(failure, None), sigma, 1.0, left, right)
     return ProductStack(1, np.log(sigma), left, right, np.zeros(m1.shape[0], dtype=bool), failure)
 
 
-def _step(stack: ProductStack, m: np.ndarray) -> ProductStack:
+def _step(stack: ProductStack, m: np.ndarray, live: np.ndarray | None = None) -> ProductStack:
     """Stack of P_n @ m from the stack of P_n = G diag(exp(t)) O, with one
     batched QR; input and result in that form (u_frame G, log_sigma t, v_frame
-    O, O unitary). The SVD form is the case G unitary.
+    O, O unitary). The SVD form is the case G unitary. A row where live is
+    False takes no step: it comes back bit-unchanged, with no check, and its
+    m is not read.
 
     With X = O m = L Q^H (the QR of X^H), P_n @ m = G' diag(exp(t')) O' for
     t' = t + log|diag L|, O' = diag(ph) Q^H, ph = diag L / |diag L| and
@@ -197,11 +205,12 @@ def _step(stack: ProductStack, m: np.ndarray) -> ProductStack:
     of t only, within the hard cap, so nothing leaves double range.
     """
     t = stack.log_sigma
+    on = True if live is None else live
     # the per-row range only when the whole stack's passes the cap: a row reduction is ~5% of a step
     spread = np.ptp(t, axis=1) if t.max() - t.min() > SPREAD_HARD_CAP else np.zeros(len(t))
-    failure = _fail(stack.failure, spread > SPREAD_HARD_CAP, lambda b: SpreadOverflowError(
+    failure = _fail(stack.failure, on & (spread > SPREAD_HARD_CAP), lambda b: SpreadOverflowError(
         f"log-singular-value spread {spread[b]:.1f} exceeds hard cap {SPREAD_HARD_CAP}"))
-    t, g, o, m = _identity_rows(failure, t, 0.0, stack.u_frame, stack.v_frame, m)
+    t, g, o, m = _identity_rows(np.equal(failure, None) & on, t, 0.0, stack.u_frame, stack.v_frame, m)
     # a row whose t has fallen out of order by more than a factor e is re-sorted:
     # else G takes entries up to exp(t_i - t_j), i > j, and loses the small scales
     out = t[:, 1:] - t[:, :-1] > 1.0
@@ -212,13 +221,17 @@ def _step(stack: ProductStack, m: np.ndarray) -> ProductStack:
     if not np.diagonal(r, axis1=1, axis2=2).all():
         failure = _fail(failure, ~np.diagonal(r, axis1=1, axis2=2).all(axis=1), lambda b: SingularInputError(
             "factor drove the product to numerical singularity"))
-    t, g, o, q, r = _identity_rows(failure, t, 0.0, g, o, q, r)
+    t, g, o, q, r = _identity_rows(np.equal(failure, None), t, 0.0, g, o, q, r)
     low = r.conj().swapaxes(-1, -2)
     pivot = np.diagonal(low, axis1=1, axis2=2)
     size = np.abs(pivot)
     g = g @ (low / pivot[:, None, :] * np.exp(t[:, :, None] - t[:, None, :]))
     o = (pivot / size)[:, :, None] * q.conj().swapaxes(-1, -2)
-    return ProductStack(stack.n + 1, t + np.log(size), g, o, stack.accuracy_warning, failure)
+    t = t + np.log(size)
+    if live is not None:
+        t = np.where(live[:, None], t, stack.log_sigma)
+        g, o = (np.where(live[:, None, None], new, old) for new, old in ((g, stack.u_frame), (o, stack.v_frame)))
+    return ProductStack(stack.n + 1, t, g, o, stack.accuracy_warning, failure)
 
 
 def _descending(t: np.ndarray, g: np.ndarray, o: np.ndarray, which: np.ndarray | bool = True) -> tuple:
@@ -237,10 +250,59 @@ def _to_svd(stack: ProductStack) -> ProductStack:
     right, sigma, left, failure = _svd_rows(np.exp(t - t[:, :1])[:, :, None] * g.conj().swapaxes(1, 2), stack.failure)
     failure = _fail(failure, sigma[:, -1] <= 0.0, lambda b: SingularInputError(
         "factor drove the product to numerical singularity"))
-    sigma, left, right, o = _identity_rows(failure, sigma, 1.0, left, right, o)
+    sigma, left, right, o = _identity_rows(np.equal(failure, None), sigma, 1.0, left, right, o)
     log_sigma = np.log(sigma) + np.where(np.equal(failure, None)[:, None], t[:, :1], 0.0)
     warn = stack.accuracy_warning | (log_sigma[:, 0] - log_sigma[:, -1] > SPREAD_ACCURACY_CAP)
     return ProductStack(stack.n, log_sigma, left.conj().swapaxes(-1, -2), right.conj().swapaxes(-1, -2) @ o, warn, failure)
+
+
+def _fold_schedule(seg: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Steps (B, S, d, d) that carry each row of seg (B, L, d, d) through its
+    L factors, and which of them each row takes (B, S) bool.
+
+    A row's steps are, in order: each group of _FOLD factors, as one step of
+    their product (a block) if the group passes the guard, else one step a
+    factor; then the last L mod _FOLD factors. A row with fewer steps than
+    S, the most any row has, does not take the last ones. The guard is
+    exact: beta(m) = |det m| / ||m||_F^d <= sigma_min / sigma_max <= 1, and
+    prod beta(m_i) = |det block| / prod ||m_i||_F^d, taken in logs, must
+    exceed _FOLD_BOUND. Then every factor passes _regular's bound, so
+    singularity is still decided by factor, and cond(block) < 1 / _FOLD_BOUND
+    adds under 14 to the spread, inside the margin from the hard cap to exp
+    overflow. A zero, non-finite or underflowed block does not fold. Since
+    beta <= d^(-d/2), nothing folds when d^(-d _FOLD / 2) <= _FOLD_BOUND, and
+    seg itself is returned, as it is when no group folds. A plan is kept
+    when it folds in some rows only, even if another row needs all L steps:
+    each row's steps must not depend on the other rows.
+    """
+    rows, count, d = seg.shape[:3]
+    groups = count // _FOLD
+    plain = seg, np.ones((rows, count), dtype=bool)
+    if not groups or -0.5 * d * _FOLD * math.log(d) <= math.log(_FOLD_BOUND):
+        return plain
+    m = seg[:, :groups * _FOLD].reshape(rows, groups, _FOLD, d, d)
+    with np.errstate(all="ignore"):
+        block = m[:, :, 0]
+        for i in range(1, _FOLD):
+            block = block @ m[:, :, i]
+        frob_sq = np.einsum("...ij,...ij->...", m, m.conj()).real
+        log_beta = np.linalg.slogdet(block)[1] - 0.5 * d * np.log(frob_sq).sum(axis=-1)
+        # an inf or NaN in a block reaches a pivot of its LU, so its log|det| is not finite
+        fold = np.isfinite(log_beta) & (log_beta > math.log(_FOLD_BOUND))
+    if not fold.any():
+        return plain
+    # slot k < count is factor k, count + j the block of group j, -1 no step
+    slots = np.tile(np.arange(count), (rows, 1))
+    b, j = np.nonzero(fold)
+    slots[b, _FOLD * j] = count + j
+    slots[b[:, None], _FOLD * j[:, None] + np.arange(1, _FOLD)] = -1
+    taken = slots >= 0
+    steps = taken.sum(axis=1).max()
+    order = np.argsort(~taken, axis=1, kind="stable")[:, :steps]
+    live = np.take_along_axis(taken, order, axis=1)
+    index = np.where(live, np.take_along_axis(slots, order, axis=1), 0)
+    pool = np.concatenate([seg, block], axis=1)
+    return pool[np.arange(rows)[:, None], index], live
 
 
 def evolve_stack(factors, n_grid) -> list[ProductStack]:
@@ -248,7 +310,10 @@ def evolve_stack(factors, n_grid) -> list[ProductStack]:
 
     Row b is the product factors[b, 0] @ factors[b, 1] @ ... The last stack
     tells which rows survived the whole trajectory. Between grid points the
-    products are stepped by QR (_step); each grid point takes one SVD call.
+    products are stepped by QR (_step), each row on its own schedule: a
+    group of _FOLD factors that passes the conditioning guard takes one
+    step as their product (_fold_schedule). Each grid point takes one SVD
+    call.
     """
     arr = _as_matrix(factors, "factors")
     if arr.ndim != 4 or arr.shape[-1] != arr.shape[-2] or arr.shape[1] < n_grid[-1]:
@@ -256,9 +321,11 @@ def evolve_stack(factors, n_grid) -> list[ProductStack]:
     stack = _init_rows(arr[:, 0])
     stacks = []
     for n in n_grid:
-        while stack.n < n:
-            stack = _step(stack, arr[:, stack.n])
-        stack = _to_svd(stack) if n > 1 else stack
+        steps, live = _fold_schedule(arr[:, stack.n:n])
+        full = live.all(axis=0)
+        for s in range(steps.shape[1]):
+            stack = _step(stack, steps[:, s], None if full[s] else live[:, s])
+        stack = _to_svd(replace(stack, n=n)) if n > 1 else stack
         stacks.append(stack)
     return stacks
 

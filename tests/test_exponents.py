@@ -487,6 +487,141 @@ def test_stack_follows_a_reversal_of_the_growth_order(grid):
     assert np.max(np.abs(got - _explicit_log_sigma(factors[0], grid, 400))) <= 1e-9
 
 
+def _beta(m):
+    # |det m| / ||m||_F^d, a lower bound of sigma_min / sigma_max
+    return np.abs(np.linalg.det(m)) / np.linalg.norm(m, axis=(-2, -1)) ** m.shape[-1]
+
+
+def _groups_at_the_fold_bound(field, d, gen, rel):
+    """One group of exponents._FOLD factors per entry of rel, whose product
+    of bounds beta is exponents._FOLD_BOUND * (1 + rel): Ginibre factors
+    (drawn again while their product of beta leaves no room), and a last one
+    with singular values (1, ..., 1, x) that hits the target."""
+    from scipy.optimize import brentq
+
+    spec = EnsembleSpec(field, d, Ginibre())
+    groups = np.empty((len(rel), exponents._FOLD, d, d), dtype=spec.dtype)
+    for g, target in zip(groups, exponents._FOLD_BOUND * (1 + rel)):
+        need = math.inf
+        while need > 0.5 * d ** (-d / 2):  # beta(m) <= d^(-d/2)
+            g[:-1] = sample_isotropic(spec, gen, size=exponents._FOLD - 1)
+            need = target / np.prod(_beta(g[:-1]))
+        x = brentq(lambda x: math.log(x / (d - 1 + x * x) ** (d / 2)) - math.log(need), 1e-300, 1.0, xtol=1e-300)
+        u, v = sample_haar_unitary(d, field, gen, size=2)
+        g[-1] = u @ (np.r_[np.ones(d - 1), x][:, None] * v)
+        assert abs(np.prod(_beta(g)) / target - 1) < 1e-9
+    return groups
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("field", ["real", "complex"])
+@pytest.mark.parametrize("d", [2, 3])
+def test_fold_guard_holds_at_its_bound(field, d):
+    # groups whose prod beta lies within 0.1% of the bound, on either side
+    rel = np.linspace(-1e-3, 1e-3, 40)
+    groups = _groups_at_the_fold_bound(field, d, RngStream(1611, (d, len(field))).generator(), rel)
+    steps, live = exponents._fold_schedule(groups)
+    folded = ~live[:, 1:].any(axis=1)
+    assert np.array_equal(folded, rel > 0)
+    assert exponents._FOLD_BOUND > 100 * RANK_RTOL
+    for g, block in zip(groups[folded], steps[folded, 0]):
+        assert _svd_regular(g).all()
+        assert rel_err(block, g[0] @ g[1] @ g[2] @ g[3]) < 1e-14
+        sv = np.linalg.svd(block, compute_uv=False)
+        assert math.log(sv[0] / sv[-1]) < -math.log(exponents._FOLD_BOUND)
+    # zero, rank-one, overflowed or underflowed blocks, or norms, never fold
+    odd = sample_isotropic(EnsembleSpec(field, d, Ginibre()), RngStream(1612).generator(), size=20).reshape(5, 4, d, d)
+    odd[0, 1] = 0.0
+    odd[1, 2] = np.outer(np.arange(1.0, d + 1), np.ones(d))
+    odd[2] *= 1e100
+    odd[3] *= 1e-100
+    odd[4] *= np.array([1e-165, 1e150, 1e15, 1.0])[:, None, None]  # ||m_0||_F^2 underflows to 0
+    assert exponents._fold_schedule(odd)[1].all()
+
+
+def test_fold_skips_complex_d5_without_a_guard(monkeypatch):
+    # beta <= d^(-d/2), so no group of four complex 5x5 factors can pass the bound
+    assert 5.0 ** (-5 * exponents._FOLD / 2) <= exponents._FOLD_BOUND
+    factors = sample_isotropic_chunk(EnsembleSpec("complex", 5, Ginibre()), RngStream(1613).generator(), 10, 50)
+    grid = (10, 50)
+    calls = []
+    slogdet = np.linalg.slogdet
+    monkeypatch.setattr(np.linalg, "slogdet", lambda *a, **k: calls.append(1) or slogdet(*a, **k))
+    stacks = evolve_stack(factors, grid)
+    assert not calls
+    stack = exponents._init_rows(factors[:, 0])
+    for n, got in zip(grid, stacks):
+        while stack.n < n:
+            stack = exponents._step(stack, factors[:, stack.n])
+        stack = exponents._to_svd(stack)
+        for name in ("n", "log_sigma", "u_frame", "v_frame", "accuracy_warning", "failure"):
+            assert np.array_equal(getattr(got, name), getattr(stack, name)), name
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("field", ["real", "complex"])
+def test_stack_pads_rows_that_fold(field):
+    # row 1 holds a regular but graded factor every 5 steps, so some of its
+    # groups cannot fold; the other rows fold, run out of steps and are padded
+    grid = (1, 10, 25, 42)
+    factors = _engine_factors(field, 2, "ginibre", rows=4, n=grid[-1])
+    factors[1, ::5] = np.diag([1.0, 1e-7])
+    seen, final = _evolve(factors, grid)
+    assert final.ok.all()
+    assert [s.n for s in seen] == list(grid)
+    steps, live = exponents._fold_schedule(factors[:, 1:10])
+    assert live[1].all() and not live[[0, 2, 3]].all()
+    for b in range(4):
+        alone, _ = _evolve(factors[b:b + 1], grid)
+        _assert_rows_equal(seen, slice(b, b + 1), alone)
+    ref = _explicit_log_sigma(factors[1], grid, 40 + 2 * grid[-1])
+    assert np.max(np.abs(np.array([s.log_sigma[1] for s in seen]) - ref)) <= 1e-9
+
+
+@pytest.mark.filterwarnings("error")
+def test_padded_steps_check_nothing():
+    # row 0 folds its 53 groups and crosses the hard cap with its last factor,
+    # a step of its own; row 1 cannot fold its first group, so row 0 then
+    # takes padded steps, which must not drop it for the spread it reached
+    grid = (1, 214)
+    over = np.stack([np.diag([1.0, 0.04])] * 213 + [np.diag([1.0, 1e-4])])
+    factors = np.concatenate([over[None], _engine_factors("real", 2, "ginibre", rows=1, n=214)])
+    factors[1, 1] = np.diag([1.0, 1e-7])
+    steps, live = exponents._fold_schedule(factors[:, 1:])
+    assert live[0].sum() == 54 and not live[0, -3:].any()
+    seen, final = _evolve(factors, grid)
+    alone, _ = _evolve(factors[:1], grid)
+    _assert_rows_equal(seen, slice(0, 1), alone)
+    assert final.ok[0] and final.spread[0] > SPREAD_HARD_CAP
+
+
+@pytest.mark.filterwarnings("error")
+def test_stack_zero_pivot_drops_only_its_row(monkeypatch):
+    # LAPACK gives no zero pivot on a regular factor; make the third step's QR give one in row 2
+    factors = _engine_factors("real", 3, "ginibre", rows=5, n=30)
+    grid = (1, 10, 30)
+    keep = np.arange(5) != 2
+    clean, _ = _evolve(factors[keep], grid)
+    qr, calls = np.linalg.qr, []
+
+    def zero_pivot(a, *args, **kwargs):
+        q, r = qr(a, *args, **kwargs)
+        calls.append(1)
+        if len(calls) == 3:
+            r = r.copy()
+            r[2, 1, 1] = 0.0
+        return q, r
+
+    monkeypatch.setattr(np.linalg, "qr", zero_pivot)
+    seen, final = _evolve(factors, grid)
+    assert final.ok.tolist() == [True, True, False, True, True]
+    assert isinstance(final.failure[2], SingularInputError)
+    assert str(final.failure[2]) == "factor drove the product to numerical singularity"
+    for stack in seen[1:]:
+        _assert_reset(stack, 2)
+    _assert_rows_equal(seen, keep, clean)
+
+
 def test_evolve_stack_rejects_bad_factors():
     factors = _engine_factors("real", 2, "ginibre")
     with pytest.raises(ValueError, match="non-finite"):
