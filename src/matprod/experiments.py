@@ -9,10 +9,10 @@ for any thread count adopted.
 The trajectory runners (equality, fluctuations, reality) share one chunk
 worker: it draws the chunk's factors (sample_isotropic_chunk, in the order
 of one replication after the other), advances the whole chunk as one stack
-(evolve_stack: one QR call a step, where a step takes one factor or a block
-of four that passes an exact conditioning guard, and one SVD call a grid
-point), and hands the stack at each grid point, in SVD form, to the runner's
-observer. A replication that fails a check anywhere on its trajectory is
+(evolve_stack: one QR call a step, where a step takes one factor or an
+aligned block of 2, 4, 8, ... factors that passes an exact conditioning
+guard, and one SVD call a grid point), and hands the stack at each grid
+point, in SVD form, to the runner's observer. A replication that fails a check anywhere on its trajectory is
 dropped at every grid point.
 """
 from __future__ import annotations

@@ -66,11 +66,10 @@ SPREAD_ACCURACY_CAP = 30.0
 _BATCH = 8192  # samples per vectorized draw in the Monte Carlo estimators and checks
 _LOG2 = math.log(2.0)
 _LOG_REGULAR_BOUND = math.log(100 * RANK_RTOL)
-# Between grid points a group of _FOLD consecutive factors takes one QR step as
-# their product when the product of their bounds |det m| / ||m||_F^d, each at
-# most sigma_min / sigma_max, exceeds _FOLD_BOUND (> 100 * RANK_RTOL): see
+# Between grid points an aligned block of 2, 4, 8, ... consecutive factors
+# takes one QR step as their product when its sigma_min provably exceeds
+# _FOLD_BOUND (> 100 * RANK_RTOL) times the product of their norms: see
 # _fold_schedule.
-_FOLD = 4
 _FOLD_BOUND = 1e-6
 
 
@@ -260,49 +259,55 @@ def _fold_schedule(seg: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Steps (B, S, d, d) that carry each row of seg (B, L, d, d) through its
     L factors, and which of them each row takes (B, S) bool.
 
-    A row's steps are, in order: each group of _FOLD factors, as one step of
-    their product (a block) if the group passes the guard, else one step a
-    factor; then the last L mod _FOLD factors. A row with fewer steps than
-    S, the most any row has, does not take the last ones. The guard is
-    exact: beta(m) = |det m| / ||m||_F^d <= sigma_min / sigma_max <= 1, and
-    prod beta(m_i) = |det block| / prod ||m_i||_F^d, taken in logs, must
-    exceed _FOLD_BOUND. Then every factor passes _regular's bound, so
-    singularity is still decided by factor, and cond(block) < 1 / _FOLD_BOUND
+    Each row steps once per block B = m_1 ... m_k, the product of an aligned
+    pair, pair of pairs and so on, of its factors, at the largest block that
+    folds, and once per factor outside any. A block folds when its halves do
+    (a pair's halves are factors) and g = log|det B| - sum log ||m_i||_F -
+    (d - 1) log ||B||_F > log _FOLD_BOUND; the levels double while some block
+    folds. As |det B| <= sigma_min(B) ||B||_F^(d - 1), the guard is exact:
+    sigma_min(B) > _FOLD_BOUND prod ||m_i||_F. Then each factor has
+    cond(m_i) < 1 / _FOLD_BOUND, far inside _regular's SVD test, so
+    singularity is still decided by factor, and cond(B) < 1 / _FOLD_BOUND
     adds under 14 to the spread, inside the margin from the hard cap to exp
-    overflow. A zero, non-finite or underflowed block does not fold. Since
-    beta <= d^(-d/2), nothing folds when d^(-d _FOLD / 2) <= _FOLD_BOUND, and
-    seg itself is returned, as it is when no group folds. A plan is kept
-    when it folds in some rows only, even if another row needs all L steps:
-    each row's steps must not depend on the other rows.
+    overflow. A zero, non-finite, overflowed or underflowed block does not
+    fold. Only the pairs take a slogdet: a larger block sums its halves' log
+    |det| and log-norms. A row with fewer steps than S, the most any row has,
+    does not take the last ones; each row's steps do not depend on the others.
     """
     rows, count, d = seg.shape[:3]
-    groups = count // _FOLD
     plain = seg, np.ones((rows, count), dtype=bool)
-    if not groups or -0.5 * d * _FOLD * math.log(d) <= math.log(_FOLD_BOUND):
+    if count < 2:
         return plain
-    m = seg[:, :groups * _FOLD].reshape(rows, groups, _FOLD, d, d)
+    pool, level, block, fold = [seg], 0, seg, plain[1]
+    top = np.zeros((rows, count), dtype=int)  # level of the block each factor steps in
     with np.errstate(all="ignore"):
-        block = m[:, :, 0]
-        for i in range(1, _FOLD):
-            block = block @ m[:, :, i]
-        frob_sq = np.einsum("...ij,...ij->...", m, m.conj()).real
-        log_beta = np.linalg.slogdet(block)[1] - 0.5 * d * np.log(frob_sq).sum(axis=-1)
-        # an inf or NaN in a block reaches a pivot of its LU, so its log|det| is not finite
-        fold = np.isfinite(log_beta) & (log_beta > math.log(_FOLD_BOUND))
-    if not fold.any():
+        log_norm = 0.5 * np.log(np.einsum("...ij,...ij->...", seg, seg.conj()).real)
+        while block.shape[1] > 1:
+            half = block.shape[1] // 2
+            even, odd = np.s_[:, 0:2 * half:2], np.s_[:, 1:2 * half:2]
+            block = block[even] @ block[odd]
+            log_det = np.linalg.slogdet(block)[1] if level == 0 else log_det[even] + log_det[odd]
+            log_norm = log_norm[even] + log_norm[odd]
+            g = log_det - log_norm - 0.5 * (d - 1) * np.log(np.einsum("...ij,...ij->...", block, block.conj()).real)
+            # a non-finite g marks a zero, non-finite, overflowed or underflowed block or norm
+            fold = fold[even] & fold[odd] & np.isfinite(g) & (g > math.log(_FOLD_BOUND))
+            if not fold.any():
+                break
+            level += 1
+            top[:, :half << level][np.repeat(fold, 1 << level, axis=1)] = level
+            pool.append(block)
+    if not level:
         return plain
-    # slot k < count is factor k, count + j the block of group j, -1 no step
-    slots = np.tile(np.arange(count), (rows, 1))
-    b, j = np.nonzero(fold)
-    slots[b, _FOLD * j] = count + j
-    slots[b[:, None], _FOLD * j[:, None] + np.arange(1, _FOLD)] = -1
+    # factor k steps in slot offset[top] + (k >> top) of the pool, or in none if it is not the block's first
+    k = np.arange(count)
+    offset = np.cumsum([0] + [p.shape[1] for p in pool[:-1]])
+    slots = np.where((k & ((1 << top) - 1)) == 0, offset[top] + (k >> top), -1)
     taken = slots >= 0
     steps = taken.sum(axis=1).max()
     order = np.argsort(~taken, axis=1, kind="stable")[:, :steps]
     live = np.take_along_axis(taken, order, axis=1)
     index = np.where(live, np.take_along_axis(slots, order, axis=1), 0)
-    pool = np.concatenate([seg, block], axis=1)
-    return pool[np.arange(rows)[:, None], index], live
+    return np.concatenate(pool, axis=1)[np.arange(rows)[:, None], index], live
 
 
 def evolve_stack(factors, n_grid) -> list[ProductStack]:
@@ -310,10 +315,10 @@ def evolve_stack(factors, n_grid) -> list[ProductStack]:
 
     Row b is the product factors[b, 0] @ factors[b, 1] @ ... The last stack
     tells which rows survived the whole trajectory. Between grid points the
-    products are stepped by QR (_step), each row on its own schedule: a
-    group of _FOLD factors that passes the conditioning guard takes one
-    step as their product (_fold_schedule). Each grid point takes one SVD
-    call.
+    products are stepped by QR (_step), each row on its own schedule: an
+    aligned block of 2, 4, 8, ... factors that passes the conditioning guard
+    takes one step as their product (_fold_schedule). Each grid point takes
+    one SVD call.
     """
     arr = _as_matrix(factors, "factors")
     if arr.ndim != 4 or arr.shape[-1] != arr.shape[-2] or arr.shape[1] < n_grid[-1]:

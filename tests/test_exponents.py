@@ -487,75 +487,113 @@ def test_stack_follows_a_reversal_of_the_growth_order(grid):
     assert np.max(np.abs(got - _explicit_log_sigma(factors[0], grid, 400))) <= 1e-9
 
 
-def _beta(m):
-    # |det m| / ||m||_F^d, a lower bound of sigma_min / sigma_max
-    return np.abs(np.linalg.det(m)) / np.linalg.norm(m, axis=(-2, -1)) ** m.shape[-1]
+def _fold_g(blocks):
+    """The fold guard of each block of factors (..., k, d, d), in numpy:
+    log|det B| - sum log ||m_i||_F - (d - 1) log ||B||_F, B = m_1 ... m_k."""
+    b = blocks[..., 0, :, :]
+    for i in range(1, blocks.shape[-3]):
+        b = b @ blocks[..., i, :, :]
+    norm = np.linalg.norm
+    return (np.linalg.slogdet(b)[1] - np.log(norm(blocks, axis=(-2, -1))).sum(axis=-1)
+            - (b.shape[-1] - 1) * np.log(norm(b, axis=(-2, -1))))
 
 
-def _groups_at_the_fold_bound(field, d, gen, rel):
-    """One group of exponents._FOLD factors per entry of rel, whose product
-    of bounds beta is exponents._FOLD_BOUND * (1 + rel): Ginibre factors
-    (drawn again while their product of beta leaves no room), and a last one
-    with singular values (1, ..., 1, x) that hits the target."""
+def _blocks_at_the_fold_bound(field, d, k, gen, rel):
+    """One block of k factors per entry of rel whose guard g is
+    log(exponents._FOLD_BOUND * (1 + rel)), while at k = 4 each of its pairs
+    clears the bound by a factor e: Ginibre factors (drawn again until that
+    leaves room), and a last one with singular values (1, ..., 1, x), x
+    fitted to the target."""
     from scipy.optimize import brentq
 
     spec = EnsembleSpec(field, d, Ginibre())
-    groups = np.empty((len(rel), exponents._FOLD, d, d), dtype=spec.dtype)
-    for g, target in zip(groups, exponents._FOLD_BOUND * (1 + rel)):
-        need = math.inf
-        while need > 0.5 * d ** (-d / 2):  # beta(m) <= d^(-d/2)
-            g[:-1] = sample_isotropic(spec, gen, size=exponents._FOLD - 1)
-            need = target / np.prod(_beta(g[:-1]))
-        x = brentq(lambda x: math.log(x / (d - 1 + x * x) ** (d / 2)) - math.log(need), 1e-300, 1.0, xtol=1e-300)
-        u, v = sample_haar_unitary(d, field, gen, size=2)
-        g[-1] = u @ (np.r_[np.ones(d - 1), x][:, None] * v)
-        assert abs(np.prod(_beta(g)) / target - 1) < 1e-9
-    return groups
+    log_bound = math.log(exponents._FOLD_BOUND)
+    blocks = np.empty((len(rel), k, d, d), dtype=spec.dtype)
+    for g, target in zip(blocks, log_bound + np.log1p(rel)):
+        while True:
+            g[:-1] = sample_isotropic(spec, gen, size=k - 1)
+            u, v = sample_haar_unitary(d, field, gen, size=2)
+
+            def last(x):
+                g[-1] = u @ (np.r_[np.ones(d - 1), x][:, None] * v)
+                return _fold_g(g) - target
+
+            if last(1.0) > 0.0:
+                last(brentq(last, 1e-300, 1.0, xtol=1e-300))
+                if k == 2 or all(_fold_g(g[i:i + 2]) > log_bound + 1.0 for i in range(0, k, 2)):
+                    break
+        assert abs(_fold_g(g) - target) < 1e-9
+    return blocks
 
 
 @pytest.mark.filterwarnings("error")
 @pytest.mark.parametrize("field", ["real", "complex"])
-@pytest.mark.parametrize("d", [2, 3])
+@pytest.mark.parametrize("d", [2, 3, 5])
 def test_fold_guard_holds_at_its_bound(field, d):
-    # groups whose prod beta lies within 0.1% of the bound, on either side
+    # blocks whose guard lies within 0.1% of the bound, on either side: pairs at
+    # d = 5, pairs of pairs below, whose pairs fold if the block does not
+    k = 2 if d == 5 else 4
     rel = np.linspace(-1e-3, 1e-3, 40)
-    groups = _groups_at_the_fold_bound(field, d, RngStream(1611, (d, len(field))).generator(), rel)
-    steps, live = exponents._fold_schedule(groups)
+    blocks = _blocks_at_the_fold_bound(field, d, k, RngStream(1611, (d, len(field))).generator(), rel)
+    steps, live = exponents._fold_schedule(blocks)
     folded = ~live[:, 1:].any(axis=1)
     assert np.array_equal(folded, rel > 0)
+    assert np.array_equal(live.sum(axis=1), np.where(folded, 1, 2))
     assert exponents._FOLD_BOUND > 100 * RANK_RTOL
-    for g, block in zip(groups[folded], steps[folded, 0]):
-        assert _svd_regular(g).all()
-        assert rel_err(block, g[0] @ g[1] @ g[2] @ g[3]) < 1e-14
+    for g, block in zip(blocks[folded], steps[folded, 0]):
+        sv = np.linalg.svd(g, compute_uv=False)
+        assert _svd_regular(g).all() and (sv[:, -1] > exponents._FOLD_BOUND * sv[:, 0]).all()
+        assert rel_err(block, np.linalg.multi_dot(list(g))) < 1e-14
         sv = np.linalg.svd(block, compute_uv=False)
         assert math.log(sv[0] / sv[-1]) < -math.log(exponents._FOLD_BOUND)
-    # zero, rank-one, overflowed or underflowed blocks, or norms, never fold
-    odd = sample_isotropic(EnsembleSpec(field, d, Ginibre()), RngStream(1612).generator(), size=20).reshape(5, 4, d, d)
-    odd[0, 1] = 0.0
-    odd[1, 2] = np.outer(np.arange(1.0, d + 1), np.ones(d))
-    odd[2] *= 1e100
-    odd[3] *= 1e-100
-    odd[4] *= np.array([1e-165, 1e150, 1e15, 1.0])[:, None, None]  # ||m_0||_F^2 underflows to 0
-    assert exponents._fold_schedule(odd)[1].all()
 
 
-def test_fold_skips_complex_d5_without_a_guard(monkeypatch):
-    # beta <= d^(-d/2), so no group of four complex 5x5 factors can pass the bound
-    assert 5.0 ** (-5 * exponents._FOLD / 2) <= exponents._FOLD_BOUND
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("field", ["real", "complex"])
+@pytest.mark.parametrize("d", [2, 5])
+def test_fold_never_takes_odd_blocks(field, d):
+    # eight unitary factors fold into one block; each row but the first holds
+    # an odd pair at factors 2 and 3, which must step alone at every level
+    seg = np.stack([sample_haar_unitary(d, field, RngStream(1612, (d,)).generator(), size=8)] * 7)
+    graded = np.r_[np.ones(d - 1), 1e-13]
+    seg[1, 2], seg[1, 3] = np.diag(graded), np.diag(1 / graded)  # compensating: their product is I
+    seg[2, 2:4] *= 1e160                                         # the pair's product overflows
+    seg[3, 2:4] *= 1e-160                                        # ... or underflows
+    seg[4, 3] = 0.0
+    seg[5, 3] = np.outer(np.arange(1.0, d + 1), np.ones(d))     # rank one
+    seg[6, 2:4] *= np.array([1e-165, 1e150])[:, None, None]      # ||m_2||_F^2 underflows to 0
+    steps, live = exponents._fold_schedule(seg)
+    assert live.sum(axis=1).tolist() == [1] + [4] * 6
+    for b in range(1, 7):
+        assert np.array_equal(steps[b, 1:3], seg[b, 2:4])
+
+
+@pytest.mark.filterwarnings("error")
+def test_fold_needs_both_halves():
+    # B = P Q = e^-8 I passes the guard, but its half P = diag(1, e^-8, e^-8)
+    # does not: P's factors step alone, Q as one block; a row of unitaries
+    # folds all four
+    p, q = np.diag(np.exp([0.0, -4.0, -4.0])), np.diag(np.exp([-4.0, 0.0, 0.0]))
+    seg = np.stack([[p, p, q, q], sample_haar_unitary(3, "real", RngStream(1614).generator(), size=4)])
+    assert _fold_g(seg[0, :2]) < math.log(exponents._FOLD_BOUND) < min(_fold_g(seg[0, 2:]), _fold_g(seg[0]))
+    steps, live = exponents._fold_schedule(seg)
+    assert live.sum(axis=1).tolist() == [3, 1]
+    assert np.array_equal(steps[0, :3], [p, p, q @ q])
+
+
+@pytest.mark.filterwarnings("error")
+def test_fold_steps_complex_d5_in_blocks():
+    # complex 5x5 factors fold in pairs and more: fewer steps than factors,
+    # and every row as it is alone
     factors = sample_isotropic_chunk(EnsembleSpec("complex", 5, Ginibre()), RngStream(1613).generator(), 10, 50)
     grid = (10, 50)
-    calls = []
-    slogdet = np.linalg.slogdet
-    monkeypatch.setattr(np.linalg, "slogdet", lambda *a, **k: calls.append(1) or slogdet(*a, **k))
-    stacks = evolve_stack(factors, grid)
-    assert not calls
-    stack = exponents._init_rows(factors[:, 0])
-    for n, got in zip(grid, stacks):
-        while stack.n < n:
-            stack = exponents._step(stack, factors[:, stack.n])
-        stack = exponents._to_svd(stack)
-        for name in ("n", "log_sigma", "u_frame", "v_frame", "accuracy_warning", "failure"):
-            assert np.array_equal(getattr(got, name), getattr(stack, name)), name
+    for lo, hi in ((1, 10), (10, 50)):
+        assert exponents._fold_schedule(factors[:, lo:hi])[0].shape[1] < hi - lo
+    seen, final = _evolve(factors, grid)
+    assert final.ok.all()
+    for b in range(10):
+        alone, _ = _evolve(factors[b:b + 1], grid)
+        _assert_rows_equal(seen, slice(b, b + 1), alone)
 
 
 @pytest.mark.filterwarnings("error")
@@ -580,19 +618,20 @@ def test_stack_pads_rows_that_fold(field):
 
 @pytest.mark.filterwarnings("error")
 def test_padded_steps_check_nothing():
-    # row 0 folds its 53 groups and crosses the hard cap with its last factor,
-    # a step of its own; row 1 cannot fold its first group, so row 0 then
-    # takes padded steps, which must not drop it for the spread it reached
+    # row 0 folds its factors in 53 blocks of four and crosses the hard cap
+    # with its last factor, a step of its own; row 1's graded factors fold
+    # nowhere, so row 0 then takes padded steps, which must not drop it for
+    # the spread it reached
     grid = (1, 214)
     over = np.stack([np.diag([1.0, 0.04])] * 213 + [np.diag([1.0, 1e-4])])
     factors = np.concatenate([over[None], _engine_factors("real", 2, "ginibre", rows=1, n=214)])
-    factors[1, 1] = np.diag([1.0, 1e-7])
+    factors[1, 1::2], factors[1, 2::2] = np.diag([1.0, 1e-7]), np.diag([1e-7, 1.0])
     steps, live = exponents._fold_schedule(factors[:, 1:])
-    assert live[0].sum() == 54 and not live[0, -3:].any()
+    assert live.sum(axis=1).tolist() == [54, 213] and not live[0, 54:].any()
     seen, final = _evolve(factors, grid)
     alone, _ = _evolve(factors[:1], grid)
     _assert_rows_equal(seen, slice(0, 1), alone)
-    assert final.ok[0] and final.spread[0] > SPREAD_HARD_CAP
+    assert final.ok.all() and final.spread[0] > SPREAD_HARD_CAP
 
 
 @pytest.mark.filterwarnings("error")
