@@ -27,9 +27,9 @@ import numpy as np
 
 from .ensembles import EnsembleSpec, sample_haar_unitary, sample_isotropic_chunk, sample_singular_values
 from .exponents import (
-    SPREAD_ACCURACY_CAP,
     ProductStack,
     _batches,
+    _log_eig_moduli_graded,
     analytic_spectrum,
     analytic_truncated_logdet,
     evolve_stack,
@@ -37,7 +37,7 @@ from .exponents import (
     stability_rows,
     supports_analytic_spectrum,
 )
-from .linalg import NumericError, complex_pair_counts, eig_by_modulus, lq_positive, principal_minor, svd_descending
+from .linalg import NumericError, eig_by_modulus, lq_positive, principal_minor, svd_descending
 from .rng import RngStream
 
 __all__ = [
@@ -193,16 +193,16 @@ def _exponent_samples(config: ExperimentConfig, exp_index: int, grid: Sequence[i
 
 
 def _observe_reality(stacks: list[ProductStack]):
-    """All-real and classified counts per grid point over the surviving rows;
-    rows over the accuracy cap, or whose eigenvalue iteration fails, are not
-    classified."""
+    """All-real and classified counts per grid point over the surviving rows,
+    whatever their spread, from the complex pairs the graded spectrum routine
+    of stability_rows counts; a row whose eigenvalue iteration does not
+    converge is not classified."""
     ok = stacks[-1].ok
     real = np.zeros(len(stacks), dtype=np.int64)
     classified = np.zeros(len(stacks), dtype=np.int64)
+    rows = np.flatnonzero(ok)
     for gi, s in enumerate(stacks):
-        rows = np.flatnonzero(ok & (s.spread <= SPREAD_ACCURACY_CAP))
-        ls = s.log_sigma[rows]
-        pairs = complex_pair_counts((s.v_frame[rows] @ s.u_frame[rows]) * np.exp(ls - ls[:, :1])[:, None, :])
+        _, pairs = _log_eig_moduli_graded(s.v_frame[rows] @ s.u_frame[rows], s.log_sigma[rows])
         classified[gi] = np.count_nonzero(pairs >= 0)
         real[gi] = np.count_nonzero(pairs == 0)
     return real, classified
@@ -366,7 +366,7 @@ class RealProbAtN:
     p_hat: float
     wilson_low: float
     wilson_high: float
-    excluded: int        # spread over accuracy cap, overflow, or singular step
+    excluded: int        # failed trajectory (singular step, overflow, SVD) or unconverged classification
 
     def __post_init__(self) -> None:
         if not self.wilson_low <= self.p_hat <= self.wilson_high:
@@ -384,10 +384,11 @@ class RealProbResult:
 def run_real_probability(config: ExperimentConfig) -> RealProbResult:
     """Probability that every eigenvalue of the running product is real.
 
-    Classification counts the 2x2 blocks of the real Schur form of the
-    shift-scaled similarity carrying the product's spectrum. Replications
-    whose spread exceeds the accuracy cap at a grid point are excluded and
-    counted there rather than classified.
+    Every surviving replication is classified at every grid point, whatever
+    its spread, by the complex pairs the graded spectrum routine counts on
+    the similarity carrying the product's spectrum. Replications that fail a
+    step, or whose eigenvalue iteration does not converge, are excluded and
+    counted there.
     """
     spec = config.spec
     if spec.field != "real":

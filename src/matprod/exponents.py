@@ -36,7 +36,6 @@ from .rng import as_generator
 
 __all__ = [
     "SPREAD_HARD_CAP",
-    "SPREAD_ACCURACY_CAP",
     "SpreadOverflowError",
     "ProductState",
     "ProductStack",
@@ -58,10 +57,10 @@ __all__ = [
     "analytic_truncated_logdet",
 ]
 
-# Log-scale spread caps: beyond the hard cap exp() leaves double range; beyond
-# the accuracy cap (condition ~1e13) the smallest exponents lose their digits.
+# Log-scale spread cap: beyond it exp() of a difference of log scales leaves
+# double range. Below it no spread is too wide to be taken: spectra of wide
+# products come from the graded deflation (_log_eig_moduli_graded).
 SPREAD_HARD_CAP = 690.0
-SPREAD_ACCURACY_CAP = 30.0
 
 _BATCH = 8192  # samples per vectorized draw in the Monte Carlo estimators and checks
 _LOG2 = math.log(2.0)
@@ -79,17 +78,13 @@ class SpreadOverflowError(OverflowError):
 
 @dataclass(frozen=True)
 class ProductState:
-    """Running product in factored form: u @ diag(exp(log_sigma)) @ v.
-
-    accuracy_warning turns on (and stays on) once the spread in SVD form has
-    exceeded SPREAD_ACCURACY_CAP, marking the smallest exponents as untrusted.
-    """
+    """Running product in factored form: u @ diag(exp(log_sigma)) @ v,
+    log_sigma descending; a step fails once the spread passes SPREAD_HARD_CAP."""
 
     n: int
     log_sigma: np.ndarray
     u_frame: np.ndarray
     v_frame: np.ndarray
-    accuracy_warning: bool = False
 
     @property
     def d(self) -> int:
@@ -113,7 +108,6 @@ class ProductStack:
     log_sigma: np.ndarray         # (B, d)
     u_frame: np.ndarray           # (B, d, d)
     v_frame: np.ndarray           # (B, d, d)
-    accuracy_warning: np.ndarray  # (B,) bool, sticky
     failure: np.ndarray           # (B,) object: None, or the exception that dropped the row
 
     @property
@@ -125,8 +119,7 @@ class ProductStack:
         return self.log_sigma[:, 0] - self.log_sigma[:, -1]
 
     def row(self, b: int) -> ProductState:
-        warn = bool(self.accuracy_warning[b])
-        return ProductState(self.n, self.log_sigma[b], self.u_frame[b], self.v_frame[b], warn)
+        return ProductState(self.n, self.log_sigma[b], self.u_frame[b], self.v_frame[b])
 
 
 def _fail(failure: np.ndarray, mask: np.ndarray, error: Callable) -> np.ndarray:
@@ -188,7 +181,7 @@ def _init_rows(m1: np.ndarray) -> ProductStack:
     singular = sigma[:, -1] <= RANK_RTOL * sigma[:, 0]
     failure = _fail(failure, singular, lambda b: SingularInputError("initial factor is numerically singular"))
     sigma, left, right = _identity_rows(np.equal(failure, None), sigma, 1.0, left, right)
-    return ProductStack(1, np.log(sigma), left, right, np.zeros(m1.shape[0], dtype=bool), failure)
+    return ProductStack(1, np.log(sigma), left, right, failure)
 
 
 def _step(stack: ProductStack, m: np.ndarray, live: np.ndarray | None = None) -> ProductStack:
@@ -230,7 +223,7 @@ def _step(stack: ProductStack, m: np.ndarray, live: np.ndarray | None = None) ->
     if live is not None:
         t = np.where(live[:, None], t, stack.log_sigma)
         g, o = (np.where(live[:, None, None], new, old) for new, old in ((g, stack.u_frame), (o, stack.v_frame)))
-    return ProductStack(stack.n + 1, t, g, o, stack.accuracy_warning, failure)
+    return ProductStack(stack.n + 1, t, g, o, failure)
 
 
 def _descending(t: np.ndarray, g: np.ndarray, o: np.ndarray, which: np.ndarray | bool = True) -> tuple:
@@ -251,8 +244,7 @@ def _to_svd(stack: ProductStack) -> ProductStack:
         "factor drove the product to numerical singularity"))
     sigma, left, right, o = _identity_rows(np.equal(failure, None), sigma, 1.0, left, right, o)
     log_sigma = np.log(sigma) + np.where(np.equal(failure, None)[:, None], t[:, :1], 0.0)
-    warn = stack.accuracy_warning | (log_sigma[:, 0] - log_sigma[:, -1] > SPREAD_ACCURACY_CAP)
-    return ProductStack(stack.n, log_sigma, left.conj().swapaxes(-1, -2), right.conj().swapaxes(-1, -2) @ o, warn, failure)
+    return ProductStack(stack.n, log_sigma, left.conj().swapaxes(-1, -2), right.conj().swapaxes(-1, -2) @ o, failure)
 
 
 def _fold_schedule(seg: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -356,7 +348,7 @@ def advance(state: ProductState, m) -> ProductState:
     if arr.shape != state.u_frame.shape:
         raise ValueError(f"factor shape {arr.shape} does not match state dimension {state.d}")
     stack = ProductStack(state.n, state.log_sigma[None], state.u_frame[None], state.v_frame[None],
-                         np.array([state.accuracy_warning]), np.full(1, None, dtype=object))
+                         np.full(1, None, dtype=object))
     return _only_row(_to_svd(_step(stack, arr[None])))
 
 
@@ -371,16 +363,21 @@ _SPLIT_MAXITER = 100
 _EPS = float(np.finfo(np.float64).eps)
 
 
-def _log_eig_moduli_extended(q: np.ndarray, log_scale: np.ndarray) -> np.ndarray:
-    """Descending log-moduli of eig(q @ diag(exp(log_scale))), extended precision.
+def _log_eig_moduli_extended(q: np.ndarray, log_scale: np.ndarray) -> tuple[np.ndarray, int]:
+    """Descending log-moduli of eig(q @ diag(exp(log_scale))), extended
+    precision, and how many eigenvalues have an imaginary part > 0.
 
     Working precision grows with the total log range so that even the
-    smallest eigenvalue keeps plenty of significant digits.
+    smallest eigenvalue keeps plenty of significant digits; an eigenvalue
+    counts as real unless its imaginary part exceeds the square root of the
+    relative accuracy those digits give, as mp.eig returns a real eigenvalue
+    with an imaginary part at the rounding level.
     """
     import mpmath as mp  # ~45 ms, ~4 MB that only this fallback needs
 
     d = q.shape[0]
-    digits = 30 + int(math.ceil(0.4343 * d * float(log_scale[0] - log_scale[-1])))
+    kept = 30  # significant digits of the smallest eigenvalue
+    digits = kept + int(math.ceil(0.4343 * d * float(log_scale[0] - log_scale[-1])))
     is_complex = np.iscomplexobj(q)
     with mp.workdps(digits):
         b = mp.matrix(d, d)
@@ -393,7 +390,8 @@ def _log_eig_moduli_extended(q: np.ndarray, log_scale: np.ndarray) -> np.ndarray
                     b[i, j] = mp.mpf(float(q[i, j])) * col
         ev = mp.eig(b, left=False, right=False)
         logs = sorted((float(mp.log(abs(e))) for e in ev), reverse=True)
-    return np.array(logs)
+        pairs = sum(1 for e in ev if mp.im(e) > mp.mpf(10) ** (-kept // 2) * abs(e))
+    return np.array(logs), pairs
 
 
 def _inv_rows(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -455,51 +453,62 @@ def _split(q: np.ndarray, log_scale: np.ndarray, k: int) -> tuple[np.ndarray, np
     return a1, a2, ok
 
 
-def _log_eig_moduli_lapack(q: np.ndarray, log_scale: np.ndarray) -> np.ndarray:
+def _log_eig_moduli_lapack(q: np.ndarray, log_scale: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Descending log-moduli of eig(q[b] @ diag(exp(log_scale[b]))) for each
-    row b by LAPACK on the shifted similarity (eigvals_rows): -inf for a
-    modulus of 0, NaN in a row whose iteration does not converge."""
+    row b by LAPACK on the shifted similarity (eigvals_rows), and how many
+    eigenvalues have an imaginary part exactly > 0, read off the real Schur
+    form's 2x2 blocks for a real q: -inf for a modulus of 0, NaN and -1 in a
+    row whose iteration does not converge."""
     c = log_scale[:, :1]
     w = eigvals_rows(q * np.exp(log_scale - c)[:, None, :])
     with np.errstate(divide="ignore"):
-        return np.log(np.sort(np.abs(w), axis=1))[:, ::-1] + c
+        logs = np.log(np.sort(np.abs(w), axis=1))[:, ::-1] + c
+    return logs, np.where(np.isnan(w).any(axis=1), -1, np.count_nonzero(w.imag > 0, axis=1))
 
 
-def _log_eig_moduli_graded(q: np.ndarray, log_scale: np.ndarray) -> np.ndarray:
+def _log_eig_moduli_graded(q: np.ndarray, log_scale: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Descending log-moduli of eig(q[b] @ diag(exp(log_scale[b]))) for each
-    row b of a stack, each log_scale[b] descending.
+    row b of a stack, each log_scale[b] descending, and how many eigenvalues
+    of each row have an imaginary part > 0: for a real q, its number of
+    complex conjugate pairs.
 
-    Graded block deflation: 1x1 blocks are read off, blocks of spread up to
-    _EIG_DOUBLE_SPREAD go to LAPACK together (NaN in a row whose iteration
-    does not converge), and wider ones, grouped by the index of their
-    largest gap, are split there (_split) and each part recursed on. A block
-    whose split fails, or whose parts give a non-finite result, alone goes
-    to the extended-precision path.
+    Graded block deflation: 1x1 blocks are read off (no pair), blocks of
+    spread up to _EIG_DOUBLE_SPREAD go to LAPACK together (NaN and -1 in a
+    row whose iteration does not converge), and wider ones, grouped by the
+    index of their largest gap, are split there (_split) and each part
+    recursed on. A split row counts its parts' pairs: a real conjugate pair
+    straddling the split leaves the iteration no real solution, so such a row
+    never splits. A block whose split fails, or whose parts give a non-finite
+    result, alone goes to the extended-precision path.
     """
     d = log_scale.shape[1]
     if d == 1:
         with np.errstate(divide="ignore"):
-            return np.log(np.abs(q[:, 0])) + log_scale
-    out = np.empty(log_scale.shape)
+            return np.log(np.abs(q[:, 0])) + log_scale, np.zeros(len(q), dtype=int)
     wide = ~(log_scale[:, 0] - log_scale[:, -1] <= _EIG_DOUBLE_SPREAD)
+    if not wide.any():
+        return _log_eig_moduli_lapack(q, log_scale)
+    out, pairs = np.empty(log_scale.shape), np.empty(len(q), dtype=int)
     narrow = np.flatnonzero(~wide)
     if narrow.size:
-        out[narrow] = _log_eig_moduli_lapack(q[narrow], log_scale[narrow])
+        out[narrow], pairs[narrow] = _log_eig_moduli_lapack(q[narrow], log_scale[narrow])
     split_at = np.argmax(log_scale[:, :-1] - log_scale[:, 1:], axis=1) + 1
     for k in np.unique(split_at[wide]).tolist():
         rows = np.flatnonzero(wide & (split_at == k))
         a1, a2, ok = _split(q[rows], log_scale[rows], k)
-        logs = np.full((rows.size, d), np.nan)
+        logs, count = np.full((rows.size, d), np.nan), np.zeros(rows.size, dtype=int)
         if ok.any():
             parts = rows[ok]
-            logs[ok] = np.concatenate([_log_eig_moduli_graded(a1[ok], log_scale[parts, :k]),
-                                       _log_eig_moduli_graded(a2[ok], log_scale[parts, k:])], axis=1)
+            (logs1, count1), (logs2, count2) = (_log_eig_moduli_graded(a1[ok], log_scale[parts, :k]),
+                                                _log_eig_moduli_graded(a2[ok], log_scale[parts, k:]))
+            logs[ok], count[ok] = np.concatenate([logs1, logs2], axis=1), count1 + count2
         fine = np.isfinite(logs).all(axis=1)
-        out[rows[fine]] = np.sort(logs[fine], axis=1)[:, ::-1]
+        out[rows[fine]], pairs[rows[fine]] = np.sort(logs[fine], axis=1)[:, ::-1], count[fine]
         for b in rows[~fine]:
             c = float(log_scale[b, 0])
-            out[b] = _log_eig_moduli_extended(q[b], log_scale[b] - c) + c
-    return out
+            logs_b, pairs[b] = _log_eig_moduli_extended(q[b], log_scale[b] - c)
+            out[b] = logs_b + c
+    return out, pairs
 
 
 def stability_rows(log_sigma: np.ndarray, u_frame: np.ndarray, v_frame: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -519,7 +528,7 @@ def stability_rows(log_sigma: np.ndarray, u_frame: np.ndarray, v_frame: np.ndarr
     logs = np.full(log_sigma.shape, np.nan)
     rows = np.flatnonzero(np.equal(failure, None))
     if rows.size:
-        logs[rows] = _log_eig_moduli_graded(v_frame[rows] @ u_frame[rows], log_sigma[rows])
+        logs[rows] = _log_eig_moduli_graded(v_frame[rows] @ u_frame[rows], log_sigma[rows])[0]
     shape = u_frame.shape[1:]
     failure = _fail(failure, np.isnan(logs).any(axis=1), lambda b: NumericError(
         f"eigenvalue iteration did not converge (shape {shape})"))

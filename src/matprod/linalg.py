@@ -25,7 +25,6 @@ __all__ = [
     "svd_descending",
     "eig_by_modulus",
     "count_complex_pairs",
-    "complex_pair_counts",
     "eigvals_rows",
     "principal_minor",
     "RANK_RTOL",
@@ -200,20 +199,6 @@ def count_complex_pairs(a) -> int:
     except scipy.linalg.LinAlgError as exc:
         raise NumericError(f"Schur iteration did not converge (shape {arr.shape})") from exc
     return int(np.count_nonzero(np.diagonal(t, -1)))
-
-
-def complex_pair_counts(a) -> np.ndarray:
-    """count_complex_pairs of each matrix of a real (B, d, d) stack, with one eigvals call.
-
-    Counts the eigenvalues with imaginary part exactly > 0: LAPACK reads them
-    off the same real Schur 2x2 blocks, one per conjugate pair. If the stacked
-    call fails, each matrix is taken alone, and one that does not converge counts -1.
-    """
-    arr = _as_matrix(a)
-    if np.iscomplexobj(arr) or arr.ndim != 3 or arr.shape[1] != arr.shape[2]:
-        raise ValueError(f"complex_pair_counts takes a real (B, d, d) stack, got {arr.dtype} {arr.shape}")
-    w = eigvals_rows(arr)
-    return np.where(np.isnan(w).any(axis=-1), -1, np.count_nonzero(w.imag > 0, axis=-1))
 
 
 def eigvals_rows(a: np.ndarray) -> np.ndarray:

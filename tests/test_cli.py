@@ -158,10 +158,20 @@ def test_run_verify_trace_zero_minor_sum_exit_0(tmp_path, capsys):
 
 
 def test_run_realprob_nothing_classified_exit_3(tmp_path, capsys):
-    # at n=200 every real d=2 product is past the accuracy cap
-    cfg = write_cfg(tmp_path, "seed=15 field=real d=2 ensemble=ginibre n_grid=200 replications=4")
+    # every factor of fixed(1,1e-13) fails the singularity test, so no trajectory survives
+    cfg = write_cfg(tmp_path, 'seed=15 field=real d=2 ensemble="custom:fixed(1,1e-13)" n_grid=200 replications=4')
     assert main(["run", "realprob", "--config", cfg]) == 3
     assert "no classifiable replications" in capsys.readouterr().err
+
+
+def test_run_realprob_deep_round_classifies_every_trajectory(tmp_path):
+    # a benchmark realprob-deep round whose products at n=60 are all wider than
+    # LAPACK alone can classify: every trajectory is classified at every n
+    out = str(tmp_path / "deep.jsonl")
+    cfg = write_cfg(tmp_path, "seed=803100 field=real d=2 ensemble=ginibre n_grid=1,10,25,40,60 "
+                              f'replications=96 threads=1 out="{out}"')
+    assert main(["run", "realprob", "--config", cfg]) == 0
+    assert [r["stats"]["trials"]["value"] for r in read_jsonl(out)[1]] == [96] * 5
 
 
 def test_out_with_double_quote_exit_2(tmp_path, capsys):

@@ -217,6 +217,16 @@ def test_realprob_two_factor_closed_form():
     assert abs(z) < 3
 
 
+def test_realprob_classifies_every_trajectory_to_large_n():
+    # products this long are far wider than LAPACK alone can classify; the
+    # seed was fixed before the first run
+    for d, grid in ((2, (1, 50, 100, 200)), (3, (1, 50, 100)), (4, (1, 50, 100))):
+        res = run_real_probability(cfg(EnsembleSpec("real", d, Ginibre()), seed=1404, n_grid=grid, replications=300))
+        assert [(pn.trials, pn.excluded) for pn in res.per_n] == [(300, 0)] * len(grid)
+        first, last = res.per_n[0], res.per_n[-1]
+        assert last.p_hat > first.p_hat and last.wilson_low > first.wilson_high
+
+
 def test_realprob_soft_trend_in_dimension():
     # reported trend, not a hard assertion: p_hat should not grow with d
     values = {}

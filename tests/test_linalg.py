@@ -4,12 +4,12 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from matprod.exponents import _log_eig_moduli_graded
 from matprod.linalg import (
     LqPair,
     NumericError,
     QrPair,
     SingularInputError,
-    complex_pair_counts,
     count_complex_pairs,
     eig_by_modulus,
     lq_positive,
@@ -229,23 +229,35 @@ def test_pairs_vs_eigenvalue_reality():
         checked += 1
 
 
-def _classification_corpus(d: int, count: int) -> np.ndarray:
+def _classification_corpus(d: int, count: int) -> tuple[np.ndarray, np.ndarray]:
     """Gaussian matrices, and orthogonal-times-graded-diagonal ones with log
-    spreads up to 30, the shape the reality experiment classifies."""
+    spreads up to 30, the shape the reality experiment classifies: stacks q,
+    log_scale of the matrices q @ diag(exp(log_scale)), a Gaussian one with
+    log_scale 0."""
     gen = np.random.default_rng(1000 + d)
     plain = gen.standard_normal((count, d, d))
     q, _ = np.linalg.qr(gen.standard_normal((count, d, d)))
     spread = gen.uniform(0.0, 30.0, size=(count, 1))
     logs = -np.sort(gen.uniform(0.0, 1.0, size=(count, d)), axis=1) * spread
-    return np.concatenate([plain, q * np.exp(logs)[:, None, :]])
+    return np.concatenate([plain, q]), np.concatenate([np.zeros((count, d)), logs])
+
+
+def _matrices(q, log_scale):
+    return q * np.exp(log_scale)[:, None, :]
+
+
+def _pair_counts(q, log_scale=None):
+    """Complex pairs of each q[b] @ diag(exp(log_scale[b])), zero log scales by
+    default, as the graded spectrum routine counts them."""
+    return _log_eig_moduli_graded(q, np.zeros(q.shape[:2]) if log_scale is None else log_scale)[1]
 
 
 @pytest.mark.parametrize("d", [2, 3, 4, 5])
 def test_batched_pair_counts_match_schur_oracle(d):
     corpus = _classification_corpus(d, 1500)
-    counts = complex_pair_counts(corpus)
-    assert counts.shape == (corpus.shape[0],)
-    assert [int(c) for c in counts] == [count_complex_pairs(a) for a in corpus]
+    counts = _pair_counts(*corpus)
+    assert counts.shape == (corpus[0].shape[0],)
+    assert [int(c) for c in counts] == [count_complex_pairs(a) for a in _matrices(*corpus)]
 
 
 def test_batched_pair_counts_borderline_cases():
@@ -268,32 +280,25 @@ def test_batched_pair_counts_borderline_cases():
     ]
     for a, expected in cases:
         oracle = count_complex_pairs(a)
-        assert complex_pair_counts(a[None]).tolist() == [oracle]
+        assert _pair_counts(a[None]).tolist() == [oracle]
         assert expected is None or oracle == expected
     stacked = np.stack([np.eye(2), np.array([[0.0, -1.0], [1.0, 0.0]]), rotation(1e-8)])
-    assert complex_pair_counts(stacked).tolist() == [0, 1, 1]
+    assert _pair_counts(stacked).tolist() == [0, 1, 1]
 
 
 def test_batched_pair_counts_fallback_marks_only_unconverged(monkeypatch):
     corpus = _classification_corpus(3, 4)
-    expected = [count_complex_pairs(a) for a in corpus]
+    expected = [count_complex_pairs(a) for a in _matrices(*corpus)]
     eigvals = np.linalg.eigvals
 
     def flaky(a):
         # the stacked call fails, and so does the third matrix taken alone
-        if a.ndim == 3 or np.array_equal(a, corpus[2]):
+        if a.ndim == 3 or np.array_equal(a, corpus[0][2]):
             raise np.linalg.LinAlgError("Eigenvalues did not converge")
         return eigvals(a)
 
     monkeypatch.setattr(np.linalg, "eigvals", flaky)
-    assert complex_pair_counts(corpus).tolist() == expected[:2] + [-1] + expected[3:]
-
-
-def test_batched_pair_counts_rejects_bad_input():
-    with pytest.raises(ValueError):
-        complex_pair_counts(np.eye(2, dtype=complex)[None])
-    with pytest.raises(ValueError):
-        complex_pair_counts(np.eye(2))
+    assert _pair_counts(*corpus).tolist() == expected[:2] + [-1] + expected[3:]
 
 
 # --- principal_minor ---------------------------------------------------------
