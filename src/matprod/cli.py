@@ -22,7 +22,7 @@ import numpy as np
 
 from . import __version__
 from .configtext import ConfigError, config_to_text, parse_config
-from .ensembles import EnsembleSpec, parse_ensemble
+from .ensembles import FIELDS, EnsembleSpec, parse_ensemble
 from .experiments import (
     _EXP_LYAPUNOV,
     ExperimentConfig,
@@ -39,8 +39,8 @@ from .exponents import (
     single_step_estimate,
     supports_analytic_spectrum,
 )
-from .linalg import NumericError
-from .recordio import ResultRecord, RunManifest, Stat, manifest_timestamp, write_records
+from .linalg import NumericError, SingularInputError
+from .recordio import FORMATS, ResultRecord, RunManifest, Stat, manifest_timestamp, write_records
 
 __all__ = ["main"]
 
@@ -55,7 +55,7 @@ def _build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p_an = sub.add_parser("analytic", help="print the closed-form exponent spectrum")
-    p_an.add_argument("--field", required=True, choices=("real", "complex"))
+    p_an.add_argument("--field", required=True, choices=FIELDS)
     p_an.add_argument("--d", required=True, type=int)
     p_an.add_argument("--ensemble", required=True)
 
@@ -64,7 +64,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p_run.add_argument("--config", required=True, help="key=value config file")
     p_run.add_argument("--threads", type=int, default=None)
     p_run.add_argument("--out", default=None, help="override the config's output path")
-    p_run.add_argument("--format", default=None, choices=("jsonl", "csv"))
+    p_run.add_argument("--format", default=None, choices=FORMATS)
     p_run.add_argument(
         "--emit-plotdata",
         action="store_true",
@@ -77,21 +77,17 @@ def _fmt10(x: float) -> str:
     return format(float(x), ".10g")
 
 
-def cmd_analytic(field: str, d: int, ensemble: str, out=None) -> int:
-    out = out if out is not None else sys.stdout
+def cmd_analytic(field: str, d: int, ensemble: str) -> int:
     try:
         spec = EnsembleSpec(field, d, parse_ensemble(ensemble))
         spectrum = analytic_spectrum(spec)
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
-    print(f"# analytic spectrum for {spec.tag()}", file=out)
-    print(f"{'i':>3}  {'lambda':>18}  {'variance':>18}", file=out)
+    print(f"# analytic spectrum for {spec.tag()}")
+    print(f"{'i':>3}  {'lambda':>18}  {'variance':>18}")
     for i in range(d):
-        print(
-            f"{i + 1:>3}  {_fmt10(spectrum.lyapunov[i]):>18}  {_fmt10(spectrum.variance[i]):>18}",
-            file=out,
-        )
+        print(f"{i + 1:>3}  {_fmt10(spectrum.lyapunov[i]):>18}  {_fmt10(spectrum.variance[i]):>18}")
     return EXIT_OK
 
 
@@ -208,16 +204,12 @@ _EXPERIMENTS = {
 }
 
 
-def _print_records(records: Sequence[ResultRecord], out=None) -> None:
-    out = out if out is not None else sys.stdout
-    print(f"{'experiment':<40} {'n':>8} {'stat':<28} {'value':>22} {'se':>12}", file=out)
+def _print_records(records: Sequence[ResultRecord]) -> None:
+    print(f"{'experiment':<40} {'n':>8} {'stat':<28} {'value':>22} {'se':>12}")
     for rec in records:
         for name, stat in rec.stats.items():
             se = "" if stat.se is None else format(stat.se, ".3g")
-            print(
-                f"{rec.experiment:<40} {rec.n:>8} {name:<28} {format(stat.value, '.10g'):>22} {se:>12}",
-                file=out,
-            )
+            print(f"{rec.experiment:<40} {rec.n:>8} {name:<28} {format(stat.value, '.10g'):>22} {se:>12}")
 
 
 def _emit_plotdata(experiment: str, records: Sequence[ResultRecord], out_path: str) -> list[str]:
@@ -235,8 +227,6 @@ def _emit_plotdata(experiment: str, records: Sequence[ResultRecord], out_path: s
 
 
 def cmd_run(experiment: str, config: ExperimentConfig, emit_plotdata: bool = False) -> int:
-    if experiment not in _EXPERIMENTS:
-        raise ValueError(f"unknown experiment {experiment!r}")
     records = [replace(rec, seq=i) for i, rec in enumerate(_EXPERIMENTS[experiment][0](config), start=1)]
 
     if config.out is not None:
@@ -292,12 +282,12 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         if overrides:
             config = replace(config, **overrides)
         return cmd_run(args.experiment, config, emit_plotdata=args.emit_plotdata)
-    except (ConfigError, ValueError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
-    except (NumericError, SpreadOverflowError, OSError) as exc:
+    except (NumericError, SingularInputError, SpreadOverflowError, OSError) as exc:
         print(f"numeric failure: {exc}", file=sys.stderr)
         return EXIT_NUMERIC
+    except ValueError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_CONFIG
 
 
 if __name__ == "__main__":

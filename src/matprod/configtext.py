@@ -4,6 +4,10 @@ Accepted syntax per line: one or more ``key=value`` assignments separated by
 whitespace; spaces around ``=`` are allowed, values may be double-quoted,
 ``#`` outside a quoted value starts a comment. An unterminated quote, and
 unknown and duplicate keys, are rejected by name and line.
+
+Parsing only converts text, one converter per key. ``ExperimentConfig`` and
+``EnsembleSpec`` own every default and value check; their ``ValueError``
+comes back as a ``ConfigError`` on the line of the key it names.
 """
 from __future__ import annotations
 
@@ -15,19 +19,21 @@ from .experiments import ExperimentConfig
 
 __all__ = ["ConfigError", "parse_config", "config_to_text", "CONFIG_KEYS"]
 
-CONFIG_KEYS = (
-    "seed",
-    "field",
-    "d",
-    "ensemble",
-    "n_grid",
-    "replications",
-    "mc_samples",
-    "threads",
-    "out",
-    "format",
-)
 
+def _int_list(text: str) -> tuple[int, ...]:
+    return tuple(int(tok) for tok in text.split(","))
+
+
+# key -> (converter from text, what a value it cannot convert needs)
+_CONVERTERS = {
+    "seed": (int, "an integer"),
+    "field": (str, None), "d": (int, "an integer"), "ensemble": (str, None),
+    "n_grid": (_int_list, "comma-separated integers"),
+    "replications": (int, "an integer"), "mc_samples": (int, "an integer"), "threads": (int, "an integer"),
+    "out": (str, None), "format": (str, None),
+}
+
+CONFIG_KEYS = tuple(_CONVERTERS)
 _REQUIRED = ("seed", "field", "d", "ensemble", "n_grid", "replications")
 
 _ASSIGN_RE = re.compile(r'\s*([A-Za-z_][A-Za-z0-9_]*)\s*=\s*("[^"]*"?|[^\s#]+)')
@@ -58,89 +64,45 @@ def _scan_assignments(text: str) -> list[tuple[str, str, int]]:
     return found
 
 
-def _want_int(key: str, value: str, lineno: int) -> int:
-    try:
-        return int(value)
-    except ValueError:
-        raise ConfigError(f"line {lineno}: key {key!r} needs an integer, got {value!r}") from None
-
-
 def parse_config(text: str, default_threads: Optional[int] = None) -> ExperimentConfig:
-    """Parse and validate config text into an ExperimentConfig.
+    """Parse config text into an ExperimentConfig.
 
-    Defaults: threads=1 (or ``default_threads``), format=jsonl,
-    mc_samples=100000, out unset.
+    A key left out takes ExperimentConfig's default; a missing threads key
+    takes ``default_threads`` first, when given.
     """
-    seen: dict[str, tuple[str, int]] = {}
-    for key, value, lineno in _scan_assignments(text):
-        if key not in CONFIG_KEYS:
+    lines: dict[str, int] = {}
+    values = {}
+    for key, raw, lineno in _scan_assignments(text):
+        if key not in _CONVERTERS:
             raise ConfigError(f"line {lineno}: unknown key {key!r}; known: {', '.join(CONFIG_KEYS)}")
-        if key in seen:
-            raise ConfigError(f"line {lineno}: duplicate key {key!r} (first on line {seen[key][1]})")
-        seen[key] = (value, lineno)
+        if key in lines:
+            raise ConfigError(f"line {lineno}: duplicate key {key!r} (first on line {lines[key]})")
+        lines[key] = lineno
+        convert, needs = _CONVERTERS[key]
+        try:
+            values[key] = convert(raw)
+        except ValueError:
+            raise ConfigError(f"line {lineno}: key {key!r} needs {needs}, got {raw!r}") from None
 
     for key in _REQUIRED:
-        if key not in seen:
+        if key not in values:
             raise ConfigError(f"missing required key {key!r}")
 
-    def get(key: str) -> tuple[str, int]:
-        return seen[key]
-
-    seed_s, seed_line = get("seed")
-    seed = _want_int("seed", seed_s, seed_line)
-
-    field_s, field_line = get("field")
-    if field_s not in ("real", "complex"):
-        raise ConfigError(f"line {field_line}: field must be real or complex, got {field_s!r}")
-
-    d = _want_int("d", *get("d"))
-
-    ens_s, ens_line = get("ensemble")
+    if default_threads is not None:
+        values.setdefault("threads", default_threads)
     try:
-        kind = parse_ensemble(ens_s)
-        spec = EnsembleSpec(field_s, d, kind)
+        kind = parse_ensemble(values.pop("ensemble"))
     except ValueError as exc:
-        raise ConfigError(f"line {ens_line}: ensemble: {exc}") from None
-
-    grid_s, grid_line = get("n_grid")
+        raise ConfigError(f"line {lines['ensemble']}: ensemble: {exc}") from None
     try:
-        grid = tuple(int(tok) for tok in grid_s.split(","))
-    except ValueError:
-        raise ConfigError(
-            f"line {grid_line}: n_grid needs comma-separated integers, got {grid_s!r}"
-        ) from None
-
-    replications = _want_int("replications", *get("replications"))
-
-    mc_samples = 100_000
-    if "mc_samples" in seen:
-        mc_samples = _want_int("mc_samples", *get("mc_samples"))
-
-    threads = default_threads if default_threads is not None else 1
-    if "threads" in seen:
-        threads = _want_int("threads", *get("threads"))
-
-    out = seen["out"][0] if "out" in seen else None
-
-    fmt = "jsonl"
-    if "format" in seen:
-        fmt, fmt_line = get("format")
-        if fmt not in ("jsonl", "csv"):
-            raise ConfigError(f"line {fmt_line}: format must be jsonl or csv, got {fmt!r}")
-
-    try:
-        return ExperimentConfig(
-            seed=seed,
-            spec=spec,
-            n_grid=grid,
-            replications=replications,
-            mc_samples=mc_samples,
-            threads=threads,
-            out=out,
-            format=fmt,
-        )
+        return ExperimentConfig(spec=EnsembleSpec(values.pop("field"), values.pop("d"), kind), **values)
     except ValueError as exc:
-        raise ConfigError(str(exc)) from None
+        # a check's message starts with the key it checks; the ensemble's own checks name none
+        key, message = str(exc).split(" ", 1)[0], str(exc)
+        if key not in CONFIG_KEYS:
+            key, message = "ensemble", f"ensemble: {exc}"
+        where = f"line {lines[key]}: " if key in lines else ""  # threads may be default_threads
+        raise ConfigError(where + message) from None
 
 
 def config_to_text(config: ExperimentConfig) -> str:

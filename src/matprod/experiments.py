@@ -25,7 +25,7 @@ from typing import Callable, Optional, Sequence
 
 import numpy as np
 
-from .ensembles import EnsembleSpec, sample_haar_unitary, sample_isotropic_chunk, sample_singular_values
+from .ensembles import EnsembleSpec, sample_ginibre, sample_haar_unitary, sample_isotropic_chunk, sample_singular_values
 from .exponents import (
     ProductStack,
     _batches,
@@ -38,6 +38,7 @@ from .exponents import (
     supports_analytic_spectrum,
 )
 from .linalg import NumericError, eig_by_modulus, lq_positive, principal_minor, svd_descending
+from .recordio import FORMATS
 from .rng import RngStream
 
 __all__ = [
@@ -103,8 +104,8 @@ class ExperimentConfig:
             raise ValueError(f"mc_samples must be >= 2, got {self.mc_samples}")
         if self.threads < 1:
             raise ValueError(f"threads must be >= 1, got {self.threads}")
-        if self.format not in ("jsonl", "csv"):
-            raise ValueError(f"format must be jsonl or csv, got {self.format!r}")
+        if self.format not in FORMATS:
+            raise ValueError(f"format must be {' or '.join(FORMATS)}, got {self.format!r}")
         if self.out is not None and '"' in self.out:
             raise ValueError(f"out must not contain a double quote, got {self.out!r}")
 
@@ -534,7 +535,7 @@ def run_factorization_checks(config: ExperimentConfig) -> FactorizationReport:
             diag_mom = _Moments(nrows)
             off_mom = _Moments(1) if nrows > 1 else None
             for _, b in _batches(mc):
-                g = _ginibre_block(nrows, d, field, gen, b)
+                g = sample_ginibre(nrows, d, field, gen, size=b)
                 t = lq_positive(g).t
                 tdiag = np.diagonal(t, axis1=-2, axis2=-1).real
                 diag_mom.add(tdiag**2)
@@ -582,12 +583,6 @@ def _mean_var_rows(check: str, field: str, d: int, index: int, mom: _Moments, co
         CheckRow(check.format("var"), field, d, index, float(mom.var()[col]), var_ref,
                  float(mom.var_se()[col]), mom.n),
     ]
-
-
-def _ginibre_block(rows: int, cols: int, field: str, gen, size: int) -> np.ndarray:
-    if field == "real":
-        return gen.standard_normal((size, rows, cols))
-    return gen.standard_normal((size, rows, cols)) + 1j * gen.standard_normal((size, rows, cols))
 
 
 @dataclass(frozen=True)

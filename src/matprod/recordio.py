@@ -15,7 +15,9 @@ from dataclasses import dataclass, field
 from datetime import datetime, timezone
 from typing import Optional, Sequence
 
-__all__ = ["Stat", "ResultRecord", "RunManifest", "write_records", "read_jsonl"]
+__all__ = ["FORMATS", "Stat", "ResultRecord", "RunManifest", "write_records", "read_jsonl"]
+
+FORMATS = ("jsonl", "csv")
 
 
 @dataclass(frozen=True)
@@ -118,14 +120,14 @@ def write_records(
     manifest: RunManifest,
 ) -> None:
     """Write manifest plus records; the manifest always lands first."""
+    if fmt not in FORMATS:
+        raise ValueError(f"unknown output format {fmt!r}")
     if fmt == "jsonl":
         with open(path, "w", encoding="utf-8", newline="\n") as fh:
             fh.write(json.dumps(manifest.to_dict(), sort_keys=True) + "\n")
             for rec in records:
                 fh.write(json.dumps(_record_to_dict(rec), sort_keys=True) + "\n")
         return
-    if fmt != "csv":
-        raise ValueError(f"unknown output format {fmt!r}")
     with open(path + ".manifest.json", "w", encoding="utf-8", newline="\n") as fh:
         fh.write(json.dumps(manifest.to_dict(), sort_keys=True) + "\n")
     stat_cols = _stat_columns(records)

@@ -82,6 +82,13 @@ def test_criterion_2_single_step_truncated_unitary_anchor():
     )
 
 
+# The 5e-3 bound is tight for this test's sample size. At 100k steps of real
+# Ginibre d=3 the standard errors of lambda are 1.53e-3, 2.03e-3 and 3.51e-3,
+# so the bound is 3.3, 2.5 and 1.4 SE, and about 1 SE for lambda_3 in the
+# stream-minus-single-step difference. On 200 fresh draws equal in law (i.i.d.
+# QR diagonals of Ginibre factors) both checks passed 112 and 118 times in two
+# runs. This seed passes; a correct change to the stream's draws fails the
+# test about 4 times in 10 (ROADMAP item 4).
 def test_criterion_3_qr_stream_consistency():
     stream_est = lyapunov_qr_stream(GINIBRE_R3, 100_000, RngStream(SEED).derive(103))
     lam = analytic_spectrum(GINIBRE_R3).lyapunov

@@ -174,6 +174,16 @@ def test_run_realprob_deep_round_classifies_every_trajectory(tmp_path):
     assert [r["stats"]["trials"]["value"] for r in read_jsonl(out)[1]] == [96] * 5
 
 
+@pytest.mark.parametrize("experiment", ["lyapunov", "stability", "fluctuations"])
+def test_run_singular_factor_batch_exit_3(experiment, tmp_path, capsys):
+    # lognormal(0,10) singular values make some single-step draw numerically
+    # singular, and the single-step estimate raises for its whole batch
+    cfg = write_cfg(tmp_path, 'seed=1 field=real d=2 ensemble="custom:iid(lognormal(0,10))" n_grid=5 '
+                              "replications=200 mc_samples=20000")
+    assert main(["run", experiment, "--config", cfg]) == 3
+    assert "numeric failure: qr_positive input is numerically rank deficient" in capsys.readouterr().err
+
+
 def test_out_with_double_quote_exit_2(tmp_path, capsys):
     cfg = write_cfg(tmp_path, "seed=1 field=real d=2 ensemble=ginibre n_grid=2 replications=10")
     assert main(["run", "realprob", "--config", cfg, "--out", str(tmp_path / 'a"b.jsonl')]) == 2

@@ -1,23 +1,14 @@
 import pytest
 
 from matprod.configtext import ConfigError, config_to_text, parse_config
-from matprod.ensembles import Ginibre, TruncatedHaar
+from matprod.ensembles import EnsembleSpec, Ginibre, TruncatedHaar
+from matprod.experiments import ExperimentConfig
 
 MINIMAL = "seed=1 field=real d=2 ensemble=ginibre n_grid=10 replications=100"
 
 
 def test_minimal_config_with_defaults():
-    config = parse_config(MINIMAL)
-    assert config.seed == 1
-    assert config.spec.field == "real"
-    assert config.spec.d == 2
-    assert config.spec.kind == Ginibre()
-    assert config.n_grid == (10,)
-    assert config.replications == 100
-    assert config.mc_samples == 100_000
-    assert config.threads == 1
-    assert config.format == "jsonl"
-    assert config.out is None
+    assert parse_config(MINIMAL) == ExperimentConfig(1, EnsembleSpec("real", 2, Ginibre()), (10,), 100)
 
 
 def test_truncated_haar_m_constraint_message():
@@ -75,6 +66,14 @@ def test_constraint_violations_reported():
         parse_config(MINIMAL.replace("n_grid=10", "n_grid=10,5"))
     with pytest.raises(ConfigError, match="replications"):
         parse_config(MINIMAL.replace("replications=100", "replications=0"))
+    for bad, where in (
+        (MINIMAL.replace("d=2", "d=0"), "line 1: d"),
+        (MINIMAL + "\nthreads=0", "line 2: threads"),
+        (MINIMAL + "\nmc_samples=1", "line 2: mc_samples"),
+        (MINIMAL + '\nout=a"b', "line 2: out"),
+    ):
+        with pytest.raises(ConfigError, match=f"^{where} must"):
+            parse_config(bad)
 
 
 def test_round_trip_identity():

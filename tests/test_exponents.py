@@ -229,7 +229,7 @@ def test_recursion_matches_explicit_product(field, d):
     assert rel_err(recon, prod) < 1e-8
 
 
-def test_advance_overflow_and_warning_flags(stream):
+def test_advance_overflow(stream):
     base = init_state(np.diag([2.0, 1.0]))
     hot = ProductState(
         n=9,
