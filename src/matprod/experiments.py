@@ -8,11 +8,14 @@ for any thread count adopted.
 
 The trajectory runners (equality, fluctuations, reality) share one chunk
 worker: it draws the chunk's factors (sample_isotropic_chunk, in the order
-of one replication after the other), advances the whole chunk as one stack
-(evolve_stack: one QR call a step, where a step takes one factor or an
-aligned block of 2, 4, 8, ... factors that passes an exact conditioning
-guard, and one SVD call a grid point), and hands the stack at each grid
-point, in SVD form, to the runner's observer. A replication that fails a check anywhere on its trajectory is
+of one replication after the other) and hands them to the runner's
+observer, which advances the rows it needs as one stack (evolve_stack: one
+QR call a step, where a step takes one factor or an aligned block of 2, 4,
+8, ... factors that passes an exact conditioning guard, and one SVD call a
+grid point) and reads each grid point off the stack in SVD form. The
+reality observer classifies n = 1 off the well-conditioned factors
+themselves, so with n = 1 the only grid point it evolves only the other
+rows. A replication that fails a check anywhere on its trajectory is
 dropped at every grid point.
 """
 from __future__ import annotations
@@ -27,8 +30,8 @@ import numpy as np
 
 from .ensembles import EnsembleSpec, sample_ginibre, sample_haar_unitary, sample_isotropic_chunk, sample_singular_values
 from .exponents import (
-    ProductStack,
     _batches,
+    _bound_clears,
     _log_eig_moduli_graded,
     analytic_spectrum,
     analytic_truncated_logdet,
@@ -37,7 +40,7 @@ from .exponents import (
     stability_rows,
     supports_analytic_spectrum,
 )
-from .linalg import NumericError, eig_by_modulus, lq_positive, principal_minor, svd_descending
+from .linalg import NumericError, eig_by_modulus, eigvals_rows, lq_positive, principal_minor, svd_descending
 from .recordio import FORMATS
 from .rng import RngStream
 
@@ -57,6 +60,7 @@ __all__ = [
     "run_real_probability",
     "run_factorization_checks",
     "run_minor_identity",
+    "family_passed",
     "wilson_interval",
 ]
 
@@ -77,6 +81,10 @@ _EXP_LYAPUNOV = 6  # role 0 single-step, role 1 QR stream (cli's lyapunov record
 _MINOR_TOL = 1e-8
 
 _Z95 = 1.959963984540054
+# Family-wise level of the verify verdict: the two-sided level of one 3-SE test.
+_FAMILY_LEVEL = 0.0027
+# Floor of every check's tolerance: absorbs pure rounding noise in exactly-zero checks.
+_CHECK_FLOOR = 1e-12
 
 @dataclass(frozen=True)
 class ExperimentConfig:
@@ -154,25 +162,23 @@ def _reference(config: ExperimentConfig, exp_index: int) -> tuple[np.ndarray, np
     return est.mean, est.se, est.cov, "single-step"
 
 
-def _evolve_chunks(config: ExperimentConfig, exp_index: int, grid: Sequence[int], observe: Callable) -> list:
-    """observe(stacks) for every chunk of replications, in chunk order.
-
-    stacks are the chunk's ProductStacks at the grid points; the last one
-    tells which replications survived their whole trajectory.
-    """
+def _observe_chunks(config: ExperimentConfig, exp_index: int, grid: Sequence[int], observe: Callable) -> list:
+    """observe(factors, grid) for every chunk of replications, in chunk order;
+    factors is the chunk's (count, grid[-1], d, d) draw."""
     spec, n_max, base = config.spec, grid[-1], config.stream()
 
     def worker(ci: int, count: int):
         gen = base.derive(exp_index, 1, ci).generator()
-        return observe(evolve_stack(sample_isotropic_chunk(spec, gen, count, n_max), grid))
+        return observe(sample_isotropic_chunk(spec, gen, count, n_max), grid)
 
     return _map_chunks(_chunk_jobs(config.replications), worker, config.threads)
 
 
-def _observe_exponents(stacks: list[ProductStack]):
+def _observe_exponents(factors: np.ndarray, grid: Sequence[int]):
     """Scaled log singular values and log eigenvalue moduli, (B, grid, d)
     each, and which rows to keep: a row whose spectrum cannot be taken is
     dropped like one that failed a step."""
+    stacks = evolve_stack(factors, grid)
     ok = stacks[-1].ok
     sig = np.stack([s.log_sigma / s.n for s in stacks], axis=1)
     stab = np.full_like(sig, np.nan)
@@ -186,27 +192,48 @@ def _observe_exponents(stacks: list[ProductStack]):
 
 def _exponent_samples(config: ExperimentConfig, exp_index: int, grid: Sequence[int]):
     """(singular, stability) samples of the surviving replications, (used, len(grid), d) each."""
-    parts = _evolve_chunks(config, exp_index, grid, _observe_exponents)
+    parts = _observe_chunks(config, exp_index, grid, _observe_exponents)
     sig, stab, ok = (np.concatenate(p) for p in zip(*parts))
     if int(ok.sum()) < 2:
         raise NumericError("fewer than 2 replications survived; cannot report statistics")
     return sig[ok], stab[ok]
 
 
-def _observe_reality(stacks: list[ProductStack]):
-    """All-real and classified counts per grid point over the surviving rows,
-    whatever their spread, from the complex pairs the graded spectrum routine
-    of stability_rows counts; a row whose eigenvalue iteration does not
-    converge is not classified."""
+def _reality_pairs(factors: np.ndarray, grid: Sequence[int]) -> np.ndarray:
+    """Complex pairs (eigenvalues with imaginary part > 0) of each row's
+    product at each grid point, (B, len(grid)), or -1 for a dropped or
+    unconverged row. At n = 1 a factor that clears _bound_clears (not
+    singular, spread < 23: the graded routine's LAPACK branch) is classified
+    by one eigvals call on the factors; the rest take the graded routine on
+    v @ u with log sigma, and with the grid (1,) only they are evolved."""
+    m = factors[:, 0]
+    pairs = np.empty((len(m), len(grid)), dtype=int)
+    by_svd = np.ones(len(m), dtype=bool)  # rows classified at grid[0] from the SVD form
+    if grid[0] == 1:
+        w = eigvals_rows(m)
+        pairs[:, 0] = np.count_nonzero(w.imag > 0, axis=1)
+        by_svd = ~_bound_clears(m, w)
+    evolved = np.arange(len(m))
+    if len(grid) == 1:
+        evolved = np.flatnonzero(by_svd)
+        if not evolved.size:
+            return pairs
+        factors = factors[evolved]
+    stacks = evolve_stack(factors, grid)
     ok = stacks[-1].ok
-    real = np.zeros(len(stacks), dtype=np.int64)
-    classified = np.zeros(len(stacks), dtype=np.int64)
-    rows = np.flatnonzero(ok)
+    kept = np.flatnonzero(ok)
     for gi, s in enumerate(stacks):
-        _, pairs = _log_eig_moduli_graded(s.v_frame[rows] @ s.u_frame[rows], s.log_sigma[rows])
-        classified[gi] = np.count_nonzero(pairs >= 0)
-        real[gi] = np.count_nonzero(pairs == 0)
-    return real, classified
+        rows = kept[by_svd[evolved[kept]]] if gi == 0 else kept
+        if rows.size:
+            pairs[evolved[rows], gi] = _log_eig_moduli_graded(s.v_frame[rows] @ s.u_frame[rows], s.log_sigma[rows])[1]
+    pairs[evolved[~ok]] = -1
+    return pairs
+
+
+def _observe_reality(factors: np.ndarray, grid: Sequence[int]):
+    """All-real and classified counts per grid point."""
+    pairs = _reality_pairs(factors, grid)
+    return np.count_nonzero(pairs == 0, axis=0), np.count_nonzero(pairs >= 0, axis=0)
 
 
 @dataclass(frozen=True)
@@ -386,16 +413,17 @@ def run_real_probability(config: ExperimentConfig) -> RealProbResult:
     """Probability that every eigenvalue of the running product is real.
 
     Every surviving replication is classified at every grid point, whatever
-    its spread, by the complex pairs the graded spectrum routine counts on
-    the similarity carrying the product's spectrum. Replications that fail a
-    step, or whose eigenvalue iteration does not converge, are excluded and
-    counted there.
+    its spread, by its count of complex pairs (_reality_pairs): at n = 1
+    from the factor itself when it is well conditioned, else by the graded
+    spectrum routine on the similarity carrying the product's spectrum.
+    Replications that fail a step, or whose eigenvalue iteration does not
+    converge, are excluded and counted there.
     """
     spec = config.spec
     if spec.field != "real":
         raise ValueError("realprob requires field=real")
     grid = config.n_grid
-    real, classified = np.sum(_evolve_chunks(config, _EXP_REALPROB, grid, _observe_reality), axis=0)
+    real, classified = np.sum(_observe_chunks(config, _EXP_REALPROB, grid, _observe_reality), axis=0)
 
     per_n = []
     for gi, n in enumerate(grid):
@@ -439,8 +467,21 @@ class CheckRow:
 
     @property
     def passed(self) -> bool:
-        # 1e-12 floor absorbs pure rounding noise in exactly-zero checks
-        return abs(self.estimate - self.reference) <= 3.0 * self.se + 1e-12
+        return abs(self.estimate - self.reference) <= 3.0 * self.se + _CHECK_FLOOR
+
+
+def family_passed(rows: Sequence[tuple[float, float, float]]) -> bool:
+    """Verdict on a family of check rows, each (estimate, reference, se), at
+    the family-wise level _FAMILY_LEVEL: Holm's step-down over the rows with
+    SE > 0, each a two-sided z test of its distance to the reference beyond
+    the floor for rounding noise that CheckRow.passed allows too. It rejects
+    some row exactly when its first step does, when the smallest p-value is
+    at most the level over the count of such rows. A row with SE = 0 passes
+    within the floor; a NaN fails.
+    """
+    z = [(abs(estimate - reference) - _CHECK_FLOOR) / se for estimate, reference, se in rows if se > 0]
+    return (all(math.erfc(max(v, 0.0) / math.sqrt(2)) > _FAMILY_LEVEL / len(z) for v in z)
+            and all(abs(estimate - reference) <= _CHECK_FLOOR for estimate, reference, se in rows if not se > 0))
 
 
 @dataclass(frozen=True)
@@ -449,7 +490,7 @@ class FactorizationReport:
 
     @property
     def passed(self) -> bool:
-        return all(row.passed for row in self.rows)
+        return family_passed([(row.estimate, row.reference, row.se) for row in self.rows])
 
 
 class _Moments:

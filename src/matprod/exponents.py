@@ -139,18 +139,25 @@ def _identity_rows(ok: np.ndarray, vec: np.ndarray, fill: float, *frames: np.nda
     return (np.where(ok[:, None], vec, fill), *(np.where(ok[:, None, None], f, eye) for f in frames))
 
 
+def _bound_clears(m: np.ndarray, scales: np.ndarray) -> np.ndarray:
+    """Which factors pass the SVD singularity test without it: those whose
+    sigma_min / sigma_max >= |det m| / ||m||_F^d, in logs, clears 100 *
+    RANK_RTOL. |det m| is |prod scales|: r's diagonal from a QR of m, m^H, or
+    either times a unitary, or m's eigenvalues (both backward stable, far
+    inside the margin of 100). A NaN or 0 does not clear."""
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        logdet = np.sum(np.log(np.abs(scales)), axis=-1)
+        frob_sq = np.einsum("...ij,...ij->...", m, m.conj()).real
+        return logdet - 0.5 * m.shape[-1] * np.log(frob_sq) > _LOG_REGULAR_BOUND
+
+
 def _regular(m: np.ndarray, r: np.ndarray) -> np.ndarray:
     """Per-matrix test that a stack of factors is not numerically singular:
     sigma_min > RANK_RTOL * sigma_max, given r from a QR of m, m^H, or either
-    times a unitary. |det m| = prod |r_jj| and ||m||_F = ||r||_F, so a factor
-    whose bound sigma_min / sigma_max >= |det m| / ||m||_F^d, taken in logs,
-    clears 100 * RANK_RTOL passes without an SVD; only the others take the
-    SVD test, so every verdict is the SVD's.
+    times a unitary. Only the factors that fail the determinant bound
+    (_bound_clears) take the SVD test, so every verdict is the SVD's.
     """
-    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        logdet = np.sum(np.log(np.abs(np.diagonal(r, axis1=-2, axis2=-1))), axis=-1)
-        frob_sq = np.einsum("...ij,...ij->...", r, r.conj()).real
-        regular = logdet - 0.5 * m.shape[-1] * np.log(frob_sq) > _LOG_REGULAR_BOUND
+    regular = _bound_clears(m, np.diagonal(r, axis1=-2, axis2=-1))
     rest = ~regular
     if rest.any():
         sv = np.linalg.svd(m[rest], compute_uv=False)

@@ -4,6 +4,7 @@ import pytest
 
 from matprod import cli
 from matprod.cli import main
+from matprod.experiments import CheckRow, FactorizationReport
 from matprod.recordio import read_jsonl
 
 
@@ -139,6 +140,18 @@ def test_run_verify_failure_exit_3(tmp_path, monkeypatch, capsys):
     rows = read_jsonl(out)[1]
     assert rows[0]["experiment"] == "verify:minor-identity"
     assert rows[0]["stats"]["passed"]["value"] == 0
+
+
+@pytest.mark.parametrize("z, code", [(3.14, 0), (6.0, 3)])
+def test_run_verify_exit_code_takes_the_family_verdict(z, code, tmp_path, monkeypatch, capsys):
+    # 33 check rows, as real d=3 has: one at z = 3.14 is outside its own 3 SE
+    # (its record says passed = 0) but not outside the family's level
+    rows = tuple(CheckRow("lq-diag-var:rows=3", "real", 3, 2, v, 0.0, 1.0, 1000) for v in [0.0] * 32 + [z])
+    monkeypatch.setattr(cli, "run_factorization_checks", lambda config: FactorizationReport(rows=rows))
+    out = str(tmp_path / "v.jsonl")
+    cfg = write_cfg(tmp_path, f'seed=5 field=real d=2 ensemble=ginibre n_grid=1 replications=20 out="{out}"')
+    assert main(["run", "verify", "--config", cfg]) == code
+    assert [r["stats"]["passed"]["value"] for r in read_jsonl(out)[1]] == [1] + [1] * 32 + [0]
 
 
 def test_run_verify_trace_zero_minor_sum_exit_0(tmp_path, capsys):

@@ -12,8 +12,11 @@ from matprod.ensembles import (
     ScalarLaw,
     TruncatedHaar,
 )
+from matprod import experiments, exponents
 from matprod.experiments import (
+    CheckRow,
     ExperimentConfig,
+    FactorizationReport,
     run_equality,
     run_fluctuations,
     run_factorization_checks,
@@ -21,7 +24,9 @@ from matprod.experiments import (
     run_real_probability,
     wilson_interval,
 )
+from matprod.ensembles import sample_haar_unitary, sample_isotropic_chunk
 from matprod.exponents import single_step_estimate
+from matprod.linalg import RANK_RTOL, count_complex_pairs
 from matprod.rng import RngStream
 
 GINIBRE_R2 = EnsembleSpec("real", 2, Ginibre())
@@ -227,6 +232,92 @@ def test_realprob_classifies_every_trajectory_to_large_n():
         assert last.p_hat > first.p_hat and last.wilson_low > first.wilson_high
 
 
+def _svd_route_pairs(m):
+    """n = 1 complex pairs by the SVD route: the SVD singularity test (-1 for a
+    row it rejects), then the graded routine on v @ u with log sigma."""
+    stack = exponents._init_rows(m)
+    pairs = exponents._log_eig_moduli_graded(stack.v_frame @ stack.u_frame, stack.log_sigma)[1]
+    return np.where(stack.ok, pairs, -1)
+
+
+@pytest.mark.parametrize("spec", [EnsembleSpec("real", d, Ginibre()) for d in (2, 3, 4)]
+                         + [EnsembleSpec("real", 3, CustomSingular(iid=ScalarLaw("lognormal", (0.0, 6.0))))],
+                         ids=["ginibre-d2", "ginibre-d3", "ginibre-d4", "lognormal6-d3"])
+def test_reality_n1_pairs_match_schur_oracle_and_svd_route(spec):
+    factors = sample_isotropic_chunk(spec, RngStream(1616, (spec.d,)).generator(), 10_000, 1)
+    m = factors[:, 0]
+    got = experiments._reality_pairs(factors, (1,))[:, 0]
+    np.testing.assert_array_equal(got, _svd_route_pairs(m))
+    kept = np.flatnonzero(got >= 0)
+    assert np.array_equal(got[kept], [count_complex_pairs(m[b]) for b in kept])
+    assert 0 < np.count_nonzero(got == 0) < len(got)
+    if not isinstance(spec.kind, Ginibre):
+        # the wide law sends rows to the SVD route, and some of those are singular
+        assert (~exponents._bound_clears(m, np.linalg.eigvals(m))).sum() > (got < 0).sum() > 0
+
+
+def _conditioned_batch(d, ratios, traces, seed):
+    """Real d x d factors Q (A (+) I) Q^T with A = [[t, 1], [-r, -t]] for each
+    r in ratios and t in traces: sigma_min / sigma_max about |r - t^2| for
+    small r and t, and a complex pair exactly when t^2 < r."""
+    a = np.zeros((len(ratios), d, d))
+    a[:, 0, 0], a[:, 0, 1], a[:, 1, 0], a[:, 1, 1] = traces, 1.0, -ratios, -traces
+    a[:, range(2, d), range(2, d)] = 1.0
+    q = sample_haar_unitary(d, "real", RngStream(seed).generator(), size=len(ratios))
+    return q @ a @ q.swapaxes(1, 2)
+
+
+@pytest.mark.parametrize("d", [2, 3])
+def test_reality_n1_rows_between_the_bound_and_the_svd_test_take_the_svd_route(d):
+    # sigma_min / sigma_max between 1e-12 and 1e-10: the determinant bound does
+    # not clear these rows, the SVD test passes them, and below e^-25 their
+    # spread sends them through the graded routine's split or mpmath branch
+    ratios = np.geomspace(3e-12, 1e-11, 40)
+    traces = np.sqrt(ratios) * np.tile([0.0, 0.5, 2.0, 3.0], 10)
+    m = _conditioned_batch(d, ratios, traces, seed=1617 + d)
+    sv = np.linalg.svd(m, compute_uv=False)
+    assert np.all(sv[:, -1] > RANK_RTOL * sv[:, 0]) and np.all(sv[:, -1] < 1e-10 * sv[:, 0])
+    assert not exponents._bound_clears(m, np.linalg.eigvals(m)).any()
+    assert np.any(np.log(sv[:, 0] / sv[:, -1]) > exponents._EIG_DOUBLE_SPREAD)
+    got = experiments._reality_pairs(m[:, None], (1,))[:, 0]
+    oracle = [exponents._log_eig_moduli_extended(b, np.zeros(d))[1] for b in m]
+    np.testing.assert_array_equal(got, oracle)
+    np.testing.assert_array_equal(got, (traces**2 < ratios).astype(int))
+
+
+def test_reality_n1_excludes_exactly_the_rows_the_svd_test_rejects():
+    gen = RngStream(1618).generator()
+    m = gen.standard_normal((64, 3, 3))
+    m[::4, :, 2] = m[::4, :, 0]                                                    # exactly singular
+    m[1::8] = _conditioned_batch(3, np.full(8, 1e-13), np.zeros(8), seed=1619)     # fails the SVD test
+    m[3::8] = _conditioned_batch(3, np.full(8, 1e-11), np.zeros(8), seed=1620)     # passes it, not the bound
+    rejected = int((~exponents._init_rows(m).ok).sum())
+    assert rejected == 24
+    real, classified = experiments._observe_reality(m[:, None], (1,))
+    assert classified[0] == 64 - rejected and real[0] <= classified[0]
+
+
+def test_realprob_n1_excluded_counts_the_svd_rejections():
+    spec = EnsembleSpec("real", 2, CustomSingular(iid=ScalarLaw("lognormal", (0.0, 10.0))))
+    res = run_real_probability(cfg(spec, seed=1621, n_grid=(1,), replications=600))
+    rejected = sum(
+        int((~exponents._init_rows(sample_isotropic_chunk(spec, RngStream(1621).derive(3, 1, ci).generator(),
+                                                           count, 1)[:, 0]).ok).sum())
+        for ci, count in experiments._chunk_jobs(600))
+    assert res.per_n[0].excluded == rejected > 0
+
+
+def test_reality_n1_rule_is_the_same_whatever_the_grid():
+    # the same factors classified at n = 1 with the grid (1,), which evolves only
+    # the rows the bound does not clear, and with a longer grid, which evolves all
+    gen = RngStream(1622).generator()
+    factors = gen.standard_normal((300, 2, 2, 2))
+    factors[::10, 0] = _conditioned_batch(2, np.geomspace(3e-13, 3e-11, 30), np.zeros(30), seed=1623)
+    alone = experiments._reality_pairs(factors[:, :1], (1,))[:, 0]
+    np.testing.assert_array_equal(experiments._reality_pairs(factors, (1, 2))[:, 0], alone)
+    assert (alone == -1).sum() > 0 and (alone == 1).sum() > 0 and (alone == 0).sum() > 0
+
+
 def test_realprob_soft_trend_in_dimension():
     # reported trend, not a hard assertion: p_hat should not grow with d
     values = {}
@@ -261,6 +352,28 @@ def test_factorization_checks_exact_corner_row():
     rep = run_factorization_checks(cfg(spec, seed=7, mc_samples=5000))
     full = [r for r in rep.rows if r.check == "corner-logdet" and r.index == r.d]
     assert full and all(abs(r.estimate) < 1e-12 and r.reference == 0.0 for r in full)
+
+
+def _synthetic_report(z_values, se=1.0):
+    return FactorizationReport(rows=tuple(CheckRow("lq-diag-var:rows=3", "real", 3, 2, z * se, 0.0, se, 1000)
+                                          for z in z_values))
+
+
+def test_factorization_verdict_controls_the_family_wise_error():
+    # 33 rows, as real d=3 has: one at z = 3.14 fails its own 3-SE test, not the family
+    zs = [0.0] * 32
+    report = _synthetic_report(zs + [3.14])
+    assert not report.rows[-1].passed and report.rows[-1].z == pytest.approx(3.14)
+    assert report.passed
+    assert not _synthetic_report(zs + [6.0]).passed
+    assert not _synthetic_report(zs + [-6.0]).passed
+    assert not _synthetic_report(zs + [math.nan]).passed
+    assert not _synthetic_report(zs + [3.14], se=math.nan).passed
+    # rows with SE = 0 keep the 1e-12 floor and stay out of the family's count
+    exact = [CheckRow("corner-logdet", "real", 2, 2, 1e-13, 0.0, 0.0, 1000)]
+    assert FactorizationReport(rows=report.rows + tuple(exact)).passed
+    off = [CheckRow("corner-logdet", "real", 2, 2, 1e-11, 0.0, 0.0, 1000)]
+    assert not FactorizationReport(rows=report.rows + tuple(off)).passed
 
 
 # --- minor identity ------------------------------------------------------
