@@ -286,10 +286,10 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         if overrides:
             config = replace(config, **overrides)
         return cmd_run(args.experiment, config, emit_plotdata=args.emit_plotdata)
-    except (NumericError, SingularInputError, SpreadOverflowError, OSError) as exc:
+    except (NumericError, SingularInputError, SpreadOverflowError, np.linalg.LinAlgError, OSError) as exc:
         print(f"numeric failure: {exc}", file=sys.stderr)
         return EXIT_NUMERIC
-    except ValueError as exc:
+    except ValueError as exc:  # after LinAlgError and SingularInputError, which are ValueErrors too
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
 

@@ -538,18 +538,23 @@ def run_factorization_checks(config: ExperimentConfig) -> FactorizationReport:
         standard normal, for square and one-row-short shapes.
     (c) Scaling: corner entries of an (m = 4d) Haar matrix times sqrt(m) have
         unit second moment.
+    (d) Phase: mean of Re u_11 over the draws of (a), against 0. Only this
+        row sees a sampler that skips the positive-diagonal normalization:
+        (a) and (c) read moduli, blind to the column phases it fixes.
     """
     spec = config.spec
     field = spec.field
     mc = config.mc_samples
     base = config.stream()
     rows: list[CheckRow] = []
+    phase_rows = []  # last, so every other row keeps its place in the records
 
     for d in range(1, spec.d + 1):
         gen = base.derive(_EXP_FACTOR, 1, d).generator()
-        corner = [_Moments(1) for _ in range(d)]
+        corner, phase = [_Moments(1) for _ in range(d)], _Moments(1)
         for _, b in _batches(mc):
             u = sample_haar_unitary(d, field, gen, size=b)
+            phase.add(u[:, :1, 0].real)
             for i in range(1, d + 1):
                 dets = np.linalg.det(u[:, :i, :i])
                 corner[i - 1].add(np.log(np.abs(dets))[:, None])
@@ -567,6 +572,8 @@ def run_factorization_checks(config: ExperimentConfig) -> FactorizationReport:
                     samples=mom.n,
                 )
             )
+        phase_rows.append(CheckRow("haar-phase", field, d, 1, float(phase.mean()[0]), 0.0, float(phase.mean_se()[0]),
+                                   phase.n))
 
     dof_scale = 2 if field == "complex" else 1
     for d in range(1, spec.d + 1):
@@ -612,7 +619,7 @@ def run_factorization_checks(config: ExperimentConfig) -> FactorizationReport:
             )
         )
 
-    return FactorizationReport(rows=tuple(rows))
+    return FactorizationReport(rows=tuple(rows + phase_rows))
 
 
 def _mean_var_rows(check: str, field: str, d: int, index: int, mom: _Moments, col: int,

@@ -4,12 +4,13 @@ The running product P_n is never formed explicitly: a ProductState keeps its
 singular values on log scale together with the left/right unitary frames, so
 products of hundreds of factors stay representable; evolve_stack steps them
 by QR, one step per factor or per folded block of well-conditioned factors,
-and takes the SVD at the grid points only. Estimators and analytic
-reference spectra for the supported ensembles live alongside.
+and takes the SVD at the grid points only. Its stacked LAPACK calls go
+through linalg.lapack_rows, so a matrix that does not converge fails only
+its own row. Estimators and analytic reference spectra for the supported
+ensembles live alongside.
 """
 from __future__ import annotations
 
-import contextlib
 import math
 from dataclasses import dataclass, replace
 from typing import Callable
@@ -29,6 +30,7 @@ from .linalg import (
     NumericError,
     SingularInputError,
     eigvals_rows,
+    lapack_rows,
     qr_positive,
     _as_matrix,
 )
@@ -131,6 +133,17 @@ def _fail(failure: np.ndarray, mask: np.ndarray, error: Callable) -> np.ndarray:
     return failure
 
 
+def _cap_spread(failure: np.ndarray, spread: np.ndarray, on: np.ndarray | bool = True) -> np.ndarray:
+    """failure with each row of on whose spread passes SPREAD_HARD_CAP failed."""
+    return _fail(failure, on & (spread > SPREAD_HARD_CAP), lambda b: SpreadOverflowError(
+        f"log-singular-value spread {spread[b]:.1f} exceeds hard cap {SPREAD_HARD_CAP}"))
+
+
+def _fail_unconverged(failure: np.ndarray, converged: np.ndarray, shape: tuple) -> np.ndarray:
+    """failure with each row whose SVD did not converge failed with NumericError."""
+    return _fail(failure, ~converged, lambda b: NumericError(f"SVD did not converge on input of shape {shape}"))
+
+
 def _identity_rows(ok: np.ndarray, vec: np.ndarray, fill: float, *frames: np.ndarray) -> tuple:
     """vec (B, d) and frame stacks with each row not ok reset: vec to fill, frames to I."""
     if ok.all():
@@ -151,36 +164,27 @@ def _bound_clears(m: np.ndarray, scales: np.ndarray) -> np.ndarray:
         return logdet - 0.5 * m.shape[-1] * np.log(frob_sq) > _LOG_REGULAR_BOUND
 
 
-def _regular(m: np.ndarray, r: np.ndarray) -> np.ndarray:
+def _regular(m: np.ndarray, r: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Per-matrix test that a stack of factors is not numerically singular:
     sigma_min > RANK_RTOL * sigma_max, given r from a QR of m, m^H, or either
-    times a unitary. Only the factors that fail the determinant bound
-    (_bound_clears) take the SVD test, so every verdict is the SVD's.
-    """
+    times a unitary, and which converged. Only the factors that fail the
+    determinant bound (_bound_clears) take the SVD test (lapack_rows), so
+    every verdict is the SVD's."""
     regular = _bound_clears(m, np.diagonal(r, axis1=-2, axis2=-1))
+    converged = np.ones_like(regular)
     rest = ~regular
     if rest.any():
-        sv = np.linalg.svd(m[rest], compute_uv=False)
-        regular[rest] = sv[..., -1] > RANK_RTOL * sv[..., 0]
-    return regular
+        sv, converged[rest] = lapack_rows(lambda a: np.linalg.svd(a, compute_uv=False), m[rest], np.ones(m.shape[-1]))
+        regular[rest] = sv[:, -1] > RANK_RTOL * sv[:, 0]
+    return regular, converged
 
 
 def _svd_rows(a: np.ndarray, failure: np.ndarray) -> tuple:
-    """One SVD call for the whole stack, or one a row if that call fails;
-    a row that then does not converge fails with NumericError."""
-    try:
-        return (*np.linalg.svd(a), failure)
-    except np.linalg.LinAlgError:
-        pass
-    eye = np.broadcast_to(np.eye(a.shape[-1], dtype=a.dtype), a.shape)
-    left, sigma, right, failure = eye.copy(), np.ones(a.shape[:-1]), eye.copy(), failure.copy()
-    for b in np.flatnonzero(np.equal(failure, None)):
-        try:
-            left[b], sigma[b], right[b] = np.linalg.svd(a[b])
-        except np.linalg.LinAlgError as exc:
-            failure[b] = NumericError(f"SVD did not converge on input of shape {a[b].shape}")
-            failure[b].__cause__ = exc
-    return left, sigma, right, failure
+    """Full SVD of each matrix of a stack by lapack_rows; a row that does not
+    converge fails with NumericError and has identity frames and sigma 1."""
+    eye = np.eye(a.shape[-1], dtype=a.dtype)
+    (left, sigma, right), converged = lapack_rows(np.linalg.svd, a, (eye, np.ones(a.shape[-1]), eye))
+    return left, sigma, right, _fail_unconverged(failure, converged, a.shape[1:])
 
 
 def _init_rows(m1: np.ndarray) -> ProductStack:
@@ -206,9 +210,8 @@ def _step(stack: ProductStack, m: np.ndarray, live: np.ndarray | None = None) ->
     t = stack.log_sigma
     on = True if live is None else live
     # the per-row range only when the whole stack's passes the cap: a row reduction is ~5% of a step
-    spread = np.ptp(t, axis=1) if t.max() - t.min() > SPREAD_HARD_CAP else np.zeros(len(t))
-    failure = _fail(stack.failure, on & (spread > SPREAD_HARD_CAP), lambda b: SpreadOverflowError(
-        f"log-singular-value spread {spread[b]:.1f} exceeds hard cap {SPREAD_HARD_CAP}"))
+    wide = t.max() - t.min() > SPREAD_HARD_CAP
+    failure = _cap_spread(stack.failure, np.ptp(t, axis=1), on) if wide else stack.failure
     t, g, o, m = _identity_rows(np.equal(failure, None) & on, t, 0.0, stack.u_frame, stack.v_frame, m)
     # a row whose t has fallen out of order by more than a factor e is re-sorted:
     # else G takes entries up to exp(t_i - t_j), i > j, and loses the small scales
@@ -216,7 +219,9 @@ def _step(stack: ProductStack, m: np.ndarray, live: np.ndarray | None = None) ->
     if out.any():
         t, g, o = _descending(t, g, o, out.any(axis=1))
     q, r = np.linalg.qr((o @ m).conj().swapaxes(-1, -2))
-    failure = _fail(failure, ~_regular(m, r), lambda b: SingularInputError("factor is numerically singular"))
+    regular, converged = _regular(m, r)
+    failure = _fail(_fail_unconverged(failure, converged, m.shape[1:]), ~regular,
+                    lambda b: SingularInputError("factor is numerically singular"))
     if not np.diagonal(r, axis1=1, axis2=2).all():
         failure = _fail(failure, ~np.diagonal(r, axis1=1, axis2=2).all(axis=1), lambda b: SingularInputError(
             "factor drove the product to numerical singularity"))
@@ -401,20 +406,6 @@ def _log_eig_moduli_extended(q: np.ndarray, log_scale: np.ndarray) -> tuple[np.n
     return np.array(logs), pairs
 
 
-def _inv_rows(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Inverse of each matrix of a stack, and which rows have one: one call
-    for the whole stack, or one a row if LAPACK meets an exactly singular one."""
-    try:
-        return np.linalg.inv(a), np.ones(a.shape[0], dtype=bool)
-    except np.linalg.LinAlgError:
-        pass
-    inv, ok = np.zeros_like(a), np.zeros(a.shape[0], dtype=bool)
-    for b, m in enumerate(a):
-        with contextlib.suppress(np.linalg.LinAlgError):
-            inv[b], ok[b] = np.linalg.inv(m), True
-    return inv, ok
-
-
 def _split(q: np.ndarray, log_scale: np.ndarray, k: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Block stacks a1, a2 with eig(q D) = eig(a1 D1) and eig(a2 D2), row by
     row, and which rows split.
@@ -432,7 +423,7 @@ def _split(q: np.ndarray, log_scale: np.ndarray, k: int) -> tuple[np.ndarray, np
     when it converges or fails, so it sees the iterates it would alone.
     """
     a1, a2 = np.empty_like(q[:, :k, :k]), np.empty_like(q[:, k:, k:])
-    inv, ok = _inv_rows(q[:, :k, :k])
+    inv, ok = lapack_rows(np.linalg.inv, q[:, :k, :k], np.zeros((k, k), q.dtype))
     ok &= np.abs(inv).max(axis=(1, 2)) * np.abs(q).max(axis=(1, 2)) <= _SPLIT_COND
     rows = np.flatnonzero(ok)
     ok[:] = False
@@ -528,10 +519,7 @@ def stability_rows(log_sigma: np.ndarray, u_frame: np.ndarray, v_frame: np.ndarr
     block deflation, in double precision either way; the extended-precision
     path takes only the blocks that cannot be split.
     """
-    spread = log_sigma[:, 0] - log_sigma[:, -1]
-    failure = _fail(np.full(spread.shape, None, dtype=object), spread > SPREAD_HARD_CAP,
-                    lambda b: SpreadOverflowError(
-                        f"log-singular-value spread {spread[b]:.1f} exceeds hard cap {SPREAD_HARD_CAP}"))
+    failure = _cap_spread(np.full(len(log_sigma), None, dtype=object), log_sigma[:, 0] - log_sigma[:, -1])
     logs = np.full(log_sigma.shape, np.nan)
     rows = np.flatnonzero(np.equal(failure, None))
     if rows.size:

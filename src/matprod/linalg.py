@@ -4,10 +4,11 @@ Real and complex matrices are plain ndarrays (float64 / complex128); the
 factorization helpers normalize triangular factors to a real nonnegative
 diagonal, which makes QR/LQ unique on full-rank input. Where noted, routines
 accept stacked input: leading axes broadcast and the last two are the matrix.
+Single-matrix wrappers raise NumericError when LAPACK does not converge;
+stacked calls go through lapack_rows, which marks only the rows that do not.
 """
 from __future__ import annotations
 
-import contextlib
 from dataclasses import dataclass
 from typing import Iterable
 
@@ -25,6 +26,7 @@ __all__ = [
     "svd_descending",
     "eig_by_modulus",
     "count_complex_pairs",
+    "lapack_rows",
     "eigvals_rows",
     "principal_minor",
     "RANK_RTOL",
@@ -201,19 +203,28 @@ def count_complex_pairs(a) -> int:
     return int(np.count_nonzero(np.diagonal(t, -1)))
 
 
-def eigvals_rows(a: np.ndarray) -> np.ndarray:
-    """Eigenvalues of each matrix of a (B, d, d) stack, unsorted, with one
-    eigvals call; if that call fails, each matrix is taken alone, and one
-    that does not converge gets a row of NaN."""
+def lapack_rows(fn, a: np.ndarray, fill) -> tuple:
+    """fn, a LAPACK gufunc, on each matrix of a (B, d, d) stack, and which rows
+    converged: one call, or one a matrix only if that call raises LinAlgError.
+    A row that does not converge gets fill, fn's output for one matrix."""
     try:
-        return np.linalg.eigvals(a)
+        return fn(a), np.ones(len(a), dtype=bool)
     except np.linalg.LinAlgError:
         pass
-    w = np.full(a.shape[:-1], np.nan, dtype=np.complex128)
+    outs, ok = [], np.ones(len(a), dtype=bool)
     for b, m in enumerate(a):
-        with contextlib.suppress(np.linalg.LinAlgError):
-            w[b] = np.linalg.eigvals(m)
-    return w
+        try:
+            outs.append(fn(m))
+        except np.linalg.LinAlgError:
+            outs.append(fill)
+            ok[b] = False
+    return (tuple(map(np.stack, zip(*outs))) if isinstance(fill, tuple) else np.stack(outs)), ok
+
+
+def eigvals_rows(a: np.ndarray) -> np.ndarray:
+    """Eigenvalues of each matrix of a (B, d, d) stack, unsorted (lapack_rows):
+    NaN in a row that does not converge."""
+    return lapack_rows(np.linalg.eigvals, a, np.full(a.shape[-1], np.nan + 0j))[0]
 
 
 def principal_minor(a, index_set: Iterable[int]):

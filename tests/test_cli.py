@@ -1,5 +1,6 @@
 import dataclasses
 
+import numpy as np
 import pytest
 
 from matprod import cli
@@ -197,6 +198,21 @@ def test_run_singular_factor_batch_exit_3(experiment, tmp_path, capsys):
     assert "numeric failure: qr_positive input is numerically rank deficient" in capsys.readouterr().err
 
 
+def test_run_unconverged_svd_exit_3(tmp_path, monkeypatch, capsys):
+    # the single-step estimate draws singular values by an SVD outside the engine
+    svd = np.linalg.svd
+
+    def failing(a, *args, **kwargs):
+        if not kwargs.get("compute_uv", True):
+            raise np.linalg.LinAlgError("SVD did not converge")
+        return svd(a, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "svd", failing)
+    cfg = write_cfg(tmp_path, "seed=1 field=real d=2 ensemble=ginibre n_grid=5 replications=20 mc_samples=2000")
+    assert main(["run", "lyapunov", "--config", cfg]) == 3
+    assert "numeric failure: SVD did not converge" in capsys.readouterr().err
+
+
 def test_out_with_double_quote_exit_2(tmp_path, capsys):
     cfg = write_cfg(tmp_path, "seed=1 field=real d=2 ensemble=ginibre n_grid=2 replications=10")
     assert main(["run", "realprob", "--config", cfg, "--out", str(tmp_path / 'a"b.jsonl')]) == 2
@@ -248,6 +264,8 @@ RECORD_SCHEMAS = {
         ("verify:lq-diag-var:rows=1:field=real:d=2", 1, _CHECK_ROW),
         ("verify:corner-scaling:field=real:d=1", 4, _CHECK_ROW),
         ("verify:corner-scaling:field=real:d=2", 8, _CHECK_ROW),
+        ("verify:haar-phase:field=real:d=1", 1, _CHECK_ROW),
+        ("verify:haar-phase:field=real:d=2", 1, _CHECK_ROW),
     ],
 }
 

@@ -24,7 +24,7 @@ from matprod.experiments import (
     run_real_probability,
     wilson_interval,
 )
-from matprod.ensembles import sample_haar_unitary, sample_isotropic_chunk
+from matprod.ensembles import sample_ginibre, sample_haar_unitary, sample_isotropic_chunk
 from matprod.exponents import single_step_estimate
 from matprod.linalg import RANK_RTOL, count_complex_pairs
 from matprod.rng import RngStream
@@ -307,6 +307,26 @@ def test_realprob_n1_excluded_counts_the_svd_rejections():
     assert res.per_n[0].excluded == rejected > 0
 
 
+def test_realprob_excludes_the_rows_whose_singular_value_test_does_not_converge(monkeypatch):
+    spec = EnsembleSpec("real", 2, CustomSingular(iid=ScalarLaw("lognormal", (0.0, 10.0))))
+    config = cfg(spec, seed=1624, n_grid=(1, 5), replications=300)
+    clean = run_real_probability(config)
+    svd = np.linalg.svd
+
+    def failing(a, *args, **kwargs):
+        # the singular-value test a step takes on a factor past the determinant bound
+        if not kwargs.get("compute_uv", True):
+            raise np.linalg.LinAlgError("SVD did not converge")
+        return svd(a, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "svd", failing)
+    res = run_real_probability(config)
+    # a dropped trajectory is excluded at every grid point
+    for got, ref in zip(res.per_n, clean.per_n):
+        assert got.excluded == res.per_n[-1].excluded > ref.excluded == clean.per_n[-1].excluded
+        assert got.trials + got.excluded == 300
+
+
 def test_reality_n1_rule_is_the_same_whatever_the_grid():
     # the same factors classified at n = 1 with the grid (1,), which evolves only
     # the rows the bound does not clear, and with a longer grid, which evolves all
@@ -352,6 +372,17 @@ def test_factorization_checks_exact_corner_row():
     rep = run_factorization_checks(cfg(spec, seed=7, mc_samples=5000))
     full = [r for r in rep.rows if r.check == "corner-logdet" and r.index == r.d]
     assert full and all(abs(r.estimate) < 1e-12 and r.reference == 0.0 for r in full)
+
+
+@pytest.mark.parametrize("field", ["real", "complex"])
+def test_factorization_checks_see_a_haar_sampler_without_its_phase_correction(field, monkeypatch):
+    config = cfg(EnsembleSpec(field, 2, Ginibre()), seed=8, mc_samples=20_000)
+    assert run_factorization_checks(config).passed
+    monkeypatch.setattr(experiments, "sample_haar_unitary",
+                        lambda d, field, rng, size=None: np.linalg.qr(sample_ginibre(d, d, field, rng, size=size))[0])
+    report = run_factorization_checks(config)
+    assert not report.passed
+    assert {r.check for r in report.rows if not r.passed} == {"haar-phase"}
 
 
 def _synthetic_report(z_values, se=1.0):

@@ -384,6 +384,35 @@ def test_stack_svd_fallback_drops_only_unconverged_rows(monkeypatch):
     _assert_reset(final, 3)
 
 
+def test_stack_regular_svd_fallback_drops_only_unconverged_rows(monkeypatch):
+    # each row's step-4 factor has condition number 1e11: regular, but past the
+    # determinant bound, so the step takes the singular-value test on it
+    factors = _engine_factors("real", 2, "ginibre")
+    gen = RngStream(1607).generator()
+    u, v = (sample_haar_unitary(2, "real", gen, size=5) for _ in range(2))
+    factors[:, 3] = u @ (np.array([1.0, 1e-11])[:, None] * v)
+    keep = np.arange(5) != 3
+    clean, _ = _evolve(factors[keep])
+    svd, calls = np.linalg.svd, []
+
+    def flaky(a, *args, **kwargs):
+        # every stacked singular-value call fails, and so does row 3's factor alone
+        if not kwargs.get("compute_uv", True):
+            calls.append(a.shape)
+            if a.ndim == 3 or np.array_equal(a, factors[3, 3]):
+                raise np.linalg.LinAlgError("SVD did not converge")
+        return svd(a, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "svd", flaky)
+    seen, final = _evolve(factors)
+    assert calls == [(5, 2, 2)] + [(2, 2)] * 5
+    assert final.ok.tolist() == [True, True, True, False, True]
+    assert isinstance(final.failure[3], NumericError)
+    assert str(final.failure[3]) == "SVD did not converge on input of shape (2, 2)"
+    _assert_rows_equal(seen, keep, clean)
+    _assert_reset(final, 3)
+
+
 @pytest.mark.filterwarnings("error")
 def test_stack_failures_stay_in_their_rows(monkeypatch):
     # one stack, five ways to drop a row; nothing non-finite may reach the others
@@ -663,7 +692,9 @@ def _regular_quietly(m):
     r = np.linalg.qr(m.conj().swapaxes(-1, -2), mode="r")
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        return exponents._regular(m, r)
+        regular, converged = exponents._regular(m, r)
+    assert converged.all()
+    return regular
 
 
 @pytest.mark.parametrize("field", ["real", "complex"])
@@ -701,7 +732,8 @@ def test_regular_takes_no_svd_for_well_conditioned_factors(monkeypatch):
     svd = np.linalg.svd
     monkeypatch.setattr(np.linalg, "svd", lambda *a, **k: calls.append(1) or svd(*a, **k))
     m = factors.reshape(50, 20, 2, 2)
-    assert exponents._regular(m, np.linalg.qr(m.swapaxes(-1, -2), mode="r")).all()
+    regular, converged = exponents._regular(m, np.linalg.qr(m.swapaxes(-1, -2), mode="r"))
+    assert regular.all() and converged.all()
     assert not calls
 
 

@@ -12,6 +12,7 @@ from matprod.linalg import (
     SingularInputError,
     count_complex_pairs,
     eig_by_modulus,
+    lapack_rows,
     lq_positive,
     principal_minor,
     qr_positive,
@@ -299,6 +300,34 @@ def test_batched_pair_counts_fallback_marks_only_unconverged(monkeypatch):
 
     monkeypatch.setattr(np.linalg, "eigvals", flaky)
     assert _pair_counts(*corpus).tolist() == expected[:2] + [-1] + expected[3:]
+
+
+def test_lapack_rows_retries_one_matrix_at_a_time_only_after_a_stacked_failure():
+    a = np.random.default_rng(1608).standard_normal((4, 3, 3))
+    calls = []
+
+    def flaky(fn):
+        def call(m):
+            # the stacked call fails, and so does the third matrix taken alone
+            calls.append(m.shape)
+            if m.ndim == 3 or np.array_equal(m, a[2]):
+                raise np.linalg.LinAlgError("did not converge")
+            return fn(m)
+        return call
+
+    nan_row, eye = np.full(3, np.nan, dtype=np.complex128), np.eye(3)
+    w, ok = lapack_rows(lambda m: calls.append(m.shape) or np.linalg.eigvals(m), a, nan_row)
+    assert calls == [(4, 3, 3)] and ok.all() and np.array_equal(w, np.linalg.eigvals(a))
+    calls.clear()
+    w, ok = lapack_rows(flaky(np.linalg.eigvals), a, nan_row)
+    assert calls == [(4, 3, 3)] + [(3, 3)] * 4 and ok.tolist() == [True, True, False, True]
+    assert w.dtype == np.complex128 and np.isnan(w[2]).all()
+    assert all(np.array_equal(w[b], np.linalg.eigvals(a[b])) for b in (0, 1, 3))
+    (left, sigma, right), ok = lapack_rows(flaky(np.linalg.svd), a, (eye, np.ones(3), eye))
+    assert ok.tolist() == [True, True, False, True]
+    assert np.array_equal(left[2], eye) and np.array_equal(sigma[2], np.ones(3)) and np.array_equal(right[2], eye)
+    for b in (0, 1, 3):
+        assert all(np.array_equal(x, y) for x, y in zip((left[b], sigma[b], right[b]), np.linalg.svd(a[b])))
 
 
 # --- principal_minor ---------------------------------------------------------
