@@ -134,7 +134,7 @@ def _stability(config: ExperimentConfig) -> list[ResultRecord]:
         stats["maxgap"] = Stat(pn.maxgap_mean, pn.maxgap_se, pn.count)
         stats["maxgap_worst"] = Stat(pn.maxgap_max)
         stats.update(_stat_vec("ref_lambda", result.reference, result.reference_se))
-        stats["skipped"] = Stat(float(result.skipped))
+        stats["skipped"] = Stat(float(config.replications - pn.count))
         records.append(_record("stability", result.spec, pn.n, pn.count, stats))
     return records
 
@@ -228,6 +228,8 @@ def _emit_plotdata(experiment: str, records: Sequence[ResultRecord], out_path: s
 
 
 def cmd_run(experiment: str, config: ExperimentConfig, emit_plotdata: bool = False) -> int:
+    if emit_plotdata and config.out is None:
+        raise ConfigError("--emit-plotdata needs an output path (out=... or --out)")
     records = [replace(rec, seq=i) for i, rec in enumerate(_EXPERIMENTS[experiment][0](config), start=1)]
 
     if config.out is not None:
@@ -242,8 +244,6 @@ def cmd_run(experiment: str, config: ExperimentConfig, emit_plotdata: bool = Fal
         if emit_plotdata:
             for path in _emit_plotdata(experiment, records, config.out):
                 print(f"wrote plot data to {path}", file=sys.stderr)
-    elif emit_plotdata:
-        raise ConfigError("--emit-plotdata needs an output path (out=... or --out)")
 
     _print_records(records)
     # the verify rows with a z form one family (family_passed); every other check stands alone

@@ -15,8 +15,10 @@ QR call a step, where a step takes one factor or an aligned block of 2, 4,
 grid point) and reads each grid point off the stack in SVD form. The
 reality observer classifies n = 1 off the well-conditioned factors
 themselves, so with n = 1 the only grid point it evolves only the other
-rows. A replication that fails a check anywhere on its trajectory is
-dropped at every grid point.
+rows. Each grid point is read off its own stack: a replication counts at n
+when its trajectory is alive in the stack at n and its spectrum there
+converged, so one that fails at step k still counts at the grid points
+before k.
 """
 from __future__ import annotations
 
@@ -176,57 +178,52 @@ def _observe_chunks(config: ExperimentConfig, exp_index: int, grid: Sequence[int
 
 def _observe_exponents(factors: np.ndarray, grid: Sequence[int]):
     """Scaled log singular values and log eigenvalue moduli, (B, grid, d)
-    each, and which rows to keep: a row whose spectrum cannot be taken is
-    dropped like one that failed a step."""
+    each, and which rows count at each grid point, (B, grid): those alive in
+    its stack whose spectrum there converged."""
     stacks = evolve_stack(factors, grid)
-    ok = stacks[-1].ok
     sig = np.stack([s.log_sigma / s.n for s in stacks], axis=1)
     stab = np.full_like(sig, np.nan)
+    ok = np.stack([s.ok for s in stacks], axis=1)
     for gi, s in enumerate(stacks):
-        rows = np.flatnonzero(ok)
+        rows = np.flatnonzero(ok[:, gi])
         logs, failure = stability_rows(s.log_sigma[rows], s.u_frame[rows], s.v_frame[rows])
         stab[rows, gi] = logs / s.n
-        ok[rows] = np.equal(failure, None)
+        ok[rows, gi] = np.equal(failure, None)
     return sig, stab, ok
 
 
 def _exponent_samples(config: ExperimentConfig, exp_index: int, grid: Sequence[int]):
-    """(singular, stability) samples of the surviving replications, (used, len(grid), d) each."""
+    """(singular, stability) samples of the rows that count at each grid point, (count, d) each."""
     parts = _observe_chunks(config, exp_index, grid, _observe_exponents)
     sig, stab, ok = (np.concatenate(p) for p in zip(*parts))
-    if int(ok.sum()) < 2:
-        raise NumericError("fewer than 2 replications survived; cannot report statistics")
-    return sig[ok], stab[ok]
+    for gi, n in enumerate(grid):
+        if int(ok[:, gi].sum()) < 2:
+            raise NumericError(f"fewer than 2 replications survived at n={n}; cannot report statistics")
+    return [(sig[ok[:, gi], gi], stab[ok[:, gi], gi]) for gi in range(len(grid))]
 
 
 def _reality_pairs(factors: np.ndarray, grid: Sequence[int]) -> np.ndarray:
     """Complex pairs (eigenvalues with imaginary part > 0) of each row's
-    product at each grid point, (B, len(grid)), or -1 for a dropped or
-    unconverged row. At n = 1 a factor that clears _bound_clears (not
+    product at each grid point, (B, len(grid)), or -1 for a row dropped by
+    then or unconverged. At n = 1 a factor that clears _bound_clears (not
     singular, spread < 23: the graded routine's LAPACK branch) is classified
     by one eigvals call on the factors; the rest take the graded routine on
     v @ u with log sigma, and with the grid (1,) only they are evolved."""
     m = factors[:, 0]
-    pairs = np.empty((len(m), len(grid)), dtype=int)
+    pairs = np.full((len(m), len(grid)), -1)
     by_svd = np.ones(len(m), dtype=bool)  # rows classified at grid[0] from the SVD form
     if grid[0] == 1:
         w = eigvals_rows(m)
-        pairs[:, 0] = np.count_nonzero(w.imag > 0, axis=1)
         by_svd = ~_bound_clears(m, w)
+        pairs[:, 0] = np.where(by_svd, -1, np.count_nonzero(w.imag > 0, axis=1))
     evolved = np.arange(len(m))
     if len(grid) == 1:
         evolved = np.flatnonzero(by_svd)
-        if not evolved.size:
-            return pairs
         factors = factors[evolved]
-    stacks = evolve_stack(factors, grid)
-    ok = stacks[-1].ok
-    kept = np.flatnonzero(ok)
-    for gi, s in enumerate(stacks):
-        rows = kept[by_svd[evolved[kept]]] if gi == 0 else kept
+    for gi, s in enumerate(evolve_stack(factors, grid) if evolved.size else ()):
+        rows = np.flatnonzero(s.ok & by_svd[evolved]) if gi == 0 else np.flatnonzero(s.ok)
         if rows.size:
             pairs[evolved[rows], gi] = _log_eig_moduli_graded(s.v_frame[rows] @ s.u_frame[rows], s.log_sigma[rows])[1]
-    pairs[evolved[~ok]] = -1
     return pairs
 
 
@@ -269,7 +266,6 @@ class EqualityResult:
     reference_se: np.ndarray
     reference_source: str
     per_n: tuple[EqualityAtN, ...]
-    skipped: int
 
 
 def _gap_stats(values: np.ndarray) -> GapStats:
@@ -287,18 +283,17 @@ def run_equality(config: ExperimentConfig) -> EqualityResult:
     Per replication the product advances through n_grid on one trajectory
     (grid points are checkpoints of the same path, hence dependent across n);
     at each grid point both exponent vectors are recorded and compared to the
-    reference. Replications that overflow or hit a singular step are dropped
-    and counted.
+    reference. Each grid point n averages the replications alive at n whose
+    spectrum there converged (count); one that overflows or hits a singular
+    step is dropped from that step on.
     """
     spec = config.spec
     ref, ref_se, _, ref_source = _reference(config, _EXP_EQUALITY)
     grid = config.n_grid
-    sig, stab = _exponent_samples(config, _EXP_EQUALITY, grid)
-    used = sig.shape[0]
 
     per_n = []
-    for gi, n in enumerate(grid):
-        s, e = sig[:, gi, :], stab[:, gi, :]
+    for n, (s, e) in zip(grid, _exponent_samples(config, _EXP_EQUALITY, grid)):
+        used = s.shape[0]
         maxgap = np.abs(s - e).max(axis=1)
         per_n.append(
             EqualityAtN(
@@ -323,7 +318,6 @@ def run_equality(config: ExperimentConfig) -> EqualityResult:
         reference_se=ref_se,
         reference_source=ref_source,
         per_n=tuple(per_n),
-        skipped=config.replications - used,
     )
 
 
@@ -358,7 +352,7 @@ def run_fluctuations(config: ExperimentConfig) -> FluctResult:
         raise ValueError("fluctuation runs need replications >= 100")
     spec = config.spec
     n = config.n_grid[-1]
-    sig, stab = (a[:, 0] for a in _exponent_samples(config, _EXP_FLUCT, (n,)))
+    sig, stab = _exponent_samples(config, _EXP_FLUCT, (n,))[0]
     used = sig.shape[0]
 
     x = math.sqrt(n) * sig
@@ -394,7 +388,7 @@ class RealProbAtN:
     p_hat: float
     wilson_low: float
     wilson_high: float
-    excluded: int        # failed trajectory (singular step, overflow, SVD) or unconverged classification
+    excluded: int        # trajectory failed by n (singular step, overflow, SVD) or unconverged classification at n
 
     def __post_init__(self) -> None:
         if not self.wilson_low <= self.p_hat <= self.wilson_high:
@@ -412,12 +406,12 @@ class RealProbResult:
 def run_real_probability(config: ExperimentConfig) -> RealProbResult:
     """Probability that every eigenvalue of the running product is real.
 
-    Every surviving replication is classified at every grid point, whatever
+    Every replication alive at a grid point is classified there, whatever
     its spread, by its count of complex pairs (_reality_pairs): at n = 1
     from the factor itself when it is well conditioned, else by the graded
     spectrum routine on the similarity carrying the product's spectrum.
-    Replications that fail a step, or whose eigenvalue iteration does not
-    converge, are excluded and counted there.
+    At each n, the replications whose trajectory failed by n, or whose
+    eigenvalue iteration at n does not converge, are excluded and counted.
     """
     spec = config.spec
     if spec.field != "real":

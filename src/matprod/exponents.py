@@ -317,8 +317,9 @@ def _fold_schedule(seg: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 def evolve_stack(factors, n_grid) -> list[ProductStack]:
     """Stacks at each grid point of B products, in SVD form; factors is (B, n, d, d).
 
-    Row b is the product factors[b, 0] @ factors[b, 1] @ ... The last stack
-    tells which rows survived the whole trajectory. Between grid points the
+    Row b is the product factors[b, 0] @ factors[b, 1] @ ... Each stack
+    tells which rows are alive at its grid point: a row dropped at a step is
+    ok in every stack before it and in none after. Between grid points the
     products are stepped by QR (_step), each row on its own schedule: an
     aligned block of 2, 4, 8, ... factors that passes the conditioning guard
     takes one step as their product (_fold_schedule). Each grid point takes

@@ -108,7 +108,12 @@ def test_run_realprob_emit_plotdata(tmp_path):
         assert 0.0 <= float(p) <= 1.0
 
 
-def test_emit_plotdata_requires_out(tmp_path, capsys):
+def test_emit_plotdata_requires_out(tmp_path, monkeypatch, capsys):
+    # the missing path is a config error found before the run, not after it
+    def never(config):
+        raise AssertionError("the experiment ran before the config error")
+
+    monkeypatch.setattr(cli, "run_real_probability", never)
     cfg = write_cfg(tmp_path, "seed=4 field=real d=2 ensemble=ginibre n_grid=2 replications=30")
     assert main(["run", "realprob", "--config", cfg, "--emit-plotdata"]) == 2
 

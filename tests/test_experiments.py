@@ -32,6 +32,8 @@ from matprod.rng import RngStream
 GINIBRE_R2 = EnsembleSpec("real", 2, Ginibre())
 GINIBRE_R3 = EnsembleSpec("real", 3, Ginibre())
 FLAT = EnsembleSpec("real", 2, HaarScaled(ScalarLaw("const", (1.0,))))
+# about 5% of its factors are numerically singular
+LOGNORMAL_R2 = EnsembleSpec("real", 2, CustomSingular(iid=ScalarLaw("lognormal", (0.0, 10.0))))
 
 
 def cfg(spec, **kw):
@@ -102,7 +104,7 @@ def test_equality_flat_ensemble_all_gaps_zero():
     for pn in res.per_n:
         assert pn.maxgap_max < 1e-12
         assert np.all(pn.gap_singular_stability.max < 1e-12)
-    assert res.skipped == 0
+        assert pn.count == 32
 
 
 def test_equality_scalar_dimension_gap_zero():
@@ -141,12 +143,16 @@ def test_equality_statistics_carry_counts():
 
 
 @pytest.mark.parametrize(
-    "runner", [run_equality, run_fluctuations, run_real_probability], ids=["equality", "fluctuations", "realprob"]
+    "runner, spec",
+    [(run_equality, GINIBRE_R3), (run_fluctuations, GINIBRE_R3), (run_real_probability, GINIBRE_R3),
+     (run_real_probability, LOGNORMAL_R2)],
+    ids=["equality", "fluctuations", "realprob", "realprob-failing-rows"],
 )
-def test_thread_count_invariant(runner):
-    # 300 replications: one full chunk and a 44-row tail chunk
+def test_thread_count_invariant(runner, spec):
+    # 300 replications: one full chunk and a 44-row tail chunk; on LOGNORMAL_R2
+    # rows drop at singular factors between and before the grid points
     results = [
-        runner(ExperimentConfig(seed=99, spec=GINIBRE_R3, n_grid=(5, 12), replications=300, threads=t))
+        runner(ExperimentConfig(seed=99, spec=spec, n_grid=(5, 12), replications=300, threads=t))
         for t in (1, 3)
     ]
     np.testing.assert_equal(*(dataclasses.asdict(r) for r in results))
@@ -321,21 +327,49 @@ def test_realprob_excludes_the_rows_whose_singular_value_test_does_not_converge(
 
     monkeypatch.setattr(np.linalg, "svd", failing)
     res = run_real_probability(config)
-    # a dropped trajectory is excluded at every grid point
-    for got, ref in zip(res.per_n, clean.per_n):
-        assert got.excluded == res.per_n[-1].excluded > ref.excluded == clean.per_n[-1].excluded
+    # n = 1 takes no step, so no singular-value test: its exclusions are the
+    # clean run's; a trajectory dropped at a later step is excluded from then on
+    assert res.per_n[0].excluded == clean.per_n[0].excluded
+    assert res.per_n[1].excluded > clean.per_n[1].excluded
+    for got in res.per_n:
         assert got.trials + got.excluded == 300
 
 
 def test_reality_n1_rule_is_the_same_whatever_the_grid():
     # the same factors classified at n = 1 with the grid (1,), which evolves only
-    # the rows the bound does not clear, and with a longer grid, which evolves all
+    # the rows the bound does not clear, and with a longer grid, which evolves all;
+    # a row whose second factor is singular still counts at n = 1, not at n = 2
     gen = RngStream(1622).generator()
     factors = gen.standard_normal((300, 2, 2, 2))
     factors[::10, 0] = _conditioned_batch(2, np.geomspace(3e-13, 3e-11, 30), np.zeros(30), seed=1623)
+    factors[1::10, 1, :, 1] = factors[1::10, 1, :, 0]   # exactly singular second factor
+    factors[5::20, 1] = 0.0
     alone = experiments._reality_pairs(factors[:, :1], (1,))[:, 0]
-    np.testing.assert_array_equal(experiments._reality_pairs(factors, (1, 2))[:, 0], alone)
+    pairs = experiments._reality_pairs(factors, (1, 2))
+    np.testing.assert_array_equal(pairs[:, 0], alone)
     assert (alone == -1).sum() > 0 and (alone == 1).sum() > 0 and (alone == 0).sum() > 0
+    assert np.all(alone[1::10] >= 0) and np.all(alone[5::20] >= 0)
+    assert np.all(pairs[1::10, 1] == -1) and np.all(pairs[5::20, 1] == -1)
+    assert np.all(pairs[2::10, 1] >= 0)
+
+
+def test_exponent_rows_count_at_the_grid_points_before_their_singular_factor():
+    # rows meet an exactly singular factor between the grid points 4 and 9: at
+    # n = 4 they count, bit for bit as with the grid (4,); at n = 9 they do not
+    gen = RngStream(1625).generator()
+    factors = gen.standard_normal((40, 9, 3, 3))
+    factors[::4, 6, :, 2] = factors[::4, 6, :, 0]
+    factors[1::8, 4] = 0.0
+    dropped = np.zeros(40, dtype=bool)
+    dropped[::4] = dropped[1::8] = True
+    sig, stab, ok = experiments._observe_exponents(factors, (4, 9))
+    sig4, stab4, ok4 = experiments._observe_exponents(factors[:, :4], (4,))
+    assert ok.shape == (40, 2) and ok4.all()
+    np.testing.assert_array_equal(ok[:, 0], True)
+    np.testing.assert_array_equal(ok[:, 1], ~dropped)
+    np.testing.assert_array_equal(sig[:, 0], sig4[:, 0])
+    np.testing.assert_array_equal(stab[:, 0], stab4[:, 0])
+    assert np.all(np.isfinite(stab[:, 0])) and np.all(np.isnan(stab[dropped, 1]))
 
 
 def test_realprob_soft_trend_in_dimension():
