@@ -1,18 +1,24 @@
 """Replication-parallel experiment runners.
 
 Each runner turns one limit statement into a desk-scale Monte Carlo check
-with standard errors or Wilson intervals. Replications are processed in
+with standard errors or Wilson intervals. Replications are drawn in
 fixed-size chunks, each chunk on its own derived random stream, and chunk
 results are folded in index order - so aggregated statistics are identical
 for any thread count adopted.
 
-The trajectory runners (equality, fluctuations, reality) share one chunk
-worker: it draws the chunk's factors (sample_isotropic_chunk, in the order
-of one replication after the other) and hands them to the runner's
-observer, which advances the rows it needs as one stack (evolve_stack: one
-QR call a step, where a step takes one factor or an aligned block of 2, 4,
-8, ... factors that passes an exact conditioning guard, and one SVD call a
-grid point) and reads each grid point off the stack in SVD form. The
+The trajectory runners (equality, fluctuations, reality) share one stack
+worker. A stack is a run of consecutive chunks, as many whole ones as fit
+in _STACK_ENTRIES factor entries and at least one, so its bounds follow
+from the replications, the last grid point and d alone. The worker draws
+each chunk's factors from the chunk's own stream (sample_isotropic_chunk,
+in the order of one replication after the other), concatenates them in
+chunk order and hands them to the runner's observer in one call; the
+stacks, not the chunks, are what `threads` spreads over a pool. Every
+observer is row-wise, so a row's bits do not depend on the rows that share
+its stack. The observer advances the rows it needs together (evolve_stack:
+one QR call a step, where a step takes one factor or an aligned block of 2,
+4, 8, ... factors that passes an exact conditioning guard, and one SVD call
+a grid point) and reads each grid point off the stack in SVD form. The
 reality observer classifies n = 1 off the well-conditioned factors
 themselves, so with n = 1 the only grid point it evolves only the other
 rows. Each grid point is read off its own stack: a replication counts at n
@@ -66,9 +72,19 @@ __all__ = [
     "wilson_interval",
 ]
 
-# Replications per work unit; fixed so that stream derivation, and therefore
-# every sampled bit, is independent of the thread count.
+# Replications per derived stream; fixed so that stream derivation, and
+# therefore every sampled bit, is independent of the thread count.
 _CHUNK = 256
+# Factor entries (replications x n_max x d^2) one observer call may take:
+# whole chunks are stacked up to it, and a chunk over it is a stack alone.
+# Short trajectories pay fixed numpy dispatch on every observer call (at
+# n = 1, d = 2 a row costs 1.15 us on a 256-row chunk and 0.9 us on 3072
+# rows), and with threads > 1 each stack is a pool hand-off.
+# 2^18 entries (2 MB of real factors) makes a 3072-replication n = 1 run one
+# call on the calling thread, and keeps criterion 6 (10^6 replications at
+# n = 1, d = 2, threads=2: 16 stacks) at a peak RSS of 80 MB, against 66 MB
+# with one call a chunk (in-process run, BLAS on 1 thread).
+_STACK_ENTRIES = 1 << 18
 
 # Stream derivation indices: (experiment, role, index) with role 0 for the
 # reference estimator and role 1 for replication chunks.
@@ -146,8 +162,17 @@ def _chunk_jobs(total: int) -> list[tuple[int, int]]:
     return [(ci, min(_CHUNK, total - ci * _CHUNK)) for ci in range((total + _CHUNK - 1) // _CHUNK)]
 
 
+def _stack_jobs(total: int, n_max: int, d: int) -> list[list[tuple[int, int]]]:
+    """_chunk_jobs(total) cut into stacks of consecutive chunks: as many whole
+    chunks of _CHUNK * n_max * d^2 factor entries as fit in _STACK_ENTRIES, at least one."""
+    jobs = _chunk_jobs(total)
+    per = max(1, _STACK_ENTRIES // (_CHUNK * n_max * d * d))
+    return [jobs[i:i + per] for i in range(0, len(jobs), per)]
+
+
 def _map_chunks(jobs, worker: Callable, threads: int) -> list:
-    if threads <= 1:
+    """worker(*job) for every job, in order; on a pool only with threads > 1 and more than one job."""
+    if threads <= 1 or len(jobs) <= 1:
         return [worker(*job) for job in jobs]
     with ThreadPoolExecutor(max_workers=threads) as ex:
         return list(ex.map(lambda job: worker(*job), jobs))
@@ -165,15 +190,17 @@ def _reference(config: ExperimentConfig, exp_index: int) -> tuple[np.ndarray, np
 
 
 def _observe_chunks(config: ExperimentConfig, exp_index: int, grid: Sequence[int], observe: Callable) -> list:
-    """observe(factors, grid) for every chunk of replications, in chunk order;
-    factors is the chunk's (count, grid[-1], d, d) draw."""
+    """observe(factors, grid) for every stack of chunks, in chunk order;
+    factors is the (count, grid[-1], d, d) draws of the stack's chunks, concatenated."""
     spec, n_max, base = config.spec, grid[-1], config.stream()
 
-    def worker(ci: int, count: int):
-        gen = base.derive(exp_index, 1, ci).generator()
-        return observe(sample_isotropic_chunk(spec, gen, count, n_max), grid)
+    def worker(*chunks: tuple[int, int]):
+        draws = [sample_isotropic_chunk(spec, base.derive(exp_index, 1, ci).generator(), count, n_max)
+                 for ci, count in chunks]
+        # a lone chunk goes as drawn: copying it cost 2% of a 100-replication n = 100 run
+        return observe(draws[0] if len(draws) == 1 else np.concatenate(draws), grid)
 
-    return _map_chunks(_chunk_jobs(config.replications), worker, config.threads)
+    return _map_chunks(_stack_jobs(config.replications, n_max, spec.d), worker, config.threads)
 
 
 def _observe_exponents(factors: np.ndarray, grid: Sequence[int]):

@@ -148,14 +148,71 @@ def test_equality_statistics_carry_counts():
      (run_real_probability, LOGNORMAL_R2)],
     ids=["equality", "fluctuations", "realprob", "realprob-failing-rows"],
 )
-def test_thread_count_invariant(runner, spec):
-    # 300 replications: one full chunk and a 44-row tail chunk; on LOGNORMAL_R2
-    # rows drop at singular factors between and before the grid points
+def test_thread_count_invariant(runner, spec, monkeypatch):
+    # 300 replications: one full chunk and a 44-row tail chunk, one stack each
+    # so that threads=3 runs them on the pool; on LOGNORMAL_R2 rows drop at
+    # singular factors between and before the grid points
+    monkeypatch.setattr(experiments, "_STACK_ENTRIES", 1)
     results = [
         runner(ExperimentConfig(seed=99, spec=spec, n_grid=(5, 12), replications=300, threads=t))
         for t in (1, 3)
     ]
     np.testing.assert_equal(*(dataclasses.asdict(r) for r in results))
+
+
+@pytest.mark.parametrize(
+    "runner, spec, grid",
+    [(run_equality, GINIBRE_R3, (5, 12)), (run_equality, EnsembleSpec("complex", 3, Ginibre()), (5, 12)),
+     (run_fluctuations, GINIBRE_R2, (12,)), (run_real_probability, GINIBRE_R2, (1,)),
+     (run_real_probability, GINIBRE_R2, (5, 12)), (run_real_probability, LOGNORMAL_R2, (1, 5, 12))],
+    ids=["equality-real", "equality-complex", "fluctuations", "realprob-n1", "realprob", "realprob-failing-rows"],
+)
+def test_results_do_not_depend_on_stack_bounds(runner, spec, grid, monkeypatch):
+    # 600 replications: two full chunks and an 88-row tail, as three stacks and as one
+    results = []
+    for budget in (1, 1 << 40):
+        monkeypatch.setattr(experiments, "_STACK_ENTRIES", budget)
+        results.append(runner(ExperimentConfig(seed=98, spec=spec, n_grid=grid, replications=600)))
+    np.testing.assert_equal(*(dataclasses.asdict(r) for r in results))
+
+
+@pytest.mark.parametrize("budget, stacks", [(1, 5), (2 * 256 * 3 * 4, 3), (1 << 40, 1)])
+def test_each_observer_call_takes_whole_consecutive_chunks(budget, stacks, monkeypatch):
+    monkeypatch.setattr(experiments, "_STACK_ENTRIES", budget)
+    config = cfg(GINIBRE_R2, seed=7, n_grid=(3,), replications=1100)
+    calls = []
+    experiments._observe_chunks(config, 3, config.n_grid, lambda factors, grid: calls.append(factors))
+    chunks = [sample_isotropic_chunk(GINIBRE_R2, RngStream(7).derive(3, 1, ci).generator(), count, 3)
+              for ci, count in experiments._chunk_jobs(1100)]
+    assert [len(c) for c in chunks] == [256] * 4 + [76] and len(calls) == stacks
+    start = 0
+    for factors in calls:
+        sizes = np.cumsum([len(c) for c in chunks[start:]])
+        k = int(np.searchsorted(sizes, len(factors))) + 1
+        assert sizes[k - 1] == len(factors)
+        np.testing.assert_array_equal(factors, np.concatenate(chunks[start:start + k]))
+        assert k == 1 or factors.size <= budget
+        start += k
+    assert start == len(chunks)
+
+
+@pytest.mark.parametrize("budget, pooled", [(1 << 40, False), (1, True)])
+def test_threads_take_a_pool_only_for_more_than_one_stack(budget, pooled, monkeypatch):
+    # 600 replications: one stack, or three with one chunk a stack
+    monkeypatch.setattr(experiments, "_STACK_ENTRIES", budget)
+    built = []
+    pool = experiments.ThreadPoolExecutor
+
+    def spy(*args, **kwargs):
+        if not pooled:
+            raise AssertionError("a one-stack run built a thread pool")
+        built.append(kwargs)
+        return pool(*args, **kwargs)
+
+    monkeypatch.setattr(experiments, "ThreadPoolExecutor", spy)
+    res = run_real_probability(cfg(GINIBRE_R2, n_grid=(1,), replications=600, threads=2))
+    assert res.per_n[0].trials + res.per_n[0].excluded == 600
+    assert built == ([{"max_workers": 2}] if pooled else [])
 
 
 # --- fluctuations --------------------------------------------------------
