@@ -20,7 +20,8 @@ one QR call a step, where a step takes one factor or an aligned block of 2,
 4, 8, ... factors that passes an exact conditioning guard, and one SVD call
 a grid point) and reads each grid point off the stack in SVD form. The
 reality observer classifies n = 1 off the well-conditioned factors
-themselves, so with n = 1 the only grid point it evolves only the other
+themselves (at d = 2 from the discriminant's sign where it is certain, else
+by eigvals), so with n = 1 the only grid point it evolves only the other
 rows. Each grid point is read off its own stack: a replication counts at n
 when its trajectory is alive in the stack at n and its spectrum there
 converged, so one that fails at step k still counts at the grid points
@@ -41,6 +42,7 @@ from .exponents import (
     _batches,
     _bound_clears,
     _log_eig_moduli_graded,
+    _pairs_2x2,
     analytic_spectrum,
     analytic_truncated_logdet,
     evolve_stack,
@@ -78,12 +80,13 @@ _CHUNK = 256
 # Factor entries (replications x n_max x d^2) one observer call may take:
 # whole chunks are stacked up to it, and a chunk over it is a stack alone.
 # Short trajectories pay fixed numpy dispatch on every observer call (at
-# n = 1, d = 2 a row costs 1.15 us on a 256-row chunk and 0.9 us on 3072
-# rows), and with threads > 1 each stack is a pool hand-off.
-# 2^18 entries (2 MB of real factors) makes a 3072-replication n = 1 run one
-# call on the calling thread, and keeps criterion 6 (10^6 replications at
-# n = 1, d = 2, threads=2: 16 stacks) at a peak RSS of 80 MB, against 66 MB
-# with one call a chunk (in-process run, BLAS on 1 thread).
+# n = 1, d = 2 a row, drawn and classified, costs 0.9-1.0 us on a 256-row
+# chunk and 0.25-0.3 us on 3072 rows), and with threads > 1 each stack is a
+# pool hand-off. 2^18 entries (2 MB of real factors) makes a
+# 3072-replication n = 1 run one call on the calling thread, and keeps
+# criterion 6 (10^6 replications at n = 1, d = 2, threads=2: 16 stacks) at a
+# peak RSS of 86-87 MB, against 70 MB with one call a chunk (in-process run,
+# 2-core Xeon, BLAS on 1 thread).
 _STACK_ENTRIES = 1 << 18
 
 # Stream derivation indices: (experiment, role, index) with role 0 for the
@@ -234,15 +237,24 @@ def _reality_pairs(factors: np.ndarray, grid: Sequence[int]) -> np.ndarray:
     product at each grid point, (B, len(grid)), or -1 for a row dropped by
     then or unconverged. At n = 1 a factor that clears _bound_clears (not
     singular, spread < 23: the graded routine's LAPACK branch) is classified
-    by one eigvals call on the factors; the rest take the graded routine on
-    v @ u with log sigma, and with the grid (1,) only they are evolved."""
+    off the factor itself: at d = 2 from its discriminant's sign where that
+    sign is certain (_pairs_2x2, which also gives |det|), else by one eigvals
+    call on the factors left; the rest take the graded routine on v @ u with
+    log sigma, and with the grid (1,) only they are evolved."""
     m = factors[:, 0]
     pairs = np.full((len(m), len(grid)), -1)
     by_svd = np.ones(len(m), dtype=bool)  # rows classified at grid[0] from the SVD form
     if grid[0] == 1:
-        w = eigvals_rows(m)
-        by_svd = ~_bound_clears(m, w)
-        pairs[:, 0] = np.where(by_svd, -1, np.count_nonzero(w.imag > 0, axis=1))
+        # scales: what _bound_clears takes |det| from, [|det|, 1] for a decided row
+        first, scales = np.full(len(m), -1), np.ones(m.shape[:2], dtype=complex)
+        if m.shape[-1] == 2:
+            first, scales[:, 0] = _pairs_2x2(m)
+        rest = np.flatnonzero(first < 0)
+        if rest.size:
+            w = eigvals_rows(m[rest])
+            first[rest], scales[rest] = np.count_nonzero(w.imag > 0, axis=1), w
+        by_svd = ~_bound_clears(m, scales)
+        pairs[:, 0] = np.where(by_svd, -1, first)
     evolved = np.arange(len(m))
     if len(grid) == 1:
         evolved = np.flatnonzero(by_svd)

@@ -72,6 +72,11 @@ _LOG_REGULAR_BOUND = math.log(100 * RANK_RTOL)
 # _FOLD_BOUND (> 100 * RANK_RTOL) times the product of their norms: see
 # _fold_schedule.
 _FOLD_BOUND = 1e-6
+_EPS = float(np.finfo(np.float64).eps)
+# A real 2x2 factor's complex pairs are read off the sign of its discriminant
+# where |disc| exceeds this many ||M||_F^2, far past what rounding, ours or
+# LAPACK's, can move it by: see _pairs_2x2.
+_DISC_MARGIN = 2.0**10 * _EPS
 
 
 class SpreadOverflowError(OverflowError):
@@ -156,12 +161,40 @@ def _bound_clears(m: np.ndarray, scales: np.ndarray) -> np.ndarray:
     """Which factors pass the SVD singularity test without it: those whose
     sigma_min / sigma_max >= |det m| / ||m||_F^d, in logs, clears 100 *
     RANK_RTOL. |det m| is |prod scales|: r's diagonal from a QR of m, m^H, or
-    either times a unitary, or m's eigenvalues (both backward stable, far
-    inside the margin of 100). A NaN or 0 does not clear."""
+    either times a unitary, m's eigenvalues (both backward stable, far inside
+    the margin of 100), or a 2x2's |ad - bc| (_pairs_2x2). A NaN or 0 does
+    not clear."""
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         logdet = np.sum(np.log(np.abs(scales)), axis=-1)
         frob_sq = np.einsum("...ij,...ij->...", m, m.conj()).real
         return logdet - 0.5 * m.shape[-1] * np.log(frob_sq) > _LOG_REGULAR_BOUND
+
+
+def _pairs_2x2(m: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Complex pairs of each real 2x2 factor M = [[a, b], [c, d]] of a stack,
+    from the sign of disc = p^2 + bc, p = (a - d)/2 (a pair exactly when disc < 0),
+    or -1 where that sign is not certain; and |det M| = |ad - bc|.
+
+    The sign is certain where |disc| > _DISC_MARGIN ||M||_F^2 (2^10 eps) and
+    ||M||_F^2 is finite (so is every other quantity) and |disc|, |det M| are
+    normal. There it is LAPACK's too. Our rounding moves disc by at most about
+    2 eps (p^2 + |bc|) <= eps ||M||_F^2, as p^2 <= (a^2 + d^2)/2 and
+    |bc| <= (b^2 + c^2)/2. eigvals' count is exact for some M + E with
+    ||E||_F = O(eps ||M||_F) (dgebal's power-of-2 scaling is exact), which
+    moves disc = tr^2/4 - det by at most 2 ||M||_F ||E||_F; dlahqr deflates a
+    subdiagonal only where that moves bc by O(eps ||M||_F^2), so a row like
+    [[1, 1], [-1e-17, 1]] is left to LAPACK. |ad - bc| is off by at most
+    eps ||M||_F^2 / 2 + eps/2 |det M|: a relative 1.2e-6 where _bound_clears
+    clears it (|det M| > 1e-10 ||M||_F^2), far inside its factor-100 margin.
+    """
+    a, b, c, d = m[:, 0, 0], m[:, 0, 1], m[:, 1, 0], m[:, 1, 1]
+    tiny = np.finfo(np.float64).tiny
+    with np.errstate(over="ignore", invalid="ignore"):
+        disc = ((a - d) / 2) ** 2 + b * c
+        det = np.abs(a * d - b * c)
+        frob_sq = np.einsum("...ij,...ij->...", m, m)
+        certain = (np.abs(disc) > _DISC_MARGIN * frob_sq) & (frob_sq < np.inf) & (np.abs(disc) >= tiny) & (det >= tiny)
+    return np.where(certain, (disc < 0).astype(int), -1), det
 
 
 def _regular(m: np.ndarray, r: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -373,7 +406,6 @@ _EIG_DOUBLE_SPREAD = 25.0
 # the split blocks' log moduli carry errors of a few eps times this ratio.
 _SPLIT_COND = 1e5
 _SPLIT_MAXITER = 100
-_EPS = float(np.finfo(np.float64).eps)
 
 
 def _log_eig_moduli_extended(q: np.ndarray, log_scale: np.ndarray) -> tuple[np.ndarray, int]:

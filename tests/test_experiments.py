@@ -1,5 +1,6 @@
 import dataclasses
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -26,7 +27,7 @@ from matprod.experiments import (
 )
 from matprod.ensembles import sample_ginibre, sample_haar_unitary, sample_isotropic_chunk
 from matprod.exponents import single_step_estimate
-from matprod.linalg import RANK_RTOL, count_complex_pairs
+from matprod.linalg import RANK_RTOL, count_complex_pairs, eigvals_rows
 from matprod.rng import RngStream
 
 GINIBRE_R2 = EnsembleSpec("real", 2, Ginibre())
@@ -346,6 +347,65 @@ def test_reality_n1_rows_between_the_bound_and_the_svd_test_take_the_svd_route(d
     oracle = [exponents._log_eig_moduli_extended(b, np.zeros(d))[1] for b in m]
     np.testing.assert_array_equal(got, oracle)
     np.testing.assert_array_equal(got, (traces**2 < ratios).astype(int))
+
+
+def _near_boundary_2x2(seed):
+    """Real 2x2 factors whose discriminant's sign sits at or near the rounding
+    level: _conditioned_batch with t^2 = r (1 +- delta), dlahqr's deflation
+    cases [[1, 1], [z, 1]] with |z| from 1e-17 to 1e-9 and rotated copies,
+    all of these scaled by 2^530 and 2^-530 as well, exactly singular factors
+    and zero factors."""
+    r = np.repeat(np.geomspace(1e-12, 1.0, 13), 22)
+    delta = np.tile(np.geomspace(1e-16, 1e-6, 11), 26) * np.tile(np.repeat([1.0, -1.0], 11), 13)
+    near = _conditioned_batch(2, r, np.sqrt(r * (1 + delta)), seed)
+    z = np.concatenate([-np.geomspace(1e-17, 1e-9, 17), np.geomspace(1e-17, 1e-9, 17)])
+    deflated = np.ones((len(z), 2, 2))
+    deflated[:, 1, 0] = z
+    q = sample_haar_unitary(2, "real", RngStream(seed + 1).generator(), size=10 * len(z))
+    base = np.concatenate([near, deflated, q @ np.tile(deflated, (10, 1, 1)) @ q.swapaxes(1, 2)])
+    singular = RngStream(seed + 2).generator().standard_normal((16, 2, 2))
+    singular[:, :, 1] = 2 * singular[:, :, 0]
+    return np.concatenate([base, base * 2.0**530, base * 2.0**-530, singular, np.zeros((4, 2, 2))])
+
+
+def _eigvals_route_pairs(m):
+    """n = 1 complex pairs as one eigvals call on every factor gives them: its
+    count where the determinant bound clears the row, else the SVD route."""
+    w = eigvals_rows(m)
+    return np.where(exponents._bound_clears(m, w), np.count_nonzero(w.imag > 0, axis=1), _svd_route_pairs(m))
+
+
+def test_reality_n1_d2_pairs_from_the_discriminant_match_eigvals_and_schur():
+    m = _near_boundary_2x2(1626)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        first = exponents._pairs_2x2(m)[0]
+        got = experiments._reality_pairs(m[:, None], (1,))[:, 0]
+    decided = np.flatnonzero(first >= 0)
+    assert 0 < decided.size < len(m) and set(first[decided]) == {0, 1}
+    np.testing.assert_array_equal(got, _eigvals_route_pairs(m))
+    assert np.array_equal(first[decided], [count_complex_pairs(b) for b in m[decided]])
+
+
+def test_reality_n1_eigvals_takes_only_the_rows_the_discriminant_leaves(monkeypatch):
+    seen = []
+
+    def spy(a):
+        seen.append(a.copy())
+        return eigvals_rows(a)
+
+    def taken(m):
+        seen.clear()
+        experiments._reality_pairs(m[:, None], (1,))
+        return np.concatenate(seen) if seen else np.empty((0,) + m.shape[1:])
+
+    monkeypatch.setattr(experiments, "eigvals_rows", spy)
+    ginibre = sample_isotropic_chunk(GINIBRE_R2, RngStream(1627).generator(), 10_000, 1)[:, 0]
+    assert (exponents._pairs_2x2(ginibre)[0] >= 0).all() and taken(ginibre).size == 0
+    m = _near_boundary_2x2(1626)
+    np.testing.assert_array_equal(taken(m), m[exponents._pairs_2x2(m)[0] < 0])
+    m3 = sample_isotropic_chunk(GINIBRE_R3, RngStream(1628).generator(), 1000, 1)[:, 0]
+    np.testing.assert_array_equal(taken(m3), m3)
 
 
 def test_reality_n1_excludes_exactly_the_rows_the_svd_test_rejects():

@@ -215,16 +215,19 @@ def test_advance_determinant_multiplicative(stream):
 @pytest.mark.parametrize("field", ["real", "complex"])
 @pytest.mark.parametrize("d", [1, 2, 4])
 def test_recursion_matches_explicit_product(field, d):
+    # the log singular values are held to the product at 50 digits: at real
+    # d = 2, draw 26 reaches sigma_min / sigma_max ~ 2e-11 by k = 7, where the
+    # double-precision product's own rounding moves log sigma_min by ~1e-5
     spec = EnsembleSpec(field, d, Ginibre())
-    gen = RngStream(515, (d, hash(field) % 100)).generator()
+    gen = RngStream(515, (d, {"real": 26, "complex": 0}[field])).generator()
     factors = sample_isotropic(spec, gen, size=8)
+    exact = _explicit_log_sigma(factors, range(2, 9), 50)
     st_ = init_state(factors[0])
     prod = np.array(factors[0])
     for k in range(1, 8):
         st_ = advance(st_, factors[k])
         prod = prod @ factors[k]
-        sv = np.linalg.svd(prod, compute_uv=False)
-        assert rel_err(st_.log_sigma, np.log(sv)) < 1e-8
+        assert rel_err(st_.log_sigma, exact[k - 1]) < 1e-8
     recon = st_.u_frame @ (np.exp(st_.log_sigma)[:, None] * st_.v_frame)
     assert rel_err(recon, prod) < 1e-8
 
