@@ -6,6 +6,10 @@ Subcommands::
     matprod run {lyapunov,stability,fluctuations,realprob,verify} --config FILE
                 [--threads N] [--out PATH] [--format {jsonl,csv}] [--emit-plotdata]
 
+The experiments module's runners return the records; this front end only
+parses the config, numbers the records, writes them with a manifest, prints
+them and chooses the exit code.
+
 Exit codes: 0 success, 2 config error, 3 numeric failure (including failed
 verification and I/O errors). The default thread count can be set with the
 MATPROD_THREADS environment variable; --threads overrides everything.
@@ -24,24 +28,17 @@ from . import __version__
 from .configtext import ConfigError, config_to_text, parse_config
 from .ensembles import FIELDS, EnsembleSpec, parse_ensemble
 from .experiments import (
-    _EXP_LYAPUNOV,
     ExperimentConfig,
     family_passed,
     run_equality,
     run_fluctuations,
-    run_factorization_checks,
-    run_minor_identity,
+    run_lyapunov,
     run_real_probability,
+    run_verify,
 )
-from .exponents import (
-    SpreadOverflowError,
-    analytic_spectrum,
-    lyapunov_qr_stream,
-    single_step_estimate,
-    supports_analytic_spectrum,
-)
+from .exponents import SpreadOverflowError, analytic_spectrum
 from .linalg import NumericError, SingularInputError
-from .recordio import FORMATS, ResultRecord, RunManifest, Stat, manifest_timestamp, write_records
+from .recordio import FORMATS, ResultRecord, RunManifest, manifest_timestamp, write_records
 
 __all__ = ["main"]
 
@@ -92,116 +89,13 @@ def cmd_analytic(field: str, d: int, ensemble: str) -> int:
     return EXIT_OK
 
 
-def _stat_vec(prefix: str, values, se=None, count=None) -> dict[str, Stat]:
-    out = {}
-    for i, v in enumerate(np.atleast_1d(values), start=1):
-        out[f"{prefix}_{i}"] = Stat(
-            float(v),
-            None if se is None else float(np.atleast_1d(se)[i - 1]),
-            count,
-        )
-    return out
-
-
-def _record(experiment: str, spec: EnsembleSpec, n: int, replications: int, stats: dict[str, Stat],
-            d: Optional[int] = None, field: Optional[str] = None) -> ResultRecord:
-    """A record of spec's ensemble; d and field default to spec's. cmd_run numbers the records."""
-    return ResultRecord(experiment, d or spec.d, field or spec.field, spec.ensemble_text, n, replications, 0, stats)
-
-
-def _lyapunov(config: ExperimentConfig) -> list[ResultRecord]:
-    spec, mc = config.spec, config.mc_samples
-    ref = _stat_vec("ref_lambda", analytic_spectrum(spec).lyapunov) if supports_analytic_spectrum(spec) else {}
-    est = single_step_estimate(spec, mc, config.stream().derive(_EXP_LYAPUNOV, 0, 0))
-    qr = lyapunov_qr_stream(spec, mc, config.stream().derive(_EXP_LYAPUNOV, 1, 0))
-    return [
-        _record("lyapunov:single-step", spec, 1, mc, {**_stat_vec("lambda", est.mean, est.se, est.count), **ref}),
-        _record("lyapunov:qr-stream", spec, mc, 1,
-                {**_stat_vec("lambda", qr.mean, qr.se, mc), **ref, "skipped": Stat(float(qr.skipped))}),
-    ]
-
-
-def _stability(config: ExperimentConfig) -> list[ResultRecord]:
-    result = run_equality(config)
-    records = []
-    for pn in result.per_n:
-        stats = {
-            **_stat_vec("mean_singular", pn.mean_singular, pn.se_singular, pn.count),
-            **_stat_vec("mean_stability", pn.mean_stability, pn.se_stability, pn.count),
-        }
-        for gap in ("gap_singular_stability", "gap_singular_ref", "gap_stability_ref"):
-            stats.update(_stat_vec(gap, getattr(pn, gap).mean, getattr(pn, gap).se))
-        stats["maxgap"] = Stat(pn.maxgap_mean, pn.maxgap_se, pn.count)
-        stats["maxgap_worst"] = Stat(pn.maxgap_max)
-        stats.update(_stat_vec("ref_lambda", result.reference, result.reference_se))
-        stats["skipped"] = Stat(float(config.replications - pn.count))
-        records.append(_record("stability", result.spec, pn.n, pn.count, stats))
-    return records
-
-
-def _fluctuations(config: ExperimentConfig) -> list[ResultRecord]:
-    result = run_fluctuations(config)
-    stats: dict[str, Stat] = {}
-    for i in range(result.spec.d):
-        for j in range(i, result.spec.d):
-            ij = f"{i + 1}_{j + 1}"
-            stats[f"cov_singular_{ij}"] = Stat(
-                float(result.cov_singular[i, j]), float(result.cov_singular_se[i, j]), result.count
-            )
-            stats[f"cov_stability_{ij}"] = Stat(
-                float(result.cov_stability[i, j]), float(result.cov_stability_se[i, j]), result.count
-            )
-            stats[f"cov_diff_se_{ij}"] = Stat(float(result.cov_diff_se[i, j]))
-            stats[f"ref_cov_{ij}"] = Stat(float(result.reference_cov[i, j]))
-    stats["skipped"] = Stat(float(result.skipped))
-    return [_record("fluctuations", result.spec, result.n, result.count, stats)]
-
-
-def _realprob(config: ExperimentConfig) -> list[ResultRecord]:
-    result = run_real_probability(config)
-    return [
-        _record("realprob", result.spec, pn.n, result.replications, {
-            "p_hat": Stat(pn.p_hat, (pn.p_hat * (1 - pn.p_hat) / pn.trials) ** 0.5, pn.trials),
-            "all_real": Stat(float(pn.all_real)),
-            "trials": Stat(float(pn.trials)),
-            "wilson_low": Stat(pn.wilson_low),
-            "wilson_high": Stat(pn.wilson_high),
-            "excluded": Stat(float(pn.excluded)),
-        })
-        for pn in result.per_n
-    ]
-
-
-def _verify(config: ExperimentConfig) -> list[ResultRecord]:
-    """Records of both verification runs; a check that failed has passed = 0."""
-    spec = config.spec
-    minor = run_minor_identity(config)
-    records = [
-        _record("verify:minor-identity", spec, spec.d, minor.trials, {
-            "max_coefficient_residual": Stat(minor.max_coefficient_residual),
-            "max_factorization_residual": Stat(minor.max_factorization_residual),
-            "max_partial_product_excess": Stat(minor.max_partial_product_excess),
-            "tol": Stat(minor.tol),
-            "passed": Stat(float(minor.passed)),
-        })
-    ]
-    for row in run_factorization_checks(config).rows:
-        records.append(_record(f"verify:{row.check}:field={row.field}:d={row.d}", spec, row.index, row.samples, {
-            "estimate": Stat(row.estimate, row.se, row.samples),
-            "reference": Stat(row.reference),
-            "z": Stat(row.z),
-            "passed": Stat(float(row.passed)),
-        }, d=row.d, field=row.field))
-    return records
-
-
 # experiment -> (config -> records, (stat, file suffix) of its --emit-plotdata curve)
 _EXPERIMENTS = {
-    "lyapunov": (_lyapunov, None),
-    "stability": (_stability, ("maxgap", ".gapcurve.txt")),
-    "fluctuations": (_fluctuations, None),
-    "realprob": (_realprob, ("p_hat", ".phat.txt")),
-    "verify": (_verify, None),
+    "lyapunov": (run_lyapunov, None),
+    "stability": (run_equality, ("maxgap", ".gapcurve.txt")),
+    "fluctuations": (run_fluctuations, None),
+    "realprob": (run_real_probability, ("p_hat", ".phat.txt")),
+    "verify": (run_verify, None),
 }
 
 

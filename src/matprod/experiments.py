@@ -1,10 +1,13 @@
 """Replication-parallel experiment runners.
 
 Each runner turns one limit statement into a desk-scale Monte Carlo check
-with standard errors or Wilson intervals. Replications are drawn in
-fixed-size chunks, each chunk on its own derived random stream, and chunk
-results are folded in index order - so aggregated statistics are identical
-for any thread count adopted.
+with standard errors or Wilson intervals, and returns it as the result
+records `matprod run` writes (unnumbered: seq = 0): run_lyapunov,
+run_equality (the "stability" experiment), run_fluctuations,
+run_real_probability and run_verify. Replications are drawn in fixed-size
+chunks, each chunk on its own derived random stream, and chunk results are
+folded in index order - so aggregated statistics are identical for any
+thread count adopted.
 
 The trajectory runners (equality, fluctuations, reality) share one stack
 worker. A stack is a run of consecutive chunks, as many whole ones as fit
@@ -46,28 +49,25 @@ from .exponents import (
     analytic_spectrum,
     analytic_truncated_logdet,
     evolve_stack,
+    lyapunov_qr_stream,
     single_step_estimate,
     stability_rows,
     supports_analytic_spectrum,
 )
 from .linalg import NumericError, eig_by_modulus, eigvals_rows, lq_positive, principal_minor, svd_descending
-from .recordio import FORMATS
+from .recordio import FORMATS, ResultRecord, Stat
 from .rng import RngStream
 
 __all__ = [
     "ExperimentConfig",
-    "GapStats",
-    "EqualityAtN",
-    "EqualityResult",
-    "FluctResult",
-    "RealProbAtN",
-    "RealProbResult",
     "CheckRow",
     "FactorizationReport",
     "MinorIdentityReport",
+    "run_lyapunov",
     "run_equality",
     "run_fluctuations",
     "run_real_probability",
+    "run_verify",
     "run_factorization_checks",
     "run_minor_identity",
     "family_passed",
@@ -96,7 +96,7 @@ _EXP_FLUCT = 2
 _EXP_REALPROB = 3
 _EXP_FACTOR = 4
 _EXP_MINOR = 5
-_EXP_LYAPUNOV = 6  # role 0 single-step, role 1 QR stream (cli's lyapunov records)
+_EXP_LYAPUNOV = 6  # run_lyapunov: role 0 single-step, role 1 QR stream
 
 # Worst relative residual the exact minor identities may show.
 _MINOR_TOL = 1e-8
@@ -181,15 +181,15 @@ def _map_chunks(jobs, worker: Callable, threads: int) -> list:
         return list(ex.map(lambda job: worker(*job), jobs))
 
 
-def _reference(config: ExperimentConfig, exp_index: int) -> tuple[np.ndarray, np.ndarray, np.ndarray, str]:
-    """Reference exponents, their SEs, the fluctuation covariance and the source tag:
+def _reference(config: ExperimentConfig, exp_index: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Reference exponents, their SEs (0 for a closed form) and the fluctuation covariance:
     the closed form where one exists, else the single-step estimate on stream (exp_index, 0, 0)."""
     spec = config.spec
     if supports_analytic_spectrum(spec):
         spectrum = analytic_spectrum(spec)
-        return spectrum.lyapunov, np.zeros(spec.d), np.diag(spectrum.variance), "analytic"
+        return spectrum.lyapunov, np.zeros(spec.d), np.diag(spectrum.variance)
     est = single_step_estimate(spec, config.mc_samples, config.stream().derive(exp_index, 0, 0))
-    return est.mean, est.se, est.cov, "single-step"
+    return est.mean, est.se, est.cov
 
 
 def _observe_chunks(config: ExperimentConfig, exp_index: int, grid: Sequence[int], observe: Callable) -> list:
@@ -272,107 +272,75 @@ def _observe_reality(factors: np.ndarray, grid: Sequence[int]):
     return np.count_nonzero(pairs == 0, axis=0), np.count_nonzero(pairs >= 0, axis=0)
 
 
-@dataclass(frozen=True)
-class GapStats:
-    """Componentwise gap statistics over replications."""
-
-    mean: np.ndarray
-    max: np.ndarray
-    se: np.ndarray
-
-
-@dataclass(frozen=True)
-class EqualityAtN:
-    n: int
-    count: int
-    gap_singular_ref: GapStats
-    gap_stability_ref: GapStats
-    gap_singular_stability: GapStats
-    maxgap_mean: float  # mean over replications of max_i |singular_i - stability_i|
-    maxgap_se: float
-    maxgap_max: float
-    mean_singular: np.ndarray
-    se_singular: np.ndarray
-    mean_stability: np.ndarray
-    se_stability: np.ndarray
+def _stat_vec(prefix: str, values, se=None, count=None) -> dict[str, Stat]:
+    """Stats prefix_1, prefix_2, ... of a vector, with its SEs if given."""
+    out = {}
+    for i, v in enumerate(np.atleast_1d(values), start=1):
+        out[f"{prefix}_{i}"] = Stat(
+            float(v),
+            None if se is None else float(np.atleast_1d(se)[i - 1]),
+            count,
+        )
+    return out
 
 
-@dataclass(frozen=True)
-class EqualityResult:
-    spec: EnsembleSpec
-    n_grid: tuple[int, ...]
-    reference: np.ndarray
-    reference_se: np.ndarray
-    reference_source: str
-    per_n: tuple[EqualityAtN, ...]
+def _record(experiment: str, spec: EnsembleSpec, n: int, replications: int, stats: dict[str, Stat],
+            d: Optional[int] = None, field: Optional[str] = None) -> ResultRecord:
+    """A record of spec's ensemble; d and field default to spec's. matprod run numbers the records."""
+    return ResultRecord(experiment, d or spec.d, field or spec.field, spec.ensemble_text, n, replications, 0, stats)
 
 
-def _gap_stats(values: np.ndarray) -> GapStats:
-    count = values.shape[0]
-    return GapStats(
-        mean=values.mean(axis=0),
-        max=values.max(axis=0),
-        se=values.std(axis=0, ddof=1) / math.sqrt(count),
-    )
+def _mean_se(x: np.ndarray) -> np.ndarray:
+    """Standard error of the mean over replications (axis 0)."""
+    return x.std(axis=0, ddof=1) / math.sqrt(x.shape[0])
 
 
-def run_equality(config: ExperimentConfig) -> EqualityResult:
+def run_lyapunov(config: ExperimentConfig) -> list[ResultRecord]:
+    """Lyapunov exponents two ways: the single-step estimate over mc_samples
+    factors and one QR stream of mc_samples steps, each next to the closed
+    form where one exists."""
+    spec, mc = config.spec, config.mc_samples
+    ref = _stat_vec("ref_lambda", analytic_spectrum(spec).lyapunov) if supports_analytic_spectrum(spec) else {}
+    est = single_step_estimate(spec, mc, config.stream().derive(_EXP_LYAPUNOV, 0, 0))
+    qr = lyapunov_qr_stream(spec, mc, config.stream().derive(_EXP_LYAPUNOV, 1, 0))
+    return [
+        _record("lyapunov:single-step", spec, 1, mc, {**_stat_vec("lambda", est.mean, est.se, est.count), **ref}),
+        _record("lyapunov:qr-stream", spec, mc, 1,
+                {**_stat_vec("lambda", qr.mean, qr.se, mc), **ref, "skipped": Stat(float(qr.skipped))}),
+    ]
+
+
+def run_equality(config: ExperimentConfig) -> list[ResultRecord]:
     """Convergence of scaled log singular values and log eigenvalue moduli.
 
     Per replication the product advances through n_grid on one trajectory
     (grid points are checkpoints of the same path, hence dependent across n);
     at each grid point both exponent vectors are recorded and compared to the
     reference. Each grid point n averages the replications alive at n whose
-    spectrum there converged (count); one that overflows or hits a singular
-    step is dropped from that step on.
+    spectrum there converged (its record's replications); one that overflows
+    or hits a singular step is dropped from that step on. One "stability"
+    record per grid point.
     """
     spec = config.spec
-    ref, ref_se, _, ref_source = _reference(config, _EXP_EQUALITY)
-    grid = config.n_grid
-
-    per_n = []
-    for n, (s, e) in zip(grid, _exponent_samples(config, _EXP_EQUALITY, grid)):
+    ref, ref_se, _ = _reference(config, _EXP_EQUALITY)
+    records = []
+    for n, (s, e) in zip(config.n_grid, _exponent_samples(config, _EXP_EQUALITY, config.n_grid)):
         used = s.shape[0]
         maxgap = np.abs(s - e).max(axis=1)
-        per_n.append(
-            EqualityAtN(
-                n=n,
-                count=used,
-                gap_singular_ref=_gap_stats(np.abs(s - ref)),
-                gap_stability_ref=_gap_stats(np.abs(e - ref)),
-                gap_singular_stability=_gap_stats(np.abs(s - e)),
-                maxgap_mean=float(maxgap.mean()),
-                maxgap_se=float(maxgap.std(ddof=1) / math.sqrt(used)),
-                maxgap_max=float(maxgap.max()),
-                mean_singular=s.mean(axis=0),
-                se_singular=s.std(axis=0, ddof=1) / math.sqrt(used),
-                mean_stability=e.mean(axis=0),
-                se_stability=e.std(axis=0, ddof=1) / math.sqrt(used),
-            )
-        )
-    return EqualityResult(
-        spec=spec,
-        n_grid=grid,
-        reference=ref,
-        reference_se=ref_se,
-        reference_source=ref_source,
-        per_n=tuple(per_n),
-    )
-
-
-@dataclass(frozen=True)
-class FluctResult:
-    spec: EnsembleSpec
-    n: int
-    count: int
-    cov_singular: np.ndarray          # covariance of sqrt(n) * (log sigma / n)
-    cov_stability: np.ndarray         # covariance of sqrt(n) * (log |eig| / n)
-    cov_singular_se: np.ndarray       # large-sample SEs of the entries
-    cov_stability_se: np.ndarray
-    cov_diff_se: np.ndarray           # paired SEs of cov_singular - cov_stability
-    reference_cov: np.ndarray
-    reference_source: str
-    skipped: int
+        stats = {
+            **_stat_vec("mean_singular", s.mean(axis=0), _mean_se(s), used),
+            **_stat_vec("mean_stability", e.mean(axis=0), _mean_se(e), used),
+        }
+        for name, gap in (("gap_singular_stability", np.abs(s - e)), ("gap_singular_ref", np.abs(s - ref)),
+                          ("gap_stability_ref", np.abs(e - ref))):
+            stats.update(_stat_vec(name, gap.mean(axis=0), _mean_se(gap)))
+        # max over components of |singular_i - stability_i|, per replication
+        stats["maxgap"] = Stat(float(maxgap.mean()), float(_mean_se(maxgap)), used)
+        stats["maxgap_worst"] = Stat(float(maxgap.max()))
+        stats.update(_stat_vec("ref_lambda", ref, ref_se))
+        stats["skipped"] = Stat(float(config.replications - used))
+        records.append(_record("stability", spec, n, used, stats))
+    return records
 
 
 def _cov_entry_se(cov: np.ndarray, count: int) -> np.ndarray:
@@ -380,12 +348,13 @@ def _cov_entry_se(cov: np.ndarray, count: int) -> np.ndarray:
     return np.sqrt((np.outer(diag, diag) + cov**2) / (count - 1))
 
 
-def run_fluctuations(config: ExperimentConfig) -> FluctResult:
+def run_fluctuations(config: ExperimentConfig) -> list[ResultRecord]:
     """Covariance of sqrt(n)-scaled fluctuations at n = last grid point.
 
     Both the singular-value and the eigenvalue-modulus fluctuation
-    covariances are estimated from the same replications; the paired SE of
-    the entrywise difference is reported alongside the marginal SEs.
+    covariances are estimated from the same replications, each entry with
+    its large-sample SE; the paired SE of the entrywise difference and the
+    reference covariance stand alongside. One record.
     """
     if config.replications < 100:
         raise ValueError("fluctuation runs need replications >= 100")
@@ -401,48 +370,23 @@ def run_fluctuations(config: ExperimentConfig) -> FluctResult:
     xc = x - x.mean(axis=0)
     yc = y - y.mean(axis=0)
     prod_diff = xc[:, :, None] * xc[:, None, :] - yc[:, :, None] * yc[:, None, :]
-    diff_se = prod_diff.std(axis=0, ddof=1) / math.sqrt(used)
-    _, _, ref_cov, ref_source = _reference(config, _EXP_FLUCT)
+    diff_se = _mean_se(prod_diff)
+    _, _, ref_cov = _reference(config, _EXP_FLUCT)
+    se_x, se_y = _cov_entry_se(cov_x, used), _cov_entry_se(cov_y, used)
 
-    return FluctResult(
-        spec=spec,
-        n=n,
-        count=used,
-        cov_singular=cov_x,
-        cov_stability=cov_y,
-        cov_singular_se=_cov_entry_se(cov_x, used),
-        cov_stability_se=_cov_entry_se(cov_y, used),
-        cov_diff_se=diff_se,
-        reference_cov=ref_cov,
-        reference_source=ref_source,
-        skipped=config.replications - used,
-    )
+    stats: dict[str, Stat] = {}
+    for i in range(spec.d):
+        for j in range(i, spec.d):
+            ij = f"{i + 1}_{j + 1}"
+            stats[f"cov_singular_{ij}"] = Stat(float(cov_x[i, j]), float(se_x[i, j]), used)
+            stats[f"cov_stability_{ij}"] = Stat(float(cov_y[i, j]), float(se_y[i, j]), used)
+            stats[f"cov_diff_se_{ij}"] = Stat(float(diff_se[i, j]))
+            stats[f"ref_cov_{ij}"] = Stat(float(ref_cov[i, j]))
+    stats["skipped"] = Stat(float(config.replications - used))
+    return [_record("fluctuations", spec, n, used, stats)]
 
 
-@dataclass(frozen=True)
-class RealProbAtN:
-    n: int
-    trials: int          # classified trials
-    all_real: int
-    p_hat: float
-    wilson_low: float
-    wilson_high: float
-    excluded: int        # trajectory failed by n (singular step, overflow, SVD) or unconverged classification at n
-
-    def __post_init__(self) -> None:
-        if not self.wilson_low <= self.p_hat <= self.wilson_high:
-            raise ValueError("Wilson interval must contain the point estimate")
-
-
-@dataclass(frozen=True)
-class RealProbResult:
-    spec: EnsembleSpec
-    n_grid: tuple[int, ...]
-    replications: int
-    per_n: tuple[RealProbAtN, ...]
-
-
-def run_real_probability(config: ExperimentConfig) -> RealProbResult:
+def run_real_probability(config: ExperimentConfig) -> list[ResultRecord]:
     """Probability that every eigenvalue of the running product is real.
 
     Every replication alive at a grid point is classified there, whatever
@@ -451,6 +395,7 @@ def run_real_probability(config: ExperimentConfig) -> RealProbResult:
     spectrum routine on the similarity carrying the product's spectrum.
     At each n, the replications whose trajectory failed by n, or whose
     eigenvalue iteration at n does not converge, are excluded and counted.
+    One "realprob" record per grid point: p_hat with its Wilson interval.
     """
     spec = config.spec
     if spec.field != "real":
@@ -458,27 +403,24 @@ def run_real_probability(config: ExperimentConfig) -> RealProbResult:
     grid = config.n_grid
     real, classified = np.sum(_observe_chunks(config, _EXP_REALPROB, grid, _observe_reality), axis=0)
 
-    per_n = []
+    records = []
     for gi, n in enumerate(grid):
         trials = int(classified[gi])
         hits = int(real[gi])
         if trials == 0:
             raise NumericError(f"no classifiable replications at n={n}")
+        p_hat = hits / trials
         lo, hi = wilson_interval(hits, trials)
-        per_n.append(
-            RealProbAtN(
-                n=n,
-                trials=trials,
-                all_real=hits,
-                p_hat=hits / trials,
-                wilson_low=lo,
-                wilson_high=hi,
-                excluded=config.replications - trials,
-            )
-        )
-    return RealProbResult(
-        spec=spec, n_grid=grid, replications=config.replications, per_n=tuple(per_n)
-    )
+        records.append(_record("realprob", spec, n, config.replications, {
+            "p_hat": Stat(p_hat, (p_hat * (1 - p_hat) / trials) ** 0.5, trials),
+            "all_real": Stat(float(hits)),
+            "trials": Stat(float(trials)),
+            "wilson_low": Stat(lo),
+            "wilson_high": Stat(hi),
+            # trajectory failed by n (singular step, overflow, SVD) or unconverged classification at n
+            "excluded": Stat(float(config.replications - trials)),
+        }))
+    return records
 
 
 @dataclass(frozen=True)
@@ -745,3 +687,27 @@ def run_minor_identity(config: ExperimentConfig) -> MinorIdentityReport:
         max_factorization_residual=worst_factor,
         max_partial_product_excess=worst_bound,
     )
+
+
+def run_verify(config: ExperimentConfig) -> list[ResultRecord]:
+    """Records of both verification runs: the minor identities, then one
+    record a factorization check row; a check that failed has passed = 0."""
+    spec = config.spec
+    minor = run_minor_identity(config)
+    records = [
+        _record("verify:minor-identity", spec, spec.d, minor.trials, {
+            "max_coefficient_residual": Stat(minor.max_coefficient_residual),
+            "max_factorization_residual": Stat(minor.max_factorization_residual),
+            "max_partial_product_excess": Stat(minor.max_partial_product_excess),
+            "tol": Stat(minor.tol),
+            "passed": Stat(float(minor.passed)),
+        })
+    ]
+    for row in run_factorization_checks(config).rows:
+        records.append(_record(f"verify:{row.check}:field={row.field}:d={row.d}", spec, row.index, row.samples, {
+            "estimate": Stat(row.estimate, row.se, row.samples),
+            "reference": Stat(row.reference),
+            "z": Stat(row.z),
+            "passed": Stat(float(row.passed)),
+        }, d=row.d, field=row.field))
+    return records

@@ -690,8 +690,6 @@ class AnalyticSpectrum:
 
     lyapunov: np.ndarray
     variance: np.ndarray
-    independent_components: bool
-    source: str
 
 
 def supports_analytic_spectrum(spec: EnsembleSpec) -> bool:
@@ -728,12 +726,7 @@ def analytic_spectrum(spec: EnsembleSpec) -> AnalyticSpectrum:
             f"no closed-form spectrum for ensemble {spec.ensemble_text!r}; "
             "supported: ginibre, truncated-haar"
         )
-    return AnalyticSpectrum(
-        lyapunov=lam,
-        variance=var,
-        independent_components=True,
-        source=spec.tag(),
-    )
+    return AnalyticSpectrum(lyapunov=lam, variance=var)
 
 
 # --- special functions -------------------------------------------------------

@@ -130,31 +130,18 @@ def write_records(
         return
     with open(path + ".manifest.json", "w", encoding="utf-8", newline="\n") as fh:
         fh.write(json.dumps(manifest.to_dict(), sort_keys=True) + "\n")
-    stat_cols = _stat_columns(records)
     head = ["experiment", "d", "field", "ensemble", "n", "replications", "seq"]
     with open(path, "w", encoding="utf-8", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(head + stat_cols)
+        writer = csv.DictWriter(fh, head + _stat_columns(records), restval="")
+        writer.writeheader()
         for rec in records:
-            row = [
-                rec.experiment,
-                rec.d,
-                rec.field,
-                rec.ensemble,
-                rec.n,
-                rec.replications,
-                rec.seq,
-            ]
-            for col in stat_cols:
-                if col.startswith("se_"):
-                    stat = rec.stats.get(col[3:])
-                    row.append("" if stat is None or stat.se is None else _fmt_real(stat.se))
-                elif col.startswith("count_"):
-                    stat = rec.stats.get(col[6:])
-                    row.append("" if stat is None or stat.count is None else stat.count)
-                else:
-                    stat = rec.stats.get(col)
-                    row.append("" if stat is None else _fmt_real(stat.value))
+            row = {name: getattr(rec, name) for name in head}
+            for name, stat in rec.stats.items():
+                row[name] = _fmt_real(stat.value)
+                if stat.se is not None:
+                    row[f"se_{name}"] = _fmt_real(stat.se)
+                if stat.count is not None:
+                    row[f"count_{name}"] = stat.count
             writer.writerow(row)
 
 

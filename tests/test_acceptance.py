@@ -34,6 +34,8 @@ from matprod.experiments import (
 from matprod.recordio import read_jsonl
 from matprod.rng import RngStream
 
+from conftest import stat_array
+
 SEED = 1
 
 # Brute-force Monte Carlo value for P(both eigenvalues of one 2x2 real
@@ -107,13 +109,14 @@ def test_criterion_3_qr_stream_consistency():
 def test_criterion_4_equality_of_exponents():
     start = time.perf_counter()
     cfg = ExperimentConfig(seed=SEED, spec=GINIBRE_R3, n_grid=(10, 100), replications=200)
-    res = run_equality(cfg)
-    n10, n100 = res.per_n
+    n10, n100 = run_equality(cfg)
     elapsed = time.perf_counter() - start
-    combined = np.sqrt(n100.se_singular**2 + n100.se_stability**2)
-    z_sig = np.abs(n100.mean_singular - res.reference) / combined
-    z_stab = np.abs(n100.mean_stability - res.reference) / combined
-    decreasing = n100.maxgap_mean < n10.maxgap_mean
+    combined = np.sqrt(stat_array(n100, "mean_singular", "se")**2 + stat_array(n100, "mean_stability", "se")**2)
+    reference = stat_array(n100, "ref_lambda")
+    z_sig = np.abs(stat_array(n100, "mean_singular") - reference) / combined
+    z_stab = np.abs(stat_array(n100, "mean_stability") - reference) / combined
+    maxgap10, maxgap100 = n10.stats["maxgap"].value, n100.stats["maxgap"].value
+    decreasing = maxgap100 < maxgap10
     ok = bool(
         decreasing
         and np.all(z_sig < 3)
@@ -124,7 +127,7 @@ def test_criterion_4_equality_of_exponents():
         4,
         "equality of exponent limits, real Ginibre d=3",
         ok,
-        f"maxgap {n10.maxgap_mean:.4f}@n=10 -> {n100.maxgap_mean:.4f}@n=100, "
+        f"maxgap {maxgap10:.4f}@n=10 -> {maxgap100:.4f}@n=100, "
         f"max z_singular={z_sig.max():.2f}, max z_stability={z_stab.max():.2f} "
         f"(combined-SE limit 3), {elapsed:.0f}s (limit 300s)",
     )
@@ -133,13 +136,14 @@ def test_criterion_4_equality_of_exponents():
 def test_criterion_5_fluctuation_covariances():
     start = time.perf_counter()
     cfg = ExperimentConfig(seed=SEED, spec=GINIBRE_R2, n_grid=(100,), replications=2000)
-    res = run_fluctuations(cfg)
+    (rec,) = run_fluctuations(cfg)
     elapsed = time.perf_counter() - start
     target = np.array([math.pi**2 / 24, math.pi**2 / 8])
-    diag = np.diag(res.cov_singular)
+    cov_singular = stat_array(rec, "cov_singular")
+    diag = np.diag(cov_singular)
     rel = np.abs(diag - target) / target
-    off_z = abs(res.cov_singular[0, 1]) / res.cov_singular_se[0, 1]
-    pair_z = np.abs(res.cov_singular - res.cov_stability) / res.cov_diff_se
+    off_z = abs(cov_singular[0, 1]) / stat_array(rec, "cov_singular", "se")[0, 1]
+    pair_z = np.abs(cov_singular - stat_array(rec, "cov_stability")) / stat_array(rec, "cov_diff_se")
     ok = bool(
         np.all(rel < 0.15) and off_z < 3 and np.all(pair_z < 3) and elapsed < 600
     )
@@ -157,28 +161,29 @@ def test_criterion_6_all_real_probability():
     cfg = ExperimentConfig(
         seed=SEED, spec=GINIBRE_R2, n_grid=(1,), replications=1_000_000, threads=2
     )
-    p1 = run_real_probability(cfg).per_n[0]
-    se_exp = math.sqrt(p1.p_hat * (1 - p1.p_hat) / p1.trials)
+    p1 = run_real_probability(cfg)[0].stats
+    p_hat, trials = p1["p_hat"].value, p1["trials"].value
+    se_exp = math.sqrt(p_hat * (1 - p_hat) / trials)
     joint_se = math.sqrt(se_exp**2 + BRUTE_FORCE_P1_SE**2)
-    z = abs(p1.p_hat - BRUTE_FORCE_P1) / joint_se
+    z = abs(p_hat - BRUTE_FORCE_P1) / joint_se
 
     cfg_trend = ExperimentConfig(
         seed=SEED, spec=GINIBRE_R2, n_grid=(1, 25), replications=10_000, threads=2
     )
-    t1, t25 = run_real_probability(cfg_trend).per_n
+    t1, t25 = (rec.stats for rec in run_real_probability(cfg_trend))
     elapsed = time.perf_counter() - start
     ok = bool(
         z < 3
-        and t25.p_hat > t1.p_hat
-        and t25.wilson_low > t1.wilson_high
+        and t25["p_hat"].value > t1["p_hat"].value
+        and t25["wilson_low"].value > t1["wilson_high"].value
         and elapsed < 600
     )
     verdict(
         6,
         "all-real-eigenvalue probability, real Ginibre d=2",
         ok,
-        f"p(1)={p1.p_hat:.6f} vs pre-registered {BRUTE_FORCE_P1} (joint |z|={z:.2f}), "
-        f"p(25)={t25.p_hat:.4f} > p(1)={t1.p_hat:.4f} with disjoint Wilson intervals, "
+        f"p(1)={p_hat:.6f} vs pre-registered {BRUTE_FORCE_P1} (joint |z|={z:.2f}), "
+        f"p(25)={t25['p_hat'].value:.4f} > p(1)={t1['p_hat'].value:.4f} with disjoint Wilson intervals, "
         f"{elapsed:.0f}s (limit 600s)",
     )
 

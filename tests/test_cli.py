@@ -3,8 +3,9 @@ import dataclasses
 import numpy as np
 import pytest
 
-from matprod import cli
+from matprod import cli, experiments
 from matprod.cli import main
+from matprod.configtext import config_to_text, parse_config
 from matprod.experiments import CheckRow, FactorizationReport
 from matprod.recordio import read_jsonl
 
@@ -113,7 +114,7 @@ def test_emit_plotdata_requires_out(tmp_path, monkeypatch, capsys):
     def never(config):
         raise AssertionError("the experiment ran before the config error")
 
-    monkeypatch.setattr(cli, "run_real_probability", never)
+    monkeypatch.setitem(cli._EXPERIMENTS, "realprob", (never, cli._EXPERIMENTS["realprob"][1]))
     cfg = write_cfg(tmp_path, "seed=4 field=real d=2 ensemble=ginibre n_grid=2 replications=30")
     assert main(["run", "realprob", "--config", cfg, "--emit-plotdata"]) == 2
 
@@ -132,9 +133,10 @@ def test_run_verify_small_exit_0(tmp_path, capsys):
 
 
 def test_run_verify_failure_exit_3(tmp_path, monkeypatch, capsys):
-    real_minor = cli.run_minor_identity
+    real_minor = experiments.run_minor_identity
     monkeypatch.setattr(
-        cli, "run_minor_identity", lambda config: dataclasses.replace(real_minor(config), max_coefficient_residual=1.0)
+        experiments, "run_minor_identity",
+        lambda config: dataclasses.replace(real_minor(config), max_coefficient_residual=1.0),
     )
     out = str(tmp_path / "v.jsonl")
     cfg = write_cfg(
@@ -153,7 +155,7 @@ def test_run_verify_exit_code_takes_the_family_verdict(z, code, tmp_path, monkey
     # 33 check rows, as real d=3 has: one at z = 3.14 is outside its own 3 SE
     # (its record says passed = 0) but not outside the family's level
     rows = tuple(CheckRow("lq-diag-var:rows=3", "real", 3, 2, v, 0.0, 1.0, 1000) for v in [0.0] * 32 + [z])
-    monkeypatch.setattr(cli, "run_factorization_checks", lambda config: FactorizationReport(rows=rows))
+    monkeypatch.setattr(experiments, "run_factorization_checks", lambda config: FactorizationReport(rows=rows))
     out = str(tmp_path / "v.jsonl")
     cfg = write_cfg(tmp_path, f'seed=5 field=real d=2 ensemble=ginibre n_grid=1 replications=20 out="{out}"')
     assert main(["run", "verify", "--config", cfg]) == code
@@ -296,6 +298,21 @@ def test_record_schema(experiment, tmp_path, monkeypatch, capsys):
     assert schema == RECORD_SCHEMAS[experiment]
 
 
+@pytest.mark.parametrize("experiment", sorted(RECORD_SCHEMAS))
+def test_run_writes_the_runner_records_numbered(experiment, tmp_path, monkeypatch, capsys):
+    """matprod run adds nothing to a runner's records but their numbering."""
+    written = []
+    monkeypatch.setattr(cli, "write_records", lambda records, fmt, path, manifest: written.extend(records))
+    text = "seed=3 field=real d=2 ensemble=ginibre n_grid=2,4 replications=100 mc_samples=2000"
+    assert main(["run", experiment, "--config", write_cfg(tmp_path, text), "--out", str(tmp_path / "r.jsonl")]) == 0
+    runner = {"lyapunov": experiments.run_lyapunov, "stability": experiments.run_equality,
+              "fluctuations": experiments.run_fluctuations, "realprob": experiments.run_real_probability,
+              "verify": experiments.run_verify}[experiment]
+    records = runner(parse_config(text))
+    assert all(rec.seq == 0 for rec in records)
+    assert written == [dataclasses.replace(rec, seq=i) for i, rec in enumerate(records, start=1)]
+
+
 def test_run_fluctuations_records(tmp_path):
     out = str(tmp_path / "f.jsonl")
     cfg = write_cfg(
@@ -309,8 +326,6 @@ def test_run_fluctuations_records(tmp_path):
     assert "cov_stability_1_2" in stats
     assert "ref_cov_2_2" in stats
     # config echo in the manifest reparses to the identical config
-    from matprod.configtext import config_to_text, parse_config
-
     echoed = parse_config(manifest["config"])
     assert echoed.seed == 6
     assert echoed.out == out

@@ -1,4 +1,3 @@
-import dataclasses
 import math
 import warnings
 
@@ -29,6 +28,8 @@ from matprod.ensembles import sample_ginibre, sample_haar_unitary, sample_isotro
 from matprod.exponents import single_step_estimate
 from matprod.linalg import RANK_RTOL, count_complex_pairs, eigvals_rows
 from matprod.rng import RngStream
+
+from conftest import stat_array
 
 GINIBRE_R2 = EnsembleSpec("real", 2, Ginibre())
 GINIBRE_R3 = EnsembleSpec("real", 3, Ginibre())
@@ -72,9 +73,14 @@ def test_config_rejects_bad_counts():
 
 
 def test_wilson_contains_point_estimate():
-    for k, n in ((0, 10), (10, 10), (7, 10), (707, 1000)):
+    # the clamp in wilson_interval is all that keeps a realprob record's p_hat
+    # inside its interval: every k for small n, the ends for n up to 10^7
+    cases = [(k, n) for n in (1, 2, 3, 10, 997) for k in range(n + 1)]
+    wide = sorted({10**e for e in range(8)} | {2**e for e in range(24)} | {3, 7, 997, 3072, 999_983})
+    cases += [(k, n) for n in wide for k in {0, 1, n - 1, n}]
+    for k, n in cases:
         lo, hi = wilson_interval(k, n)
-        assert 0.0 <= lo <= k / n <= hi <= 1.0
+        assert 0.0 <= lo <= k / n <= hi <= 1.0, (k, n)
 
 
 def test_wilson_tightens_with_n():
@@ -101,46 +107,42 @@ def test_wilson_rejects_bad_input():
 
 
 def test_equality_flat_ensemble_all_gaps_zero():
-    res = run_equality(cfg(FLAT, n_grid=(3, 6), replications=32))
-    for pn in res.per_n:
-        assert pn.maxgap_max < 1e-12
-        assert np.all(pn.gap_singular_stability.max < 1e-12)
-        assert pn.count == 32
+    for rec in run_equality(cfg(FLAT, n_grid=(3, 6), replications=32)):
+        assert rec.stats["maxgap_worst"].value < 1e-12
+        assert np.all(stat_array(rec, "gap_singular_stability") < 1e-12)
+        assert rec.replications == 32
 
 
 def test_equality_scalar_dimension_gap_zero():
     spec = EnsembleSpec("real", 1, Ginibre())
-    res = run_equality(cfg(spec, n_grid=(4, 9), replications=32))
-    for pn in res.per_n:
-        assert pn.maxgap_max < 1e-12
+    for rec in run_equality(cfg(spec, n_grid=(4, 9), replications=32)):
+        assert rec.stats["maxgap_worst"].value < 1e-12
 
 
 def test_equality_gap_decreases_with_n():
-    res = run_equality(cfg(GINIBRE_R2, seed=7, n_grid=(10, 50), replications=100))
-    assert res.per_n[1].maxgap_mean < res.per_n[0].maxgap_mean
+    n10, n50 = run_equality(cfg(GINIBRE_R2, seed=7, n_grid=(10, 50), replications=100))
+    assert n50.stats["maxgap"].value < n10.stats["maxgap"].value
 
 
 def test_equality_reference_sources():
-    res = run_equality(cfg(GINIBRE_R2, replications=16))
-    assert res.reference_source == "analytic"
-    assert np.allclose(res.reference_se, 0.0)
+    # the closed form's SEs are 0, the single-step estimate's are not
+    analytic = run_equality(cfg(GINIBRE_R2, replications=16))[0]
+    assert np.all(stat_array(analytic, "ref_lambda", "se") == 0.0)
     custom = run_equality(
         cfg(
             EnsembleSpec("real", 2, CustomSingular(values=(2.0, 1.0))),
             replications=16,
             mc_samples=4000,
         )
-    )
-    assert custom.reference_source == "single-step"
-    assert np.all(custom.reference_se > 0)
+    )[0]
+    assert np.all(stat_array(custom, "ref_lambda", "se") > 0)
 
 
 def test_equality_statistics_carry_counts():
-    res = run_equality(cfg(GINIBRE_R2, replications=24))
-    pn = res.per_n[0]
-    assert pn.count == 24
-    assert np.all(pn.se_singular > 0)
-    assert np.all(pn.gap_singular_ref.se >= 0)
+    rec = run_equality(cfg(GINIBRE_R2, replications=24))[0]
+    assert rec.replications == 24 and rec.stats["maxgap"].count == 24
+    assert np.all(stat_array(rec, "mean_singular", "se") > 0)
+    assert np.all(stat_array(rec, "gap_singular_ref", "se") >= 0)
 
 
 @pytest.mark.parametrize(
@@ -158,7 +160,7 @@ def test_thread_count_invariant(runner, spec, monkeypatch):
         runner(ExperimentConfig(seed=99, spec=spec, n_grid=(5, 12), replications=300, threads=t))
         for t in (1, 3)
     ]
-    np.testing.assert_equal(*(dataclasses.asdict(r) for r in results))
+    assert results[0] == results[1]
 
 
 @pytest.mark.parametrize(
@@ -174,7 +176,7 @@ def test_results_do_not_depend_on_stack_bounds(runner, spec, grid, monkeypatch):
     for budget in (1, 1 << 40):
         monkeypatch.setattr(experiments, "_STACK_ENTRIES", budget)
         results.append(runner(ExperimentConfig(seed=98, spec=spec, n_grid=grid, replications=600)))
-    np.testing.assert_equal(*(dataclasses.asdict(r) for r in results))
+    assert results[0] == results[1]
 
 
 @pytest.mark.parametrize("budget, stacks", [(1, 5), (2 * 256 * 3 * 4, 3), (1 << 40, 1)])
@@ -211,8 +213,8 @@ def test_threads_take_a_pool_only_for_more_than_one_stack(budget, pooled, monkey
         return pool(*args, **kwargs)
 
     monkeypatch.setattr(experiments, "ThreadPoolExecutor", spy)
-    res = run_real_probability(cfg(GINIBRE_R2, n_grid=(1,), replications=600, threads=2))
-    assert res.per_n[0].trials + res.per_n[0].excluded == 600
+    stats = run_real_probability(cfg(GINIBRE_R2, n_grid=(1,), replications=600, threads=2))[0].stats
+    assert stats["trials"].value + stats["excluded"].value == 600
     assert built == ([{"max_workers": 2}] if pooled else [])
 
 
@@ -220,9 +222,9 @@ def test_threads_take_a_pool_only_for_more_than_one_stack(budget, pooled, monkey
 
 
 def test_fluctuations_flat_ensemble_zero_covariance():
-    res = run_fluctuations(cfg(FLAT, n_grid=(6,), replications=128))
-    assert np.max(np.abs(res.cov_singular)) < 1e-18
-    assert np.max(np.abs(res.cov_stability)) < 1e-18
+    (rec,) = run_fluctuations(cfg(FLAT, n_grid=(6,), replications=128))
+    assert np.max(np.abs(stat_array(rec, "cov_singular"))) < 1e-18
+    assert np.max(np.abs(stat_array(rec, "cov_stability"))) < 1e-18
 
 
 def test_fluctuations_requires_replications():
@@ -231,22 +233,20 @@ def test_fluctuations_requires_replications():
 
 
 def test_fluctuations_reference_and_shapes():
-    res = run_fluctuations(cfg(GINIBRE_R2, seed=21, n_grid=(20,), replications=300))
-    assert res.n == 20
-    assert res.cov_singular.shape == (2, 2)
-    assert np.allclose(res.cov_singular, res.cov_singular.T)
-    assert res.reference_source == "analytic"
-    assert np.allclose(np.diag(res.reference_cov), [math.pi**2 / 24, math.pi**2 / 8])
-    assert res.reference_cov[0, 1] == 0.0
-    assert np.all(res.cov_diff_se >= 0)
+    (rec,) = run_fluctuations(cfg(GINIBRE_R2, seed=21, n_grid=(20,), replications=300))
+    assert rec.n == 20
+    assert stat_array(rec, "cov_singular").shape == (2, 2)
+    # the closed form's covariance is diagonal
+    assert np.allclose(np.diag(stat_array(rec, "ref_cov")), [math.pi**2 / 24, math.pi**2 / 8])
+    assert rec.stats["ref_cov_1_2"].value == 0.0
+    assert np.all(stat_array(rec, "cov_diff_se") >= 0)
 
 
 def test_fluctuations_single_step_reference():
     spec = EnsembleSpec("real", 2, HaarScaled(ScalarLaw("lognormal", (0.0, 1.0))))
-    res = run_fluctuations(cfg(spec, seed=8, n_grid=(4,), replications=100, mc_samples=3000))
-    assert res.reference_source == "single-step"
+    (rec,) = run_fluctuations(cfg(spec, seed=8, n_grid=(4,), replications=100, mc_samples=3000))
     expected = single_step_estimate(spec, 3000, RngStream(8).derive(2, 0, 0)).cov
-    np.testing.assert_array_equal(res.reference_cov, expected)
+    np.testing.assert_array_equal(stat_array(rec, "ref_cov"), expected)
 
 
 # --- reality probability ------------------------------------------------
@@ -254,10 +254,9 @@ def test_fluctuations_single_step_reference():
 
 def test_realprob_d1_always_real():
     spec = EnsembleSpec("real", 1, Ginibre())
-    res = run_real_probability(cfg(spec, n_grid=(1, 5), replications=200))
-    for pn in res.per_n:
-        assert pn.p_hat == 1.0
-        assert pn.wilson_low <= 1.0 <= pn.wilson_high
+    for rec in run_real_probability(cfg(spec, n_grid=(1, 5), replications=200)):
+        assert rec.stats["p_hat"].value == 1.0
+        assert rec.stats["wilson_low"].value <= 1.0 <= rec.stats["wilson_high"].value
 
 
 def test_realprob_rejects_complex_field():
@@ -267,22 +266,21 @@ def test_realprob_rejects_complex_field():
 
 
 def test_realprob_trend_toward_one():
-    res = run_real_probability(cfg(GINIBRE_R2, seed=17, n_grid=(1, 15), replications=2000))
-    p1, p15 = res.per_n
-    assert p15.p_hat > p1.p_hat
-    assert p15.wilson_low > p1.wilson_high
+    p1, p15 = (rec.stats for rec in run_real_probability(cfg(GINIBRE_R2, seed=17, n_grid=(1, 15), replications=2000)))
+    assert p15["p_hat"].value > p1["p_hat"].value
+    assert p15["wilson_low"].value > p1["wilson_high"].value
     # n = 1 matches the known constant within a generous window
-    assert abs(p1.p_hat - 1 / math.sqrt(2)) < 4 * math.sqrt(0.207 / 2000)
+    assert abs(p1["p_hat"].value - 1 / math.sqrt(2)) < 4 * math.sqrt(0.207 / 2000)
 
 
 def test_realprob_two_factor_closed_form():
     # P(all eigenvalues real) of a product of two real 2x2 Ginibre matrices
     # is pi/4 (Lakshminarayan 2013); the seed was fixed before the first run
-    res = run_real_probability(cfg(GINIBRE_R2, seed=2016, n_grid=(1, 2), replications=200_000, threads=2))
-    p2 = res.per_n[1]
-    assert p2.n == 2 and p2.trials == 200_000
-    z = (p2.p_hat - math.pi / 4) / math.sqrt(math.pi / 4 * (1 - math.pi / 4) / p2.trials)
-    print(f"two-factor anchor: p(2)={p2.p_hat:.5f} vs pi/4={math.pi / 4:.5f}, z={z:.2f}")
+    rec = run_real_probability(cfg(GINIBRE_R2, seed=2016, n_grid=(1, 2), replications=200_000, threads=2))[1]
+    p2, trials = rec.stats["p_hat"].value, rec.stats["trials"].value
+    assert rec.n == 2 and trials == 200_000
+    z = (p2 - math.pi / 4) / math.sqrt(math.pi / 4 * (1 - math.pi / 4) / trials)
+    print(f"two-factor anchor: p(2)={p2:.5f} vs pi/4={math.pi / 4:.5f}, z={z:.2f}")
     assert abs(z) < 3
 
 
@@ -291,9 +289,9 @@ def test_realprob_classifies_every_trajectory_to_large_n():
     # seed was fixed before the first run
     for d, grid in ((2, (1, 50, 100, 200)), (3, (1, 50, 100)), (4, (1, 50, 100))):
         res = run_real_probability(cfg(EnsembleSpec("real", d, Ginibre()), seed=1404, n_grid=grid, replications=300))
-        assert [(pn.trials, pn.excluded) for pn in res.per_n] == [(300, 0)] * len(grid)
-        first, last = res.per_n[0], res.per_n[-1]
-        assert last.p_hat > first.p_hat and last.wilson_low > first.wilson_high
+        assert [(rec.stats["trials"].value, rec.stats["excluded"].value) for rec in res] == [(300, 0)] * len(grid)
+        first, last = res[0].stats, res[-1].stats
+        assert last["p_hat"].value > first["p_hat"].value and last["wilson_low"].value > first["wilson_high"].value
 
 
 def _svd_route_pairs(m):
@@ -422,12 +420,12 @@ def test_reality_n1_excludes_exactly_the_rows_the_svd_test_rejects():
 
 def test_realprob_n1_excluded_counts_the_svd_rejections():
     spec = EnsembleSpec("real", 2, CustomSingular(iid=ScalarLaw("lognormal", (0.0, 10.0))))
-    res = run_real_probability(cfg(spec, seed=1621, n_grid=(1,), replications=600))
+    (rec,) = run_real_probability(cfg(spec, seed=1621, n_grid=(1,), replications=600))
     rejected = sum(
         int((~exponents._init_rows(sample_isotropic_chunk(spec, RngStream(1621).derive(3, 1, ci).generator(),
                                                            count, 1)[:, 0]).ok).sum())
         for ci, count in experiments._chunk_jobs(600))
-    assert res.per_n[0].excluded == rejected > 0
+    assert rec.stats["excluded"].value == rejected > 0
 
 
 def test_realprob_excludes_the_rows_whose_singular_value_test_does_not_converge(monkeypatch):
@@ -446,10 +444,11 @@ def test_realprob_excludes_the_rows_whose_singular_value_test_does_not_converge(
     res = run_real_probability(config)
     # n = 1 takes no step, so no singular-value test: its exclusions are the
     # clean run's; a trajectory dropped at a later step is excluded from then on
-    assert res.per_n[0].excluded == clean.per_n[0].excluded
-    assert res.per_n[1].excluded > clean.per_n[1].excluded
-    for got in res.per_n:
-        assert got.trials + got.excluded == 300
+    excluded = [[rec.stats["excluded"].value for rec in run] for run in (clean, res)]
+    assert excluded[1][0] == excluded[0][0]
+    assert excluded[1][1] > excluded[0][1]
+    for rec in res:
+        assert rec.stats["trials"].value + rec.stats["excluded"].value == 300
 
 
 def test_reality_n1_rule_is_the_same_whatever_the_grid():
@@ -494,8 +493,7 @@ def test_realprob_soft_trend_in_dimension():
     values = {}
     for d in (2, 3):
         spec = EnsembleSpec("real", d, Ginibre())
-        res = run_real_probability(cfg(spec, seed=23, n_grid=(4,), replications=1500))
-        values[d] = res.per_n[0].p_hat
+        values[d] = run_real_probability(cfg(spec, seed=23, n_grid=(4,), replications=1500))[0].stats["p_hat"].value
     print(f"soft trend report: p_hat(d=2)={values[2]:.3f} p_hat(d=3)={values[3]:.3f}")
 
 

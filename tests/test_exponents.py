@@ -41,7 +41,7 @@ from matprod import exponents
 from matprod.linalg import RANK_RTOL, NumericError, SingularInputError, count_complex_pairs, eig_by_modulus, qr_positive
 from matprod.rng import RngStream
 
-from conftest import rel_err
+from conftest import rel_err, stat_array
 
 EULER_GAMMA = 0.5772156649015329
 
@@ -121,7 +121,6 @@ def test_analytic_real_ginibre_d2():
     spec = analytic_spectrum(EnsembleSpec("real", 2, Ginibre()))
     assert spec.lyapunov == pytest.approx([0.0579657578292062, -0.6351814227307391], abs=1e-10)
     assert spec.variance == pytest.approx([math.pi**2 / 24, math.pi**2 / 8], abs=1e-10)
-    assert spec.independent_components
 
 
 def test_analytic_complex_ginibre_d2():
@@ -1301,8 +1300,9 @@ def test_estimator_agreement_spec_scope():
     stream = RngStream(42)
     ss = single_step_estimate(spec, 100_000, stream.derive(0))
     cfg = ExperimentConfig(seed=42, spec=spec, n_grid=(20,), replications=10_000)
-    pn = run_equality(cfg).per_n[0]
-    z = np.abs(ss.mean - pn.mean_singular) / np.sqrt(ss.se**2 + pn.se_singular**2)
+    rec = run_equality(cfg)[0]
+    mean, se = stat_array(rec, "mean_singular"), stat_array(rec, "mean_singular", "se")
+    z = np.abs(ss.mean - mean) / np.sqrt(ss.se**2 + se**2)
     assert np.all(z < 3)
 
 
@@ -1312,9 +1312,9 @@ def test_advance_based_bias_shrinks_with_n():
     spec = EnsembleSpec("real", 3, Ginibre())
     lam = analytic_spectrum(spec).lyapunov
     cfg = ExperimentConfig(seed=42, spec=spec, n_grid=(20, 80), replications=2000)
-    res = run_equality(cfg)
-    dev20 = np.abs(res.per_n[0].mean_singular - lam)
-    dev80 = np.abs(res.per_n[1].mean_singular - lam)
+    n20, n80 = run_equality(cfg)
+    dev20 = np.abs(stat_array(n20, "mean_singular") - lam)
+    dev80 = np.abs(stat_array(n80, "mean_singular") - lam)
     assert np.all(dev80 < dev20)
 
 
