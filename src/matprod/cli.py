@@ -29,12 +29,12 @@ from .configtext import ConfigError, config_to_text, parse_config
 from .ensembles import FIELDS, EnsembleSpec, parse_ensemble
 from .experiments import (
     ExperimentConfig,
-    family_passed,
     run_equality,
     run_fluctuations,
     run_lyapunov,
     run_real_probability,
     run_verify,
+    verify_passed,
 )
 from .exponents import SpreadOverflowError, analytic_spectrum
 from .linalg import NumericError, SingularInputError
@@ -140,10 +140,7 @@ def cmd_run(experiment: str, config: ExperimentConfig, emit_plotdata: bool = Fal
                 print(f"wrote plot data to {path}", file=sys.stderr)
 
     _print_records(records)
-    # the verify rows with a z form one family (family_passed); every other check stands alone
-    checks = [rec.stats for rec in records if "passed" in rec.stats]
-    family = [(s["estimate"].value, s["reference"].value, s["estimate"].se) for s in checks if "z" in s]
-    if not (family_passed(family) and all(s["passed"].value for s in checks if "z" not in s)):
+    if not verify_passed(records):
         print("verification FAILED: checks outside their family-wise or own tolerance", file=sys.stderr)
         return EXIT_NUMERIC
     return EXIT_OK

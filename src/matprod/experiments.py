@@ -4,10 +4,11 @@ Each runner turns one limit statement into a desk-scale Monte Carlo check
 with standard errors or Wilson intervals, and returns it as the result
 records `matprod run` writes (unnumbered: seq = 0): run_lyapunov,
 run_equality (the "stability" experiment), run_fluctuations,
-run_real_probability and run_verify. Replications are drawn in fixed-size
-chunks, each chunk on its own derived random stream, and chunk results are
-folded in index order - so aggregated statistics are identical for any
-thread count adopted.
+run_real_probability and run_verify. verify_passed decides from a run's
+records whether its checks passed, and is the verdict `matprod run` exits
+on. Replications are drawn in fixed-size chunks, each chunk on its own
+derived random stream, and chunk results are folded in index order - so
+aggregated statistics are identical for any thread count adopted.
 
 The trajectory runners (equality, fluctuations, reality) share one stack
 worker. A stack is a run of consecutive chunks, as many whole ones as fit
@@ -60,9 +61,6 @@ from .rng import RngStream
 
 __all__ = [
     "ExperimentConfig",
-    "CheckRow",
-    "FactorizationReport",
-    "MinorIdentityReport",
     "run_lyapunov",
     "run_equality",
     "run_fluctuations",
@@ -70,7 +68,7 @@ __all__ = [
     "run_verify",
     "run_factorization_checks",
     "run_minor_identity",
-    "family_passed",
+    "verify_passed",
     "wilson_interval",
 ]
 
@@ -102,7 +100,7 @@ _EXP_LYAPUNOV = 6  # run_lyapunov: role 0 single-step, role 1 QR stream
 _MINOR_TOL = 1e-8
 
 _Z95 = 1.959963984540054
-# Family-wise level of the verify verdict: the two-sided level of one 3-SE test.
+# Family-wise level of verify_passed over the check rows: the two-sided level of one 3-SE test.
 _FAMILY_LEVEL = 0.0027
 # Floor of every check's tolerance: absorbs pure rounding noise in exactly-zero checks.
 _CHECK_FLOOR = 1e-12
@@ -285,9 +283,9 @@ def _stat_vec(prefix: str, values, se=None, count=None) -> dict[str, Stat]:
 
 
 def _record(experiment: str, spec: EnsembleSpec, n: int, replications: int, stats: dict[str, Stat],
-            d: Optional[int] = None, field: Optional[str] = None) -> ResultRecord:
-    """A record of spec's ensemble; d and field default to spec's. matprod run numbers the records."""
-    return ResultRecord(experiment, d or spec.d, field or spec.field, spec.ensemble_text, n, replications, 0, stats)
+            d: Optional[int] = None) -> ResultRecord:
+    """A record of spec's ensemble; d defaults to spec's. matprod run numbers the records."""
+    return ResultRecord(experiment, d or spec.d, spec.field, spec.ensemble_text, n, replications, 0, stats)
 
 
 def _mean_se(x: np.ndarray) -> np.ndarray:
@@ -423,49 +421,36 @@ def run_real_probability(config: ExperimentConfig) -> list[ResultRecord]:
     return records
 
 
-@dataclass(frozen=True)
-class CheckRow:
-    """One line of a verification table: estimate vs reference."""
-
-    check: str
-    field: str
-    d: int
-    index: int           # corner size i, diagonal slot j, or minor order
-    estimate: float
-    reference: float
-    se: float
-    samples: int
-
-    @property
-    def z(self) -> float:
-        return (self.estimate - self.reference) / self.se if self.se > 0 else 0.0
-
-    @property
-    def passed(self) -> bool:
-        return abs(self.estimate - self.reference) <= 3.0 * self.se + _CHECK_FLOOR
+def _check(spec: EnsembleSpec, check: str, d: int, index: int, estimate: float, reference: float, se: float,
+           samples: int) -> ResultRecord:
+    """One verify check row, estimate against reference: its z (0 where SE = 0)
+    and its own 3-SE verdict; index is the corner size i, diagonal slot j or
+    Haar dimension m, written as the record's n."""
+    return _record(f"verify:{check}:field={spec.field}:d={d}", spec, index, samples, {
+        "estimate": Stat(estimate, se, samples),
+        "reference": Stat(reference),
+        "z": Stat((estimate - reference) / se if se > 0 else 0.0),
+        "passed": Stat(float(abs(estimate - reference) <= 3.0 * se + _CHECK_FLOOR)),
+    }, d=d)
 
 
-def family_passed(rows: Sequence[tuple[float, float, float]]) -> bool:
-    """Verdict on a family of check rows, each (estimate, reference, se), at
-    the family-wise level _FAMILY_LEVEL: Holm's step-down over the rows with
-    SE > 0, each a two-sided z test of its distance to the reference beyond
-    the floor for rounding noise that CheckRow.passed allows too. It rejects
-    some row exactly when its first step does, when the smallest p-value is
-    at most the level over the count of such rows. A row with SE = 0 passes
-    within the floor; a NaN fails.
+def verify_passed(records: Sequence[ResultRecord]) -> bool:
+    """Verdict `matprod run` exits on. The check rows (the records
+    with a z) are one family at the family-wise level _FAMILY_LEVEL: Holm's
+    step-down over the rows with SE > 0, each a two-sided z test of its
+    distance to the reference beyond the floor for rounding noise that a
+    row's own passed allows too. It rejects some row exactly when its first
+    step does, when the smallest p-value is at most the level over the count
+    of such rows. A row with SE = 0 passes within the floor; a NaN fails.
+    Every other record with a passed stat stands alone; the rest carry no
+    verdict.
     """
-    z = [(abs(estimate - reference) - _CHECK_FLOOR) / se for estimate, reference, se in rows if se > 0]
+    checks = [rec.stats for rec in records if "passed" in rec.stats]
+    family = [(s["estimate"].value - s["reference"].value, s["estimate"].se) for s in checks if "z" in s]
+    z = [(abs(gap) - _CHECK_FLOOR) / se for gap, se in family if se > 0]
     return (all(math.erfc(max(v, 0.0) / math.sqrt(2)) > _FAMILY_LEVEL / len(z) for v in z)
-            and all(abs(estimate - reference) <= _CHECK_FLOOR for estimate, reference, se in rows if not se > 0))
-
-
-@dataclass(frozen=True)
-class FactorizationReport:
-    rows: tuple[CheckRow, ...]
-
-    @property
-    def passed(self) -> bool:
-        return family_passed([(row.estimate, row.reference, row.se) for row in self.rows])
+            and all(abs(gap) <= _CHECK_FLOOR for gap, se in family if not se > 0)
+            and all(s["passed"].value for s in checks if "z" not in s))
 
 
 class _Moments:
@@ -503,7 +488,7 @@ class _Moments:
         return np.sqrt(np.maximum(m4 - m2**2, 0.0) / self.n)
 
 
-def run_factorization_checks(config: ExperimentConfig) -> FactorizationReport:
+def run_factorization_checks(config: ExperimentConfig) -> list[ResultRecord]:
     """Triangular-factorization checks tying Gaussian and Haar samples together.
 
     (a) Monte Carlo mean of log |det(corner of a Haar matrix)| against the
@@ -516,12 +501,13 @@ def run_factorization_checks(config: ExperimentConfig) -> FactorizationReport:
     (d) Phase: mean of Re u_11 over the draws of (a), against 0. Only this
         row sees a sampler that skips the positive-diagonal normalization:
         (a) and (c) read moduli, blind to the column phases it fixes.
+    One record a check row (_check), in the order (a), (b), (c), (d).
     """
     spec = config.spec
     field = spec.field
     mc = config.mc_samples
     base = config.stream()
-    rows: list[CheckRow] = []
+    rows: list[ResultRecord] = []
     phase_rows = []  # last, so every other row keeps its place in the records
 
     for d in range(1, spec.d + 1):
@@ -533,22 +519,11 @@ def run_factorization_checks(config: ExperimentConfig) -> FactorizationReport:
             for i in range(1, d + 1):
                 dets = np.linalg.det(u[:, :i, :i])
                 corner[i - 1].add(np.log(np.abs(dets))[:, None])
-        for i in range(1, d + 1):
-            mom = corner[i - 1]
-            rows.append(
-                CheckRow(
-                    check="corner-logdet",
-                    field=field,
-                    d=d,
-                    index=i,
-                    estimate=float(mom.mean()[0]),
-                    reference=analytic_truncated_logdet(i, d, field),
-                    se=float(mom.mean_se()[0]),
-                    samples=mom.n,
-                )
-            )
-        phase_rows.append(CheckRow("haar-phase", field, d, 1, float(phase.mean()[0]), 0.0, float(phase.mean_se()[0]),
-                                   phase.n))
+        for i, mom in enumerate(corner, start=1):
+            rows.append(_check(spec, "corner-logdet", d, i, float(mom.mean()[0]), analytic_truncated_logdet(i, d, field),
+                               float(mom.mean_se()[0]), mom.n))
+        phase_rows.append(_check(spec, "haar-phase", d, 1, float(phase.mean()[0]), 0.0, float(phase.mean_se()[0]),
+                                 phase.n))
 
     dof_scale = 2 if field == "complex" else 1
     for d in range(1, spec.d + 1):
@@ -569,9 +544,9 @@ def run_factorization_checks(config: ExperimentConfig) -> FactorizationReport:
                     off_mom.add(np.concatenate(parts, axis=1).reshape(-1, 1))
             for j in range(1, nrows + 1):
                 k = dof_scale * (d - j + 1)
-                rows += _mean_var_rows(f"lq-diag-{{}}:rows={nrows}", field, d, j, diag_mom, j - 1, float(k), float(2 * k))
+                rows += _mean_var_rows(spec, f"lq-diag-{{}}:rows={nrows}", d, j, diag_mom, j - 1, float(k), float(2 * k))
             if off_mom is not None:
-                rows += _mean_var_rows(f"lq-offdiag-{{}}:rows={nrows}", field, d, nrows, off_mom, 0, 0.0, 1.0)
+                rows += _mean_var_rows(spec, f"lq-offdiag-{{}}:rows={nrows}", d, nrows, off_mom, 0, 0.0, 1.0)
 
     for d in range(1, spec.d + 1):
         m = 4 * d
@@ -581,69 +556,35 @@ def run_factorization_checks(config: ExperimentConfig) -> FactorizationReport:
             u = sample_haar_unitary(m, field, gen, size=b)
             block = m * np.abs(u[:, :d, :d]) ** 2
             mom.add(block.reshape(b, -1).mean(axis=1)[:, None])
-        rows.append(
-            CheckRow(
-                check="corner-scaling",
-                field=field,
-                d=d,
-                index=m,
-                estimate=float(mom.mean()[0]),
-                reference=1.0,
-                se=float(mom.mean_se()[0]),
-                samples=mom.n,
-            )
-        )
+        rows.append(_check(spec, "corner-scaling", d, m, float(mom.mean()[0]), 1.0, float(mom.mean_se()[0]), mom.n))
 
-    return FactorizationReport(rows=tuple(rows + phase_rows))
+    return rows + phase_rows
 
 
-def _mean_var_rows(check: str, field: str, d: int, index: int, mom: _Moments, col: int,
-                   mean_ref: float, var_ref: float) -> list[CheckRow]:
+def _mean_var_rows(spec: EnsembleSpec, check: str, d: int, index: int, mom: _Moments, col: int,
+                   mean_ref: float, var_ref: float) -> list[ResultRecord]:
     """Check rows of one moment column's mean and variance; check has a {} for mean/var."""
     return [
-        CheckRow(check.format("mean"), field, d, index, float(mom.mean()[col]), mean_ref,
-                 float(mom.mean_se()[col]), mom.n),
-        CheckRow(check.format("var"), field, d, index, float(mom.var()[col]), var_ref,
-                 float(mom.var_se()[col]), mom.n),
+        _check(spec, check.format("mean"), d, index, float(mom.mean()[col]), mean_ref, float(mom.mean_se()[col]),
+               mom.n),
+        _check(spec, check.format("var"), d, index, float(mom.var()[col]), var_ref, float(mom.var_se()[col]), mom.n),
     ]
 
 
-@dataclass(frozen=True)
-class MinorIdentityReport:
-    """Worst relative residuals of the exact minor identities."""
-
-    spec: EnsembleSpec
-    trials: int
-    tol: float
-    max_coefficient_residual: float   # minor sums vs char-poly coefficients, over the sum of |minors|
-    max_factorization_residual: float  # [w s]_J vs [w]_J [s]_J
-    max_partial_product_excess: float             # eigenvalue over singular partial products
-
-    @property
-    def passed(self) -> bool:
-        return (
-            self.max_coefficient_residual <= self.tol
-            and self.max_factorization_residual <= self.tol
-            and self.max_partial_product_excess <= self.tol
-        )
-
-
-def run_minor_identity(config: ExperimentConfig) -> MinorIdentityReport:
+def run_minor_identity(config: ExperimentConfig) -> ResultRecord:
     """Exact identities on random unitary-times-diagonal matrices.
 
     For each trial, checks (i) that order-i principal-minor sums equal the
     corresponding elementary symmetric functions of the eigenvalues, (ii)
     the minor factorization across the diagonal factor, and (iii) that
     eigenvalue-modulus partial products never exceed singular-value partial
-    products beyond rounding.
+    products beyond rounding. One record of the worst relative residual of
+    each, passed when none is over _MINOR_TOL.
     """
     spec = config.spec
     if spec.d > 6:
         raise ValueError("minor identity checks are limited to d <= 6")
     base = config.stream()
-    worst_coeff = 0.0
-    worst_factor = 0.0
-    worst_bound = 0.0
 
     def worker(ci: int, count: int):
         gen = base.derive(_EXP_MINOR, 1, ci).generator()
@@ -675,39 +616,19 @@ def run_minor_identity(config: ExperimentConfig) -> MinorIdentityReport:
         return wc, wf, wh
 
     parts = _map_chunks(_chunk_jobs(config.replications), worker, config.threads)
-    for wc, wf, wh in parts:
-        worst_coeff = max(worst_coeff, wc)
-        worst_factor = max(worst_factor, wf)
-        worst_bound = max(worst_bound, wh)
-    return MinorIdentityReport(
-        spec=spec,
-        trials=config.replications,
-        tol=_MINOR_TOL,
-        max_coefficient_residual=worst_coeff,
-        max_factorization_residual=worst_factor,
-        max_partial_product_excess=worst_bound,
-    )
+    worst = [max(0.0, *column) for column in zip(*parts)]
+    return _record("verify:minor-identity", spec, spec.d, config.replications, {
+        # minor sums vs char-poly coefficients, over the sum of |minors|
+        "max_coefficient_residual": Stat(worst[0]),
+        "max_factorization_residual": Stat(worst[1]),  # [w s]_J vs [w]_J [s]_J
+        "max_partial_product_excess": Stat(worst[2]),  # eigenvalue over singular partial products
+        "tol": Stat(_MINOR_TOL),
+        "passed": Stat(float(all(w <= _MINOR_TOL for w in worst))),
+    })
 
 
 def run_verify(config: ExperimentConfig) -> list[ResultRecord]:
     """Records of both verification runs: the minor identities, then one
-    record a factorization check row; a check that failed has passed = 0."""
-    spec = config.spec
-    minor = run_minor_identity(config)
-    records = [
-        _record("verify:minor-identity", spec, spec.d, minor.trials, {
-            "max_coefficient_residual": Stat(minor.max_coefficient_residual),
-            "max_factorization_residual": Stat(minor.max_factorization_residual),
-            "max_partial_product_excess": Stat(minor.max_partial_product_excess),
-            "tol": Stat(minor.tol),
-            "passed": Stat(float(minor.passed)),
-        })
-    ]
-    for row in run_factorization_checks(config).rows:
-        records.append(_record(f"verify:{row.check}:field={row.field}:d={row.d}", spec, row.index, row.samples, {
-            "estimate": Stat(row.estimate, row.se, row.samples),
-            "reference": Stat(row.reference),
-            "z": Stat(row.z),
-            "passed": Stat(float(row.passed)),
-        }, d=row.d, field=row.field))
-    return records
+    record a factorization check row; a check that failed has passed = 0,
+    and verify_passed gives the run's verdict."""
+    return [run_minor_identity(config), *run_factorization_checks(config)]

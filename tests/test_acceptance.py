@@ -5,11 +5,9 @@ statistical statements checked at their stated tolerances; the master seed is
 pinned so the suite is deterministic. Wall-time limits are asserted as stated.
 """
 import math
-import os
 import time
 
 import numpy as np
-import pytest
 
 from matprod import (
     EnsembleSpec,
@@ -200,11 +198,10 @@ def test_criterion_7_factorization_suite():
             replications=2,
             mc_samples=100_000,
         )
-        report = run_factorization_checks(cfg)
-        for row in report.rows:
-            if row.se > 1e-9:
-                worst = max(worst, abs(row.z))
-            if not row.passed:
+        for row in run_factorization_checks(cfg):
+            if row.stats["estimate"].se > 1e-9:
+                worst = max(worst, abs(row.stats["z"].value))
+            if not row.stats["passed"].value:
                 failures.append(row)
     elapsed = time.perf_counter() - start
     ok = bool(not failures and elapsed < 300)
@@ -224,10 +221,10 @@ def test_criterion_8_exact_identities():
         field = "real" if d % 2 else "complex"
         spec = EnsembleSpec(field, d, Ginibre())
         cfg = ExperimentConfig(seed=SEED, spec=spec, n_grid=(1,), replications=170)
-        rep = run_minor_identity(cfg)
-        worst_coeff = max(worst_coeff, rep.max_coefficient_residual)
-        worst_factor = max(worst_factor, rep.max_factorization_residual)
-        worst_bound = max(worst_bound, rep.max_partial_product_excess)
+        stats = run_minor_identity(cfg).stats
+        worst_coeff = max(worst_coeff, stats["max_coefficient_residual"].value)
+        worst_factor = max(worst_factor, stats["max_factorization_residual"].value)
+        worst_bound = max(worst_bound, stats["max_partial_product_excess"].value)
 
     worst_recursion = 0.0
     for d in (2, 3, 4):

@@ -6,7 +6,6 @@ import pytest
 from matprod import cli, experiments
 from matprod.cli import main
 from matprod.configtext import config_to_text, parse_config
-from matprod.experiments import CheckRow, FactorizationReport
 from matprod.recordio import read_jsonl
 
 
@@ -133,11 +132,8 @@ def test_run_verify_small_exit_0(tmp_path, capsys):
 
 
 def test_run_verify_failure_exit_3(tmp_path, monkeypatch, capsys):
-    real_minor = experiments.run_minor_identity
-    monkeypatch.setattr(
-        experiments, "run_minor_identity",
-        lambda config: dataclasses.replace(real_minor(config), max_coefficient_residual=1.0),
-    )
+    # no residual is at most a negative tolerance, so the minor identities fail
+    monkeypatch.setattr(experiments, "_MINOR_TOL", -1.0)
     out = str(tmp_path / "v.jsonl")
     cfg = write_cfg(
         tmp_path,
@@ -154,8 +150,8 @@ def test_run_verify_failure_exit_3(tmp_path, monkeypatch, capsys):
 def test_run_verify_exit_code_takes_the_family_verdict(z, code, tmp_path, monkeypatch, capsys):
     # 33 check rows, as real d=3 has: one at z = 3.14 is outside its own 3 SE
     # (its record says passed = 0) but not outside the family's level
-    rows = tuple(CheckRow("lq-diag-var:rows=3", "real", 3, 2, v, 0.0, 1.0, 1000) for v in [0.0] * 32 + [z])
-    monkeypatch.setattr(experiments, "run_factorization_checks", lambda config: FactorizationReport(rows=rows))
+    monkeypatch.setattr(experiments, "run_factorization_checks", lambda config: [
+        experiments._check(config.spec, "lq-diag-var:rows=3", 3, 2, v, 0.0, 1.0, 1000) for v in [0.0] * 32 + [z]])
     out = str(tmp_path / "v.jsonl")
     cfg = write_cfg(tmp_path, f'seed=5 field=real d=2 ensemble=ginibre n_grid=1 replications=20 out="{out}"')
     assert main(["run", "verify", "--config", cfg]) == code

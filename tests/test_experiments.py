@@ -10,23 +10,22 @@ from matprod.ensembles import (
     Ginibre,
     HaarScaled,
     ScalarLaw,
-    TruncatedHaar,
 )
 from matprod import experiments, exponents
 from matprod.experiments import (
-    CheckRow,
     ExperimentConfig,
-    FactorizationReport,
     run_equality,
     run_fluctuations,
     run_factorization_checks,
     run_minor_identity,
     run_real_probability,
+    verify_passed,
     wilson_interval,
 )
 from matprod.ensembles import sample_ginibre, sample_haar_unitary, sample_isotropic_chunk
 from matprod.exponents import single_step_estimate
 from matprod.linalg import RANK_RTOL, count_complex_pairs, eigvals_rows
+from matprod.recordio import ResultRecord, Stat
 from matprod.rng import RngStream
 
 from conftest import stat_array
@@ -488,23 +487,32 @@ def test_exponent_rows_count_at_the_grid_points_before_their_singular_factor():
     assert np.all(np.isfinite(stab[:, 0])) and np.all(np.isnan(stab[dropped, 1]))
 
 
-def test_realprob_soft_trend_in_dimension():
-    # reported trend, not a hard assertion: p_hat should not grow with d
-    values = {}
+def test_realprob_falls_with_dimension():
+    # p_hat(d=3) lies below p_hat(d=2) by more than 3 combined SE
+    p = {}
     for d in (2, 3):
         spec = EnsembleSpec("real", d, Ginibre())
-        values[d] = run_real_probability(cfg(spec, seed=23, n_grid=(4,), replications=1500))[0].stats["p_hat"].value
-    print(f"soft trend report: p_hat(d=2)={values[2]:.3f} p_hat(d=3)={values[3]:.3f}")
+        p[d] = run_real_probability(cfg(spec, seed=23, n_grid=(4,), replications=1500))[0].stats["p_hat"]
+    assert p[2].value - p[3].value > 3 * math.hypot(p[2].se, p[3].se), (p[2], p[3])
 
 
 # --- factorization checks -------------------------------------------------
 
 
+def check_name(rec):
+    """A verify record's check, e.g. corner-logdet or lq-diag-mean:rows=3."""
+    return rec.experiment.split(":field=")[0].removeprefix("verify:")
+
+
+def failed(records):
+    return [rec for rec in records if not rec.stats["passed"].value]
+
+
 def test_factorization_checks_small_run_passes():
     spec = EnsembleSpec("real", 2, Ginibre())
-    rep = run_factorization_checks(cfg(spec, seed=5, mc_samples=30_000))
-    assert rep.passed, [r for r in rep.rows if not r.passed]
-    checks = {r.check for r in rep.rows}
+    rows = run_factorization_checks(cfg(spec, seed=5, mc_samples=30_000))
+    assert verify_passed(rows), failed(rows)
+    checks = {check_name(r) for r in rows}
     assert "corner-logdet" in checks
     assert any(c.startswith("lq-diag-mean") for c in checks)
     assert any(c.startswith("corner-scaling") for c in checks)
@@ -512,48 +520,50 @@ def test_factorization_checks_small_run_passes():
 
 def test_factorization_checks_complex_field():
     spec = EnsembleSpec("complex", 2, Ginibre())
-    rep = run_factorization_checks(cfg(spec, seed=6, mc_samples=30_000))
-    assert rep.passed, [r for r in rep.rows if not r.passed]
+    rows = run_factorization_checks(cfg(spec, seed=6, mc_samples=30_000))
+    assert verify_passed(rows), failed(rows)
 
 
 def test_factorization_checks_exact_corner_row():
     spec = EnsembleSpec("real", 2, Ginibre())
-    rep = run_factorization_checks(cfg(spec, seed=7, mc_samples=5000))
-    full = [r for r in rep.rows if r.check == "corner-logdet" and r.index == r.d]
-    assert full and all(abs(r.estimate) < 1e-12 and r.reference == 0.0 for r in full)
+    rows = run_factorization_checks(cfg(spec, seed=7, mc_samples=5000))
+    full = [r.stats for r in rows if check_name(r) == "corner-logdet" and r.n == r.d]
+    assert full and all(abs(s["estimate"].value) < 1e-12 and s["reference"].value == 0.0 for s in full)
 
 
 @pytest.mark.parametrize("field", ["real", "complex"])
 def test_factorization_checks_see_a_haar_sampler_without_its_phase_correction(field, monkeypatch):
     config = cfg(EnsembleSpec(field, 2, Ginibre()), seed=8, mc_samples=20_000)
-    assert run_factorization_checks(config).passed
+    assert verify_passed(run_factorization_checks(config))
     monkeypatch.setattr(experiments, "sample_haar_unitary",
                         lambda d, field, rng, size=None: np.linalg.qr(sample_ginibre(d, d, field, rng, size=size))[0])
-    report = run_factorization_checks(config)
-    assert not report.passed
-    assert {r.check for r in report.rows if not r.passed} == {"haar-phase"}
+    rows = run_factorization_checks(config)
+    assert not verify_passed(rows)
+    assert {check_name(r) for r in failed(rows)} == {"haar-phase"}
 
 
 def _synthetic_report(z_values, se=1.0):
-    return FactorizationReport(rows=tuple(CheckRow("lq-diag-var:rows=3", "real", 3, 2, z * se, 0.0, se, 1000)
-                                          for z in z_values))
+    return [experiments._check(GINIBRE_R3, "lq-diag-var:rows=3", 3, 2, z * se, 0.0, se, 1000) for z in z_values]
 
 
 def test_factorization_verdict_controls_the_family_wise_error():
     # 33 rows, as real d=3 has: one at z = 3.14 fails its own 3-SE test, not the family
     zs = [0.0] * 32
     report = _synthetic_report(zs + [3.14])
-    assert not report.rows[-1].passed and report.rows[-1].z == pytest.approx(3.14)
-    assert report.passed
-    assert not _synthetic_report(zs + [6.0]).passed
-    assert not _synthetic_report(zs + [-6.0]).passed
-    assert not _synthetic_report(zs + [math.nan]).passed
-    assert not _synthetic_report(zs + [3.14], se=math.nan).passed
+    assert report[-1].stats["passed"].value == 0 and report[-1].stats["z"].value == pytest.approx(3.14)
+    assert verify_passed(report)
+    assert not verify_passed(_synthetic_report(zs + [6.0]))
+    assert not verify_passed(_synthetic_report(zs + [-6.0]))
+    assert not verify_passed(_synthetic_report(zs + [math.nan]))
+    assert not verify_passed(_synthetic_report(zs + [3.14], se=math.nan))
     # rows with SE = 0 keep the 1e-12 floor and stay out of the family's count
-    exact = [CheckRow("corner-logdet", "real", 2, 2, 1e-13, 0.0, 0.0, 1000)]
-    assert FactorizationReport(rows=report.rows + tuple(exact)).passed
-    off = [CheckRow("corner-logdet", "real", 2, 2, 1e-11, 0.0, 0.0, 1000)]
-    assert not FactorizationReport(rows=report.rows + tuple(off)).passed
+    assert verify_passed(report + [experiments._check(GINIBRE_R2, "corner-logdet", 2, 2, 1e-13, 0.0, 0.0, 1000)])
+    assert not verify_passed(report + [experiments._check(GINIBRE_R2, "corner-logdet", 2, 2, 1e-11, 0.0, 0.0, 1000)])
+    # a record without a z stands alone on its own passed
+    alone = [ResultRecord("verify:minor-identity", 3, "real", "ginibre", 3, 10, 0, {"passed": Stat(float(v))})
+             for v in (True, False)]
+    assert verify_passed([alone[0], *report])
+    assert not verify_passed([alone[1], *report])
 
 
 # --- minor identity ------------------------------------------------------
@@ -561,17 +571,17 @@ def test_factorization_verdict_controls_the_family_wise_error():
 
 def test_minor_identity_passes_and_reports():
     for spec in (GINIBRE_R3, EnsembleSpec("complex", 4, Ginibre())):
-        rep = run_minor_identity(cfg(spec, seed=9, replications=150))
-        assert rep.passed
-        assert rep.max_coefficient_residual < 1e-8
-        assert rep.max_factorization_residual < 1e-8
-        assert rep.max_partial_product_excess < 1e-8
+        stats = run_minor_identity(cfg(spec, seed=9, replications=150)).stats
+        assert stats["passed"].value == 1
+        assert stats["max_coefficient_residual"].value < 1e-8
+        assert stats["max_factorization_residual"].value < 1e-8
+        assert stats["max_partial_product_excess"].value < 1e-8
 
 
 def test_minor_identity_d1_exact():
     spec = EnsembleSpec("real", 1, Ginibre())
-    rep = run_minor_identity(cfg(spec, seed=10, replications=50))
-    assert rep.max_coefficient_residual < 1e-12
+    rec = run_minor_identity(cfg(spec, seed=10, replications=50))
+    assert rec.stats["max_coefficient_residual"].value < 1e-12
 
 
 def test_minor_identity_rejects_large_d():

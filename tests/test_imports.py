@@ -1,0 +1,31 @@
+"""Every module of the package (bar __init__, which re-exports) and every
+test file uses each name it imports: as a name, as the base of an attribute
+or in __all__."""
+import ast
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+FILES = [p for p in sorted((ROOT / "src" / "matprod").glob("*.py")) if p.name != "__init__.py"]
+FILES += sorted((ROOT / "tests").glob("*.py"))
+
+
+def unused_imports(path: Path) -> list[str]:
+    """path:line: name for each name path imports and never uses."""
+    tree = ast.parse(path.read_text(encoding="utf-8"))
+    imported, used = {}, set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            for alias in node.names:
+                imported[alias.asname or alias.name.split(".")[0]] = node.lineno
+        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            for alias in node.names:
+                imported[alias.asname or alias.name] = node.lineno
+        elif isinstance(node, ast.Name):  # an attribute's base is a Name too
+            used.add(node.id)
+        elif isinstance(node, ast.Assign) and any(getattr(t, "id", None) == "__all__" for t in node.targets):
+            used.update(ast.literal_eval(node.value))
+    return [f"{path.relative_to(ROOT)}:{line}: {name}" for name, line in imported.items() if name not in used]
+
+
+def test_no_unused_imports():
+    assert [entry for path in FILES for entry in unused_imports(path)] == []

@@ -7,7 +7,6 @@ from hypothesis import given, settings, strategies as st
 from matprod.exponents import _log_eig_moduli_graded
 from matprod.linalg import (
     LqPair,
-    NumericError,
     QrPair,
     SingularInputError,
     count_complex_pairs,
