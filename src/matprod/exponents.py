@@ -3,11 +3,13 @@
 The running product P_n is never formed explicitly: a ProductState keeps its
 singular values on log scale together with the left/right unitary frames, so
 products of hundreds of factors stay representable; evolve_stack steps them
-by QR, one step per factor or per folded block of well-conditioned factors,
-and takes the SVD at the grid points only. Its stacked LAPACK calls go
-through linalg.lapack_rows, so a matrix that does not converge fails only
-its own row. Estimators and analytic reference spectra for the supported
-ensembles live alongside.
+by the discrete QR method, one step per factor or per folded block of
+well-conditioned factors, and takes the SVD at the grid points only. A
+step's LQ is in closed form at d = 2 and one batched QR otherwise; the
+singularity verdicts of a segment's steps are taken together before it.
+Its stacked LAPACK calls go through linalg.lapack_rows, so a matrix that
+does not converge fails only its own row. Estimators and analytic reference
+spectra for the supported ensembles live alongside.
 """
 from __future__ import annotations
 
@@ -157,15 +159,25 @@ def _identity_rows(ok: np.ndarray, vec: np.ndarray, fill: float, *frames: np.nda
     return (np.where(ok[:, None], vec, fill), *(np.where(ok[:, None, None], f, eye) for f in frames))
 
 
-def _bound_clears(m: np.ndarray, scales: np.ndarray) -> np.ndarray:
+def _log_abs_det(m: np.ndarray) -> np.ndarray:
+    """log|det m| of each matrix of a stack: log|ad - bc| at d = 2, slogdet's
+    otherwise; -inf for a zero determinant (call under np.errstate)."""
+    if m.shape[-1] == 2:
+        return np.log(np.abs(m[..., 0, 0] * m[..., 1, 1] - m[..., 0, 1] * m[..., 1, 0]))
+    return np.linalg.slogdet(m)[1]
+
+
+def _bound_clears(m: np.ndarray, scales: np.ndarray | None = None) -> np.ndarray:
     """Which factors pass the SVD singularity test without it: those whose
     sigma_min / sigma_max >= |det m| / ||m||_F^d, in logs, clears 100 *
-    RANK_RTOL. |det m| is |prod scales|: r's diagonal from a QR of m, m^H, or
-    either times a unitary, m's eigenvalues (both backward stable, far inside
-    the margin of 100), or a 2x2's |ad - bc| (_pairs_2x2). A NaN or 0 does
-    not clear."""
+    RANK_RTOL. |det m| is |prod scales| where scales are given (m's
+    eigenvalues, backward stable and far inside the margin of 100, or a 2x2's
+    |ad - bc|), else _log_abs_det(m): |ad - bc| at d = 2, off by at most a
+    relative 1.2e-6 where the bound clears (_pairs_2x2), and slogdet's
+    backward-stable LU otherwise. A NaN or 0 does not clear, nor does a
+    determinant or norm out of double range."""
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        logdet = np.sum(np.log(np.abs(scales)), axis=-1)
+        logdet = _log_abs_det(m) if scales is None else np.sum(np.log(np.abs(scales)), axis=-1)
         frob_sq = np.einsum("...ij,...ij->...", m, m.conj()).real
         return logdet - 0.5 * m.shape[-1] * np.log(frob_sq) > _LOG_REGULAR_BOUND
 
@@ -197,13 +209,12 @@ def _pairs_2x2(m: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return np.where(certain, (disc < 0).astype(int), -1), det
 
 
-def _regular(m: np.ndarray, r: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Per-matrix test that a stack of factors is not numerically singular:
-    sigma_min > RANK_RTOL * sigma_max, given r from a QR of m, m^H, or either
-    times a unitary, and which converged. Only the factors that fail the
-    determinant bound (_bound_clears) take the SVD test (lapack_rows), so
-    every verdict is the SVD's."""
-    regular = _bound_clears(m, np.diagonal(r, axis1=-2, axis2=-1))
+def _regular(m: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Per-matrix test that a stack (..., d, d) of factors is not numerically
+    singular, sigma_min > RANK_RTOL * sigma_max, and which converged. Only the
+    factors that fail the determinant bound (_bound_clears, |det| from m)
+    take the SVD test (lapack_rows), so every verdict is the SVD's."""
+    regular = _bound_clears(m)
     converged = np.ones_like(regular)
     rest = ~regular
     if rest.any():
@@ -228,43 +239,79 @@ def _init_rows(m1: np.ndarray) -> ProductStack:
     return ProductStack(1, np.log(sigma), left, right, failure)
 
 
-def _step(stack: ProductStack, m: np.ndarray, live: np.ndarray | None = None) -> ProductStack:
-    """Stack of P_n @ m from the stack of P_n = G diag(exp(t)) O, with one
-    batched QR; input and result in that form (u_frame G, log_sigma t, v_frame
-    O, O unitary). The SVD form is the case G unitary. A row where live is
-    False takes no step: it comes back bit-unchanged, with no check, and its
-    m is not read.
+def _lq_2x2(y: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Y = L O' for each 2x2 matrix Y of a stack, rows y1 and y2, in closed
+    form: L lower triangular with a positive diagonal, O' unitary with rows
+    q1 and q2. Returns diag L (B, 2), L_21 / L_11 (B,) and O'.
 
-    With X = O m = L Q^H (the QR of X^H), P_n @ m = G' diag(exp(t')) O' for
-    t' = t + log|diag L|, O' = diag(ph) Q^H, ph = diag L / |diag L| and
-    G' = G M, M_ij = (L_ij / L_jj) exp(t_i - t_j): exponentials of differences
-    of t only, within the hard cap, so nothing leaves double range.
+    l11 = ||y1||, q1 = y1 / l11 and l21 = <y2, q1>; then det Y = l11 c with
+    c = q11 y22 - q12 y21, so l22 = |c| = |det Y| / l11 and
+    q2 = (c / |c|) (-conj q12, conj q11). Scaled so that nothing squares an
+    entry of Y, it keeps LAPACK's range. Where l11 or det Y is 0 the diagonal
+    holds 0 or NaN and the rest is not meaningful (call under np.errstate).
     """
-    t = stack.log_sigma
+    y11, y12, y21, y22 = y[:, 0, 0], y[:, 0, 1], y[:, 1, 0], y[:, 1, 1]
+    l11 = np.hypot(np.abs(y11), np.abs(y12)) if np.iscomplexobj(y) else np.hypot(y11, y12)
+    q11, q12 = y11 / l11, y12 / l11
+    c = q11 * y22 - q12 * y21
+    l22 = np.abs(c)
+    ph = c / l22
+    o = np.empty_like(y)
+    o[:, 0, 0], o[:, 0, 1], o[:, 1, 0], o[:, 1, 1] = q11, q12, -ph * q12.conj(), ph * q11.conj()
+    return np.array([l11, l22]).T, (y21 * q11.conj() + y22 * q12.conj()) / l11, o
+
+
+def _step(stack: ProductStack, m: np.ndarray, verdict: tuple | None, live: np.ndarray | None = None) -> ProductStack:
+    """Stack of P_n @ m from the stack of P_n = G diag(exp(t)) O; input and
+    result in that form (u_frame G, log_sigma t, v_frame O, O unitary). The
+    SVD form is the case G unitary. verdict is _regular's (regular,
+    converged) for m, taken before the step (None: every row passes). A row
+    where live is False takes no step: it comes back bit-unchanged, its m
+    must be the identity, and neither the spread check nor the re-sort
+    looks at it.
+
+    With X = O m = L Q^H, L lower triangular, P_n @ m = G' diag(exp(t')) O'
+    for t' = t + log|diag L|, O' = diag(ph) Q^H, ph = diag L / |diag L| and
+    G' = G M, M_ij = (L_ij / L_jj) exp(t_i - t_j): exponentials of differences
+    of t only, within the hard cap, so nothing leaves double range. At d = 2
+    the LQ is taken in closed form (_lq_2x2) and M has one entry off the
+    diagonal; otherwise from one batched QR of X^H.
+    """
+    t, g, o = stack.log_sigma, stack.u_frame, stack.v_frame
     on = True if live is None else live
     # the per-row range only when the whole stack's passes the cap: a row reduction is ~5% of a step
     wide = t.max() - t.min() > SPREAD_HARD_CAP
     failure = _cap_spread(stack.failure, np.ptp(t, axis=1), on) if wide else stack.failure
-    t, g, o, m = _identity_rows(np.equal(failure, None) & on, t, 0.0, stack.u_frame, stack.v_frame, m)
+    if verdict is not None:
+        regular, converged = verdict
+        failure = _fail(_fail_unconverged(failure, converged, m.shape[1:]), ~regular,
+                        lambda b: SingularInputError("factor is numerically singular"))
     # a row whose t has fallen out of order by more than a factor e is re-sorted:
     # else G takes entries up to exp(t_i - t_j), i > j, and loses the small scales
     out = t[:, 1:] - t[:, :-1] > 1.0
     if out.any():
-        t, g, o = _descending(t, g, o, out.any(axis=1))
-    q, r = np.linalg.qr((o @ m).conj().swapaxes(-1, -2))
-    regular, converged = _regular(m, r)
-    failure = _fail(_fail_unconverged(failure, converged, m.shape[1:]), ~regular,
-                    lambda b: SingularInputError("factor is numerically singular"))
-    if not np.diagonal(r, axis1=1, axis2=2).all():
-        failure = _fail(failure, ~np.diagonal(r, axis1=1, axis2=2).all(axis=1), lambda b: SingularInputError(
+        t, g, o = _descending(t, g, o, out.any(axis=1) & on)
+    x = o @ m
+    # rows that fail here or failed before are reset below, and padded ones put
+    # back, whatever this gives them (a padded row's spread may pass exp's range)
+    with np.errstate(all="ignore"):
+        if m.shape[-1] == 2:
+            size, ratio, o = _lq_2x2(x)
+            g = g.copy()
+            g[:, :, 0] += g[:, :, 1] * (ratio * np.exp(t[:, 1] - t[:, 0]))[:, None]
+        else:
+            q, r = np.linalg.qr(x.conj().swapaxes(-1, -2))
+            low = r.conj().swapaxes(-1, -2)
+            pivot = np.diagonal(low, axis1=1, axis2=2)
+            size = np.abs(pivot)
+            g = g @ (low / pivot[:, None, :] * np.exp(t[:, :, None] - t[:, None, :]))
+            o = (pivot / size)[:, :, None] * q.conj().swapaxes(-1, -2)
+        t = t + np.log(size)
+    fine = size > 0
+    if not fine.all():
+        failure = _fail(failure, ~fine.all(axis=1) & on, lambda b: SingularInputError(
             "factor drove the product to numerical singularity"))
-    t, g, o, q, r = _identity_rows(np.equal(failure, None), t, 0.0, g, o, q, r)
-    low = r.conj().swapaxes(-1, -2)
-    pivot = np.diagonal(low, axis1=1, axis2=2)
-    size = np.abs(pivot)
-    g = g @ (low / pivot[:, None, :] * np.exp(t[:, :, None] - t[:, None, :]))
-    o = (pivot / size)[:, :, None] * q.conj().swapaxes(-1, -2)
-    t = t + np.log(size)
+    t, g, o = _identity_rows(np.equal(failure, None), t, 0.0, g, o)
     if live is not None:
         t = np.where(live[:, None], t, stack.log_sigma)
         g, o = (np.where(live[:, None, None], new, old) for new, old in ((g, stack.u_frame), (o, stack.v_frame)))
@@ -306,10 +353,14 @@ def _fold_schedule(seg: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     cond(m_i) < 1 / _FOLD_BOUND, far inside _regular's SVD test, so
     singularity is still decided by factor, and cond(B) < 1 / _FOLD_BOUND
     adds under 14 to the spread, inside the margin from the hard cap to exp
-    overflow. A zero, non-finite, overflowed or underflowed block does not
-    fold. Only the pairs take a slogdet: a larger block sums its halves' log
-    |det| and log-norms. A row with fewer steps than S, the most any row has,
-    does not take the last ones; each row's steps do not depend on the others.
+    overflow. It also puts B past _regular's determinant bound, with a margin
+    of 1e4, so a folded block takes no SVD test. A zero, non-finite,
+    overflowed or underflowed block does not fold. Only the pairs' log|det|
+    is computed (_log_abs_det: ad - bc at d = 2, slogdet otherwise): a larger
+    block sums its halves' log|det| and log-norms. A row with fewer steps
+    than S, the most any row has, does not take the last ones: its padded
+    steps are the identity, from a slot after the pool's blocks. Each row's
+    steps do not depend on the others.
     """
     rows, count, d = seg.shape[:3]
     plain = seg, np.ones((rows, count), dtype=bool)
@@ -323,7 +374,7 @@ def _fold_schedule(seg: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
             half = block.shape[1] // 2
             even, odd = np.s_[:, 0:2 * half:2], np.s_[:, 1:2 * half:2]
             block = block[even] @ block[odd]
-            log_det = np.linalg.slogdet(block)[1] if level == 0 else log_det[even] + log_det[odd]
+            log_det = _log_abs_det(block) if level == 0 else log_det[even] + log_det[odd]
             log_norm = log_norm[even] + log_norm[odd]
             g = log_det - log_norm - 0.5 * (d - 1) * np.log(np.einsum("...ij,...ij->...", block, block.conj()).real)
             # a non-finite g marks a zero, non-finite, overflowed or underflowed block or norm
@@ -337,13 +388,15 @@ def _fold_schedule(seg: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         return plain
     # factor k steps in slot offset[top] + (k >> top) of the pool, or in none if it is not the block's first
     k = np.arange(count)
-    offset = np.cumsum([0] + [p.shape[1] for p in pool[:-1]])
+    offset = np.cumsum([0] + [p.shape[1] for p in pool])
     slots = np.where((k & ((1 << top) - 1)) == 0, offset[top] + (k >> top), -1)
     taken = slots >= 0
     steps = taken.sum(axis=1).max()
     order = np.argsort(~taken, axis=1, kind="stable")[:, :steps]
     live = np.take_along_axis(taken, order, axis=1)
-    index = np.where(live, np.take_along_axis(slots, order, axis=1), 0)
+    # padded steps read the identity slot at the end of the pool
+    index = np.where(live, np.take_along_axis(slots, order, axis=1), offset[-1])
+    pool.append(np.broadcast_to(np.eye(d, dtype=seg.dtype), (rows, 1, d, d)))
     return np.concatenate(pool, axis=1)[np.arange(rows)[:, None], index], live
 
 
@@ -353,10 +406,11 @@ def evolve_stack(factors, n_grid) -> list[ProductStack]:
     Row b is the product factors[b, 0] @ factors[b, 1] @ ... Each stack
     tells which rows are alive at its grid point: a row dropped at a step is
     ok in every stack before it and in none after. Between grid points the
-    products are stepped by QR (_step), each row on its own schedule: an
-    aligned block of 2, 4, 8, ... factors that passes the conditioning guard
-    takes one step as their product (_fold_schedule). Each grid point takes
-    one SVD call.
+    products are stepped by the discrete QR method (_step), each row on its
+    own schedule: an aligned block of 2, 4, 8, ... factors that passes the
+    conditioning guard takes one step as their product (_fold_schedule). One
+    _regular call gives the singularity verdicts of a segment's steps, and
+    each step applies its own. Each grid point takes one SVD call.
     """
     arr = _as_matrix(factors, "factors")
     if arr.ndim != 4 or arr.shape[-1] != arr.shape[-2] or arr.shape[1] < n_grid[-1]:
@@ -365,9 +419,11 @@ def evolve_stack(factors, n_grid) -> list[ProductStack]:
     stacks = []
     for n in n_grid:
         steps, live = _fold_schedule(arr[:, stack.n:n])
-        full = live.all(axis=0)
+        regular, converged = _regular(steps)
+        passed, full = (regular & converged).all(axis=0).tolist(), live.all(axis=0).tolist()
         for s in range(steps.shape[1]):
-            stack = _step(stack, steps[:, s], None if full[s] else live[:, s])
+            verdict = None if passed[s] else (regular[:, s], converged[:, s])
+            stack = _step(stack, steps[:, s], verdict, None if full[s] else live[:, s])
         stack = _to_svd(replace(stack, n=n)) if n > 1 else stack
         stacks.append(stack)
     return stacks
@@ -395,7 +451,7 @@ def advance(state: ProductState, m) -> ProductState:
         raise ValueError(f"factor shape {arr.shape} does not match state dimension {state.d}")
     stack = ProductStack(state.n, state.log_sigma[None], state.u_frame[None], state.v_frame[None],
                          np.full(1, None, dtype=object))
-    return _only_row(_to_svd(_step(stack, arr[None])))
+    return _only_row(_to_svd(_step(stack, arr[None], _regular(arr[None]))))
 
 
 # Above this spread the ratio of extreme eigenvalue moduli of the similarity

@@ -471,11 +471,12 @@ def _explicit_log_sigma(factors, grid, dps):
 
 
 @pytest.mark.parametrize("field, d, ensemble, grid", [
-    ("real", 2, "ginibre", (1, 10, 50, 100)),
+    ("real", 2, "ginibre", (1, 10, 50, 100, 300)),
     ("complex", 5, "ginibre", (10, 50)),
     ("real", 4, "ginibre", (25, 100)),
     ("real", 3, "custom:fixed(1,0.99,0.98)", (2, 100, 200)),
     ("real", 3, "haar-scaled:lognormal(0,1)", (10, 60)),
+    ("complex", 2, "ginibre", (1, 10, 100, 300)),
 ])
 def test_stack_matches_extended_precision_products(field, d, ensemble, grid):
     spec = EnsembleSpec(field, d, parse_ensemble(ensemble))
@@ -649,29 +650,79 @@ def test_padded_steps_check_nothing():
 
 @pytest.mark.filterwarnings("error")
 def test_stack_zero_pivot_drops_only_its_row(monkeypatch):
-    # LAPACK gives no zero pivot on a regular factor; make the third step's QR give one in row 2
-    factors = _engine_factors("real", 3, "ginibre", rows=5, n=30)
-    grid = (1, 10, 30)
-    keep = np.arange(5) != 2
-    clean, _ = _evolve(factors[keep], grid)
-    qr, calls = np.linalg.qr, []
+    # no LQ gives a zero pivot on a regular factor; make one step's give one
+    # in row 2: the third, from LAPACK's QR at d = 3; the first, from the
+    # closed form at d = 2, where row 2 takes no third step
+    for d, call in ((3, 3), (2, 1)):
+        factors = _engine_factors("real", d, "ginibre", rows=5, n=30)
+        grid = (1, 10, 30)
+        keep = np.arange(5) != 2
+        clean, _ = _evolve(factors[keep], grid)
+        assert exponents._fold_schedule(factors[:, 1:10])[1][2, call - 1]
+        calls = []
+        with monkeypatch.context() as patch:
+            if d == 2:
+                lq = exponents._lq_2x2
 
-    def zero_pivot(a, *args, **kwargs):
-        q, r = qr(a, *args, **kwargs)
-        calls.append(1)
-        if len(calls) == 3:
-            r = r.copy()
-            r[2, 1, 1] = 0.0
-        return q, r
+                def zero_pivot(y):
+                    size, ratio, o = lq(y)
+                    calls.append(1)
+                    if len(calls) == call:
+                        size = size.copy()
+                        size[2, 1] = 0.0
+                    return size, ratio, o
 
-    monkeypatch.setattr(np.linalg, "qr", zero_pivot)
-    seen, final = _evolve(factors, grid)
-    assert final.ok.tolist() == [True, True, False, True, True]
-    assert isinstance(final.failure[2], SingularInputError)
-    assert str(final.failure[2]) == "factor drove the product to numerical singularity"
-    for stack in seen[1:]:
-        _assert_reset(stack, 2)
-    _assert_rows_equal(seen, keep, clean)
+                patch.setattr(exponents, "_lq_2x2", zero_pivot)
+            else:
+                qr = np.linalg.qr
+
+                def zero_pivot(a, *args, **kwargs):
+                    q, r = qr(a, *args, **kwargs)
+                    calls.append(1)
+                    if len(calls) == call:
+                        r = r.copy()
+                        r[2, 1, 1] = 0.0
+                    return q, r
+
+                patch.setattr(np.linalg, "qr", zero_pivot)
+            seen, final = _evolve(factors, grid)
+        assert final.ok.tolist() == [True, True, False, True, True]
+        assert isinstance(final.failure[2], SingularInputError)
+        assert str(final.failure[2]) == "factor drove the product to numerical singularity"
+        for stack in seen[1:]:
+            _assert_reset(stack, 2)
+        _assert_rows_equal(seen, keep, clean)
+
+
+@pytest.mark.filterwarnings("error")
+def test_stack_singular_factors_drop_at_their_own_steps():
+    # singular factors where the segment's verdicts must place them: alone
+    # between folded blocks (row 1), last in a segment (row 2), and in a row
+    # that takes padded steps, at a step that others take padded (row 3);
+    # row 4's graded factors fold nowhere
+    grid = (1, 10, 25, 42)
+    factors = _engine_factors("real", 2, "ginibre", rows=5, n=grid[-1])
+    factors[4, 1::2], factors[4, 2::2] = np.diag([1.0, 1e-7]), np.diag([1e-7, 1.0])
+    clean, _ = _evolve(factors[[0, 4]], grid)
+    rank_one = np.outer([1.0, -2.0], [0.5, 3.0])
+    bad = factors.copy()
+    bad[1, 13] = bad[2, 9] = bad[3, 32] = rank_one
+    steps, live = exponents._fold_schedule(bad[:, 10:25])
+    assert np.array_equal(steps[1, 2], rank_one) and np.array_equal(steps[1, 1], bad[1, 12])
+    assert rel_err(steps[1, 0], bad[1, 10] @ bad[1, 11]) < 1e-15
+    assert rel_err(steps[1, 3], np.linalg.multi_dot(list(bad[1, 14:18]))) < 1e-15
+    steps, live = exponents._fold_schedule(bad[:, 1:10])
+    assert np.array_equal(steps[2, live[2].sum() - 1], rank_one)
+    steps, live = exponents._fold_schedule(bad[:, 25:42])
+    assert np.array_equal(steps[3, 3], rank_one) and not live[:, 3].all()
+    assert live[4].all() and not live[3].all()
+    seen, final = _evolve(bad, grid)
+    _assert_rows_equal(seen, [0, 4], clean)
+    for b, dropped_at in ((1, 2), (2, 1), (3, 3)):
+        assert [s.ok[b] for s in seen] == [k < dropped_at for k in range(len(grid))]
+        assert isinstance(final.failure[b], SingularInputError)
+        assert str(final.failure[b]) == "factor is numerically singular"
+        _assert_reset(seen[dropped_at], b)
 
 
 def test_evolve_stack_rejects_bad_factors():
@@ -690,11 +741,9 @@ def _svd_regular(m):
 
 
 def _regular_quietly(m):
-    # r as a step takes it: the triangular factor of the QR of (O m)^H, here O = I
-    r = np.linalg.qr(m.conj().swapaxes(-1, -2), mode="r")
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        regular, converged = exponents._regular(m, r)
+        regular, converged = exponents._regular(m)
     assert converged.all()
     return regular
 
@@ -732,11 +781,15 @@ def test_regular_takes_no_svd_for_well_conditioned_factors(monkeypatch):
     factors = sample_isotropic(EnsembleSpec("real", 2, Ginibre()), RngStream(1606).generator(), size=1000)
     calls = []
     svd = np.linalg.svd
-    monkeypatch.setattr(np.linalg, "svd", lambda *a, **k: calls.append(1) or svd(*a, **k))
+    monkeypatch.setattr(np.linalg, "svd", lambda *a, **k: calls.append(k.get("compute_uv", True)) or svd(*a, **k))
     m = factors.reshape(50, 20, 2, 2)
-    regular, converged = exponents._regular(m, np.linalg.qr(m.swapaxes(-1, -2), mode="r"))
+    regular, converged = exponents._regular(m)
     assert regular.all() and converged.all()
     assert not calls
+    # a whole trajectory: its single factors, folded blocks and padded steps take no singular-value test
+    stacks = evolve_stack(m, (1, 7, 20))
+    assert stacks[-1].ok.all()
+    assert False not in calls and len(calls) == 3
 
 
 # --- stability exponents -----------------------------------------------
