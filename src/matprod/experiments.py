@@ -26,10 +26,12 @@ a grid point) and reads each grid point off the stack in SVD form. The
 reality observer classifies n = 1 off the well-conditioned factors
 themselves (at d = 2 from the discriminant's sign where it is certain, else
 by eigvals), so with n = 1 the only grid point it evolves only the other
-rows. Each grid point is read off its own stack: a replication counts at n
-when its trajectory is alive in the stack at n and its spectrum there
-converged, so one that fails at step k still counts at the grid points
-before k.
+rows. In SVD form a real d = 2 row is classified from the discriminant's
+sign of its scaled similarity where that sign is certain; only the rest, and
+every row at d >= 3, take the graded spectrum routine. Each grid point is
+read off its own stack: a replication counts at n when its trajectory is
+alive in the stack at n and its spectrum there converged, so one that fails
+at step k still counts at the grid points before k.
 """
 from __future__ import annotations
 
@@ -237,8 +239,10 @@ def _reality_pairs(factors: np.ndarray, grid: Sequence[int]) -> np.ndarray:
     singular, spread < 23: the graded routine's LAPACK branch) is classified
     off the factor itself: at d = 2 from its discriminant's sign where that
     sign is certain (_pairs_2x2, which also gives |det|), else by one eigvals
-    call on the factors left; the rest take the graded routine on v @ u with
-    log sigma, and with the grid (1,) only they are evolved."""
+    call on the factors left. The rest (with the grid (1,) only they are
+    evolved), and every row at a later grid point, are classified on q = v @ u
+    with log sigma: at d = 2 by _pairs_2x2 on q * exp(ls - ls[0]) where the
+    sign is certain, else by the graded routine."""
     m = factors[:, 0]
     pairs = np.full((len(m), len(grid)), -1)
     by_svd = np.ones(len(m), dtype=bool)  # rows classified at grid[0] from the SVD form
@@ -259,8 +263,14 @@ def _reality_pairs(factors: np.ndarray, grid: Sequence[int]) -> np.ndarray:
         factors = factors[evolved]
     for gi, s in enumerate(evolve_stack(factors, grid) if evolved.size else ()):
         rows = np.flatnonzero(s.ok & by_svd[evolved]) if gi == 0 else np.flatnonzero(s.ok)
-        if rows.size:
-            pairs[evolved[rows], gi] = _log_eig_moduli_graded(s.v_frame[rows] @ s.u_frame[rows], s.log_sigma[rows])[1]
+        q, ls = s.v_frame[rows] @ s.u_frame[rows], s.log_sigma[rows]
+        found = np.full(rows.size, -1)
+        if m.shape[-1] == 2:
+            found = _pairs_2x2(q * np.exp(ls - ls[:, :1])[:, None, :])[0]
+        rest = np.flatnonzero(found < 0)
+        if rest.size:
+            found[rest] = _log_eig_moduli_graded(q[rest], ls[rest])[1]
+        pairs[evolved[rows], gi] = found
     return pairs
 
 
@@ -389,8 +399,10 @@ def run_real_probability(config: ExperimentConfig) -> list[ResultRecord]:
 
     Every replication alive at a grid point is classified there, whatever
     its spread, by its count of complex pairs (_reality_pairs): at n = 1
-    from the factor itself when it is well conditioned, else by the graded
-    spectrum routine on the similarity carrying the product's spectrum.
+    from the factor itself when it is well conditioned, else from the
+    similarity carrying the product's spectrum, at d = 2 by the sign of its
+    discriminant where that sign is certain and otherwise by the graded
+    spectrum routine.
     At each n, the replications whose trajectory failed by n, or whose
     eigenvalue iteration at n does not converge, are excluded and counted.
     One "realprob" record per grid point: p_hat with its Wilson interval.

@@ -75,9 +75,9 @@ _LOG_REGULAR_BOUND = math.log(100 * RANK_RTOL)
 # _fold_schedule.
 _FOLD_BOUND = 1e-6
 _EPS = float(np.finfo(np.float64).eps)
-# A real 2x2 factor's complex pairs are read off the sign of its discriminant
-# where |disc| exceeds this many ||M||_F^2, far past what rounding, ours or
-# LAPACK's, can move it by: see _pairs_2x2.
+# A real 2x2 factor's or scaled similarity's complex pairs are read off the
+# sign of its discriminant where |disc| exceeds this many ||M||_F^2, far past
+# what rounding, ours or LAPACK's, can move it by: see _pairs_2x2.
 _DISC_MARGIN = 2.0**10 * _EPS
 
 
@@ -183,9 +183,11 @@ def _bound_clears(m: np.ndarray, scales: np.ndarray | None = None) -> np.ndarray
 
 
 def _pairs_2x2(m: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Complex pairs of each real 2x2 factor M = [[a, b], [c, d]] of a stack,
-    from the sign of disc = p^2 + bc, p = (a - d)/2 (a pair exactly when disc < 0),
-    or -1 where that sign is not certain; and |det M| = |ad - bc|.
+    """Complex pairs of each real 2x2 matrix M = [[a, b], [c, d]] of a stack (a
+    factor, or the scaled similarity q * exp(ls - ls[0]) of a product in SVD
+    form, q = v @ u), from the sign of disc = p^2 + bc, p = (a - d)/2 (a pair
+    exactly when disc < 0), or -1 where that sign is not certain; and
+    |det M| = |ad - bc|.
 
     The sign is certain where |disc| > _DISC_MARGIN ||M||_F^2 (2^10 eps) and
     ||M||_F^2 is finite (so is every other quantity) and |disc|, |det M| are
@@ -198,6 +200,16 @@ def _pairs_2x2(m: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     [[1, 1], [-1e-17, 1]] is left to LAPACK. |ad - bc| is off by at most
     eps ||M||_F^2 / 2 + eps/2 |det M|: a relative 1.2e-6 where _bound_clears
     clears it (|det M| > 1e-10 ||M||_F^2), far inside its factor-100 margin.
+
+    On the scaled similarity M a certain sign is also the graded routine's
+    count. At spread <= _EIG_DOUBLE_SPREAD that routine runs eigvals on this
+    same M. Past it, a split that succeeds is a real similarity to triangular
+    form (no pair), and a certain disc < 0 leaves no real split; a row that
+    does not split goes to mpmath, which reads q and exp(ls) exactly. M is
+    rounded entrywise, which moves disc by about 2 eps ||M||_F^2, well inside
+    the margin, so mpmath's disc has the same sign, and a pair it sees has
+    Im lambda >= sqrt(2^10 eps) ||M||_F, far above its 1e-15 |lambda| test.
+    Below the hard cap det M = +-e^(ls2 - ls1) >= e^-690 is normal.
     """
     a, b, c, d = m[:, 0, 0], m[:, 0, 1], m[:, 1, 0], m[:, 1, 1]
     tiny = np.finfo(np.float64).tiny

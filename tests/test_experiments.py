@@ -468,6 +468,90 @@ def test_reality_n1_rule_is_the_same_whatever_the_grid():
     assert np.all(pairs[2::10, 1] >= 0)
 
 
+def _graded_route_pairs(factors, grid):
+    """Complex pairs at each grid point as the graded routine alone gives them,
+    on the similarity v @ u with log sigma of every row alive there, else -1."""
+    pairs = np.full((len(factors), len(grid)), -1)
+    for gi, s in enumerate(exponents.evolve_stack(factors, grid)):
+        rows = np.flatnonzero(s.ok)
+        pairs[rows, gi] = exponents._log_eig_moduli_graded(s.v_frame[rows] @ s.u_frame[rows], s.log_sigma[rows])[1]
+    return pairs
+
+
+@pytest.mark.parametrize("spec", [GINIBRE_R2, LOGNORMAL_R2], ids=["ginibre", "lognormal10"])
+def test_reality_d2_grid_point_pairs_match_the_graded_routine_and_mpmath(spec):
+    grid = (1, 5, 20, 60, 200)
+    factors = sample_isotropic_chunk(spec, RngStream(1629).generator(), 400, grid[-1])
+    got = experiments._reality_pairs(factors, grid)
+    np.testing.assert_array_equal(got, _graded_route_pairs(factors, grid))
+    assert 0 < np.count_nonzero(got == 0) and 0 < np.count_nonzero(got == 1)
+    # a subsample of the rows past spread 100, against the extended-precision spectrum
+    stacks = exponents.evolve_stack(factors, grid)
+    wide = [(s, gi, b) for gi, s in enumerate(stacks) for b in np.flatnonzero(s.ok & (s.spread > 100))]
+    assert len(wide) > 100
+    for s, gi, b in wide[:: len(wide) // 12]:
+        ls = s.log_sigma[b]
+        assert got[b, gi] == exponents._log_eig_moduli_extended(s.v_frame[b] @ s.u_frame[b], ls - ls[0])[1]
+
+
+def _disc_states(spreads):
+    """Stacks of similarities v @ diag(1, e^-S) (identity u, log sigma (S/2,
+    -S/2)) with v a rotation [[c, -s], [s, c]] or the swap, and which of them
+    have disc inside the margin. A rotation has disc = c^2 (1 + e^-S)^2 / 4 -
+    e^-S and ||a||_F^2 = 1 + e^-2S; c is set for disc at +-10 and +-1/4 of the
+    margin and at e^-S / 2, -e^-S / 2 and -e^-S where such a c exists. The
+    swap has trace 0 and disc = e^-S."""
+    margin = exponents._DISC_MARGIN
+    frames, log_sigma, inside = [], [], []
+    for spread in spreads:
+        e = math.exp(-spread)
+        for disc in (10 * margin, margin / 4, -margin / 4, -10 * margin, e / 2, -e / 2, -e):
+            if disc + e >= 0:
+                c = 2 * math.sqrt(disc + e) / (1 + e)
+                frames.append([[c, -math.sqrt(1 - c * c)], [math.sqrt(1 - c * c), c]])
+                inside.append(abs(disc) < margin)
+        frames.append([[0.0, 1.0], [1.0, 0.0]])
+        inside.append(e < margin)
+        log_sigma += [[spread / 2, -spread / 2]] * (len(frames) - len(log_sigma))
+    v = np.array(frames)
+    stack = exponents.ProductStack(2, np.array(log_sigma), np.tile(np.eye(2), (len(v), 1, 1)), v,
+                                   np.full(len(v), None, dtype=object))
+    return stack, np.array(inside)
+
+
+def test_reality_d2_sends_exactly_the_undecided_rows_to_the_graded_routine(monkeypatch):
+    # at spread 27 a complex pair can still sit outside the margin (e^-27 > 2^10
+    # eps), where the graded routine would fail to split it and take mpmath
+    stack, inside = _disc_states((10.0, 27.0, 40.0, 688.0))
+    monkeypatch.setattr(experiments, "evolve_stack", lambda factors, grid: [stack])
+    seen = []
+
+    def spy(q, log_scale):
+        seen.append(q.copy())
+        return exponents._log_eig_moduli_graded(q, log_scale)
+
+    monkeypatch.setattr(experiments, "_log_eig_moduli_graded", spy)
+    got = experiments._reality_pairs(np.zeros((len(inside), 2, 2, 2)), (2,))[:, 0]
+    np.testing.assert_array_equal(np.concatenate(seen), stack.v_frame[inside])
+    assert 0 < inside.sum() < len(inside)
+    oracle = [exponents._log_eig_moduli_extended(v, ls - ls[0])[1] for v, ls in zip(stack.v_frame, stack.log_sigma)]
+    np.testing.assert_array_equal(got, oracle)
+    assert set(got[inside]) == set(got[~inside]) == {0, 1}
+    # the swap (disc = e^-S) is decided at spreads 10 and 27 and falls back once e^-S < 2^10 eps
+    swaps = np.flatnonzero((stack.v_frame == [[0.0, 1.0], [1.0, 0.0]]).all(axis=(1, 2)))
+    assert inside[swaps].tolist() == [False, False, True, True]
+
+
+def test_realprob_deep_ginibre_takes_no_split_and_no_mpmath(monkeypatch):
+    calls = []
+    for name in ("_split", "_log_eig_moduli_extended"):
+        original = getattr(exponents, name)
+        monkeypatch.setattr(exponents, name, lambda *a, name=name, original=original: calls.append(name) or original(*a))
+    res = run_real_probability(cfg(GINIBRE_R2, seed=1630, n_grid=(1, 10, 25, 40, 60), replications=960))
+    assert calls == []
+    assert [rec.stats["trials"].value for rec in res] == [960] * 5
+
+
 def test_exponent_rows_count_at_the_grid_points_before_their_singular_factor():
     # rows meet an exactly singular factor between the grid points 4 and 9: at
     # n = 4 they count, bit for bit as with the grid (4,); at n = 9 they do not
