@@ -23,15 +23,13 @@ its stack. The observer advances the rows it needs together (evolve_stack:
 one QR call a step, where a step takes one factor or an aligned block of 2,
 4, 8, ... factors that passes an exact conditioning guard, and one SVD call
 a grid point) and reads each grid point off the stack in SVD form. The
-reality observer classifies n = 1 off the well-conditioned factors
-themselves (at d = 2 from the discriminant's sign where it is certain, else
-by eigvals), so with n = 1 the only grid point it evolves only the other
-rows. In SVD form a real d = 2 row is classified from the discriminant's
-sign of its scaled similarity where that sign is certain; only the rest, and
-every row at d >= 3, take the graded spectrum routine. Each grid point is
-read off its own stack: a replication counts at n when its trajectory is
-alive in the stack at n and its spectrum there converged, so one that fails
-at step k still counts at the grid points before k.
+reality observer counts complex pairs by one routine, pair_rows: at n = 1
+on the well-conditioned factors themselves, so with n = 1 the only grid
+point it evolves only the other rows, and in SVD form on the similarity
+carrying the product's spectrum. Each grid point is read off its own
+stack: a replication counts at n when its trajectory is alive in the stack
+at n and its spectrum there converged, so one that fails at step k still
+counts at the grid points before k.
 """
 from __future__ import annotations
 
@@ -47,17 +45,16 @@ from .ensembles import EnsembleSpec, sample_ginibre, sample_haar_unitary, sample
 from .exponents import (
     _batches,
     _bound_clears,
-    _log_eig_moduli_graded,
-    _pairs_2x2,
     analytic_spectrum,
     analytic_truncated_logdet,
     evolve_stack,
     lyapunov_qr_stream,
+    pair_rows,
     single_step_estimate,
     stability_rows,
     supports_analytic_spectrum,
 )
-from .linalg import NumericError, eig_by_modulus, eigvals_rows, lq_positive, principal_minor, svd_descending
+from .linalg import NumericError, eig_by_modulus, lq_positive, principal_minor, svd_descending
 from .recordio import FORMATS, ResultRecord, Stat
 from .rng import RngStream
 
@@ -235,27 +232,18 @@ def _exponent_samples(config: ExperimentConfig, exp_index: int, grid: Sequence[i
 def _reality_pairs(factors: np.ndarray, grid: Sequence[int]) -> np.ndarray:
     """Complex pairs (eigenvalues with imaginary part > 0) of each row's
     product at each grid point, (B, len(grid)), or -1 for a row dropped by
-    then or unconverged. At n = 1 a factor that clears _bound_clears (not
-    singular, spread < 23: the graded routine's LAPACK branch) is classified
-    off the factor itself: at d = 2 from its discriminant's sign where that
-    sign is certain (_pairs_2x2, which also gives |det|), else by one eigvals
-    call on the factors left. The rest (with the grid (1,) only they are
-    evolved), and every row at a later grid point, are classified on q = v @ u
-    with log sigma: at d = 2 by _pairs_2x2 on q * exp(ls - ls[0]) where the
-    sign is certain, else by the graded routine."""
+    then or unconverged, all by pair_rows. At n = 1 a factor that clears
+    _bound_clears (not singular, spread < 23: the graded routine's LAPACK
+    branch) is classified off the factor itself, at log scale 0. The rest,
+    and a factor whose eigenvalue iteration does not converge (with the grid
+    (1,) only they are evolved), and every row at a later grid point, are
+    classified on q = v @ u with log sigma."""
     m = factors[:, 0]
     pairs = np.full((len(m), len(grid)), -1)
     by_svd = np.ones(len(m), dtype=bool)  # rows classified at grid[0] from the SVD form
     if grid[0] == 1:
-        # scales: what _bound_clears takes |det| from, [|det|, 1] for a decided row
-        first, scales = np.full(len(m), -1), np.ones(m.shape[:2], dtype=complex)
-        if m.shape[-1] == 2:
-            first, scales[:, 0] = _pairs_2x2(m)
-        rest = np.flatnonzero(first < 0)
-        if rest.size:
-            w = eigvals_rows(m[rest])
-            first[rest], scales[rest] = np.count_nonzero(w.imag > 0, axis=1), w
-        by_svd = ~_bound_clears(m, scales)
+        first = pair_rows(m, np.zeros(m.shape[:2]))
+        by_svd = ~_bound_clears(m) | (first < 0)
         pairs[:, 0] = np.where(by_svd, -1, first)
     evolved = np.arange(len(m))
     if len(grid) == 1:
@@ -263,14 +251,7 @@ def _reality_pairs(factors: np.ndarray, grid: Sequence[int]) -> np.ndarray:
         factors = factors[evolved]
     for gi, s in enumerate(evolve_stack(factors, grid) if evolved.size else ()):
         rows = np.flatnonzero(s.ok & by_svd[evolved]) if gi == 0 else np.flatnonzero(s.ok)
-        q, ls = s.v_frame[rows] @ s.u_frame[rows], s.log_sigma[rows]
-        found = np.full(rows.size, -1)
-        if m.shape[-1] == 2:
-            found = _pairs_2x2(q * np.exp(ls - ls[:, :1])[:, None, :])[0]
-        rest = np.flatnonzero(found < 0)
-        if rest.size:
-            found[rest] = _log_eig_moduli_graded(q[rest], ls[rest])[1]
-        pairs[evolved[rows], gi] = found
+        pairs[evolved[rows], gi] = pair_rows(s.v_frame[rows] @ s.u_frame[rows], s.log_sigma[rows])
     return pairs
 
 
@@ -398,11 +379,9 @@ def run_real_probability(config: ExperimentConfig) -> list[ResultRecord]:
     """Probability that every eigenvalue of the running product is real.
 
     Every replication alive at a grid point is classified there, whatever
-    its spread, by its count of complex pairs (_reality_pairs): at n = 1
-    from the factor itself when it is well conditioned, else from the
-    similarity carrying the product's spectrum, at d = 2 by the sign of its
-    discriminant where that sign is certain and otherwise by the graded
-    spectrum routine.
+    its spread, by its count of complex pairs (_reality_pairs, pair_rows):
+    at n = 1 from the factor itself when it is well conditioned, else from
+    the similarity carrying the product's spectrum.
     At each n, the replications whose trajectory failed by n, or whose
     eigenvalue iteration at n does not converge, are excluded and counted.
     One "realprob" record per grid point: p_hat with its Wilson interval.

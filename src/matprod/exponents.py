@@ -31,7 +31,6 @@ from .linalg import (
     RANK_RTOL,
     NumericError,
     SingularInputError,
-    eigvals_rows,
     lapack_rows,
     qr_positive,
     _as_matrix,
@@ -47,6 +46,7 @@ __all__ = [
     "init_state",
     "advance",
     "stability_rows",
+    "pair_rows",
     "stability_from_state",
     "QrStreamResult",
     "lyapunov_qr_stream",
@@ -161,33 +161,30 @@ def _identity_rows(ok: np.ndarray, vec: np.ndarray, fill: float, *frames: np.nda
 
 def _log_abs_det(m: np.ndarray) -> np.ndarray:
     """log|det m| of each matrix of a stack: log|ad - bc| at d = 2, slogdet's
-    otherwise; -inf for a zero determinant (call under np.errstate)."""
+    backward-stable LU otherwise; -inf for a zero determinant (call under
+    np.errstate). |ad - bc| is off by at most eps ||m||_F^2 / 2 + eps/2 |det m|:
+    a relative 1.2e-6 where _bound_clears clears it (|det m| > 1e-10 ||m||_F^2),
+    far inside its factor-100 margin."""
     if m.shape[-1] == 2:
         return np.log(np.abs(m[..., 0, 0] * m[..., 1, 1] - m[..., 0, 1] * m[..., 1, 0]))
     return np.linalg.slogdet(m)[1]
 
 
-def _bound_clears(m: np.ndarray, scales: np.ndarray | None = None) -> np.ndarray:
+def _bound_clears(m: np.ndarray) -> np.ndarray:
     """Which factors pass the SVD singularity test without it: those whose
     sigma_min / sigma_max >= |det m| / ||m||_F^d, in logs, clears 100 *
-    RANK_RTOL. |det m| is |prod scales| where scales are given (m's
-    eigenvalues, backward stable and far inside the margin of 100, or a 2x2's
-    |ad - bc|), else _log_abs_det(m): |ad - bc| at d = 2, off by at most a
-    relative 1.2e-6 where the bound clears (_pairs_2x2), and slogdet's
-    backward-stable LU otherwise. A NaN or 0 does not clear, nor does a
-    determinant or norm out of double range."""
+    RANK_RTOL, |det m| from _log_abs_det. A NaN or 0 does not clear, nor does
+    a determinant or norm out of double range."""
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        logdet = _log_abs_det(m) if scales is None else np.sum(np.log(np.abs(scales)), axis=-1)
         frob_sq = np.einsum("...ij,...ij->...", m, m.conj()).real
-        return logdet - 0.5 * m.shape[-1] * np.log(frob_sq) > _LOG_REGULAR_BOUND
+        return _log_abs_det(m) - 0.5 * m.shape[-1] * np.log(frob_sq) > _LOG_REGULAR_BOUND
 
 
-def _pairs_2x2(m: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Complex pairs of each real 2x2 matrix M = [[a, b], [c, d]] of a stack (a
-    factor, or the scaled similarity q * exp(ls - ls[0]) of a product in SVD
-    form, q = v @ u), from the sign of disc = p^2 + bc, p = (a - d)/2 (a pair
-    exactly when disc < 0), or -1 where that sign is not certain; and
-    |det M| = |ad - bc|.
+def _pairs_2x2(m: np.ndarray) -> np.ndarray:
+    """Complex pairs of each real 2x2 matrix M = [[a, b], [c, d]] of a stack,
+    the scaled similarity q @ diag(exp(ls - ls[0])) of pair_rows (a factor
+    itself at ls = 0), from the sign of disc = p^2 + bc, p = (a - d)/2 (a
+    pair exactly when disc < 0), or -1 where that sign is not certain.
 
     The sign is certain where |disc| > _DISC_MARGIN ||M||_F^2 (2^10 eps) and
     ||M||_F^2 is finite (so is every other quantity) and |disc|, |det M| are
@@ -197,9 +194,7 @@ def _pairs_2x2(m: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     ||E||_F = O(eps ||M||_F) (dgebal's power-of-2 scaling is exact), which
     moves disc = tr^2/4 - det by at most 2 ||M||_F ||E||_F; dlahqr deflates a
     subdiagonal only where that moves bc by O(eps ||M||_F^2), so a row like
-    [[1, 1], [-1e-17, 1]] is left to LAPACK. |ad - bc| is off by at most
-    eps ||M||_F^2 / 2 + eps/2 |det M|: a relative 1.2e-6 where _bound_clears
-    clears it (|det M| > 1e-10 ||M||_F^2), far inside its factor-100 margin.
+    [[1, 1], [-1e-17, 1]] is left to LAPACK.
 
     On the scaled similarity M a certain sign is also the graded routine's
     count. At spread <= _EIG_DOUBLE_SPREAD that routine runs eigvals on this
@@ -218,7 +213,7 @@ def _pairs_2x2(m: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         det = np.abs(a * d - b * c)
         frob_sq = np.einsum("...ij,...ij->...", m, m)
         certain = (np.abs(disc) > _DISC_MARGIN * frob_sq) & (frob_sq < np.inf) & (np.abs(disc) >= tiny) & (det >= tiny)
-    return np.where(certain, (disc < 0).astype(int), -1), det
+    return np.where(certain, (disc < 0).astype(int), -1)
 
 
 def _regular(m: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -554,15 +549,16 @@ def _split(q: np.ndarray, log_scale: np.ndarray, k: int) -> tuple[np.ndarray, np
 
 def _log_eig_moduli_lapack(q: np.ndarray, log_scale: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Descending log-moduli of eig(q[b] @ diag(exp(log_scale[b]))) for each
-    row b by LAPACK on the shifted similarity (eigvals_rows), and how many
-    eigenvalues have an imaginary part exactly > 0, read off the real Schur
-    form's 2x2 blocks for a real q: -inf for a modulus of 0, NaN and -1 in a
-    row whose iteration does not converge."""
+    row b by LAPACK on the shifted similarity (one eigvals call, lapack_rows),
+    and how many eigenvalues have an imaginary part exactly > 0, read off the
+    real Schur form's 2x2 blocks for a real q: -inf for a modulus of 0, NaN
+    and -1 in a row whose iteration does not converge."""
     c = log_scale[:, :1]
-    w = eigvals_rows(q * np.exp(log_scale - c)[:, None, :])
+    w, converged = lapack_rows(np.linalg.eigvals, q * np.exp(log_scale - c)[:, None, :],
+                               np.full(q.shape[-1], np.nan + 0j))
     with np.errstate(divide="ignore"):
         logs = np.log(np.sort(np.abs(w), axis=1))[:, ::-1] + c
-    return logs, np.where(np.isnan(w).any(axis=1), -1, np.count_nonzero(w.imag > 0, axis=1))
+    return logs, np.where(converged, np.count_nonzero(w.imag > 0, axis=1), -1)
 
 
 def _log_eig_moduli_graded(q: np.ndarray, log_scale: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -631,6 +627,24 @@ def stability_rows(log_sigma: np.ndarray, u_frame: np.ndarray, v_frame: np.ndarr
     failure = _fail(failure, (logs == -np.inf).any(axis=1), lambda b: NumericError(
         "eigenvalue modulus underflowed to zero"))
     return logs, failure
+
+
+def pair_rows(q: np.ndarray, log_scale: np.ndarray) -> np.ndarray:
+    """Complex conjugate pairs of each real q[b] @ diag(exp(log_scale[b])) of
+    a stack, each log_scale[b] descending, or -1 in a row whose eigenvalue
+    iteration does not converge. At d = 2 they are read off the
+    discriminant's sign of the scaled similarity, its second column times
+    exp(ls1 - ls0) (_pairs_2x2), where that sign is certain; the other rows,
+    and every row at d != 2, take the graded routine."""
+    pairs = np.full(len(q), -1)
+    if q.shape[-1] == 2:
+        a = q.copy()
+        a[:, :, 1] *= np.exp(log_scale[:, 1] - log_scale[:, 0])[:, None]
+        pairs = _pairs_2x2(a)
+    rest = np.flatnonzero(pairs < 0)
+    if rest.size:
+        pairs[rest] = _log_eig_moduli_graded(q[rest], log_scale[rest])[1]
+    return pairs
 
 
 def stability_from_state(state: ProductState) -> np.ndarray:

@@ -27,7 +27,6 @@ __all__ = [
     "eig_by_modulus",
     "count_complex_pairs",
     "lapack_rows",
-    "eigvals_rows",
     "principal_minor",
     "RANK_RTOL",
 ]
@@ -219,12 +218,6 @@ def lapack_rows(fn, a: np.ndarray, fill) -> tuple:
             outs.append(fill)
             ok[b] = False
     return (tuple(map(np.stack, zip(*outs))) if isinstance(fill, tuple) else np.stack(outs)), ok
-
-
-def eigvals_rows(a: np.ndarray) -> np.ndarray:
-    """Eigenvalues of each matrix of a (B, d, d) stack, unsorted (lapack_rows):
-    NaN in a row that does not converge."""
-    return lapack_rows(np.linalg.eigvals, a, np.full(a.shape[-1], np.nan + 0j))[0]
 
 
 def principal_minor(a, index_set: Iterable[int]):

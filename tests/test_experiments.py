@@ -24,7 +24,7 @@ from matprod.experiments import (
 )
 from matprod.ensembles import sample_ginibre, sample_haar_unitary, sample_isotropic_chunk
 from matprod.exponents import single_step_estimate
-from matprod.linalg import RANK_RTOL, count_complex_pairs, eigvals_rows
+from matprod.linalg import RANK_RTOL, count_complex_pairs
 from matprod.recordio import ResultRecord, Stat
 from matprod.rng import RngStream
 
@@ -314,7 +314,7 @@ def test_reality_n1_pairs_match_schur_oracle_and_svd_route(spec):
     assert 0 < np.count_nonzero(got == 0) < len(got)
     if not isinstance(spec.kind, Ginibre):
         # the wide law sends rows to the SVD route, and some of those are singular
-        assert (~exponents._bound_clears(m, np.linalg.eigvals(m))).sum() > (got < 0).sum() > 0
+        assert (~exponents._bound_clears(m)).sum() > (got < 0).sum() > 0
 
 
 def _conditioned_batch(d, ratios, traces, seed):
@@ -338,7 +338,7 @@ def test_reality_n1_rows_between_the_bound_and_the_svd_test_take_the_svd_route(d
     m = _conditioned_batch(d, ratios, traces, seed=1617 + d)
     sv = np.linalg.svd(m, compute_uv=False)
     assert np.all(sv[:, -1] > RANK_RTOL * sv[:, 0]) and np.all(sv[:, -1] < 1e-10 * sv[:, 0])
-    assert not exponents._bound_clears(m, np.linalg.eigvals(m)).any()
+    assert not exponents._bound_clears(m).any()
     assert np.any(np.log(sv[:, 0] / sv[:, -1]) > exponents._EIG_DOUBLE_SPREAD)
     got = experiments._reality_pairs(m[:, None], (1,))[:, 0]
     oracle = [exponents._log_eig_moduli_extended(b, np.zeros(d))[1] for b in m]
@@ -368,15 +368,15 @@ def _near_boundary_2x2(seed):
 def _eigvals_route_pairs(m):
     """n = 1 complex pairs as one eigvals call on every factor gives them: its
     count where the determinant bound clears the row, else the SVD route."""
-    w = eigvals_rows(m)
-    return np.where(exponents._bound_clears(m, w), np.count_nonzero(w.imag > 0, axis=1), _svd_route_pairs(m))
+    w = np.linalg.eigvals(m)
+    return np.where(exponents._bound_clears(m), np.count_nonzero(w.imag > 0, axis=1), _svd_route_pairs(m))
 
 
 def test_reality_n1_d2_pairs_from_the_discriminant_match_eigvals_and_schur():
     m = _near_boundary_2x2(1626)
     with warnings.catch_warnings():
         warnings.simplefilter("error", RuntimeWarning)
-        first = exponents._pairs_2x2(m)[0]
+        first = exponents._pairs_2x2(m)
         got = experiments._reality_pairs(m[:, None], (1,))[:, 0]
     decided = np.flatnonzero(first >= 0)
     assert 0 < decided.size < len(m) and set(first[decided]) == {0, 1}
@@ -386,21 +386,23 @@ def test_reality_n1_d2_pairs_from_the_discriminant_match_eigvals_and_schur():
 
 def test_reality_n1_eigvals_takes_only_the_rows_the_discriminant_leaves(monkeypatch):
     seen = []
+    graded = exponents._log_eig_moduli_graded
 
-    def spy(a):
-        seen.append(a.copy())
-        return eigvals_rows(a)
+    def spy(q, log_scale):
+        if not log_scale.any():  # the factors' own call at n = 1, not the SVD route's
+            seen.append(q.copy())
+        return graded(q, log_scale)
 
     def taken(m):
         seen.clear()
         experiments._reality_pairs(m[:, None], (1,))
         return np.concatenate(seen) if seen else np.empty((0,) + m.shape[1:])
 
-    monkeypatch.setattr(experiments, "eigvals_rows", spy)
+    monkeypatch.setattr(exponents, "_log_eig_moduli_graded", spy)
     ginibre = sample_isotropic_chunk(GINIBRE_R2, RngStream(1627).generator(), 10_000, 1)[:, 0]
-    assert (exponents._pairs_2x2(ginibre)[0] >= 0).all() and taken(ginibre).size == 0
+    assert (exponents._pairs_2x2(ginibre) >= 0).all() and taken(ginibre).size == 0
     m = _near_boundary_2x2(1626)
-    np.testing.assert_array_equal(taken(m), m[exponents._pairs_2x2(m)[0] < 0])
+    np.testing.assert_array_equal(taken(m), m[exponents._pairs_2x2(m) < 0])
     m3 = sample_isotropic_chunk(GINIBRE_R3, RngStream(1628).generator(), 1000, 1)[:, 0]
     np.testing.assert_array_equal(taken(m3), m3)
 
@@ -415,6 +417,25 @@ def test_reality_n1_excludes_exactly_the_rows_the_svd_test_rejects():
     assert rejected == 24
     real, classified = experiments._observe_reality(m[:, None], (1,))
     assert classified[0] == 64 - rejected and real[0] <= classified[0]
+
+
+def test_reality_n1_factor_whose_eigvals_does_not_converge_takes_the_svd_route(monkeypatch):
+    m = sample_isotropic_chunk(GINIBRE_R3, RngStream(1631).generator(), 200, 1)[:, 0]
+    bad = 7
+    assert exponents._bound_clears(m)[bad]
+    clean, svd_route = experiments._reality_pairs(m[:, None], (1,))[:, 0], _svd_route_pairs(m)
+    eigvals = np.linalg.eigvals
+
+    def flaky(a):
+        # every stacked call fails, and so does factor bad taken alone
+        if a.ndim == 3 or np.array_equal(a, m[bad]):
+            raise np.linalg.LinAlgError("Eigenvalues did not converge")
+        return eigvals(a)
+
+    monkeypatch.setattr(np.linalg, "eigvals", flaky)
+    got = experiments._reality_pairs(m[:, None], (1,))[:, 0]
+    assert got[bad] == svd_route[bad] >= 0
+    np.testing.assert_array_equal(np.delete(got, bad), np.delete(clean, bad))
 
 
 def test_realprob_n1_excluded_counts_the_svd_rejections():
@@ -525,12 +546,14 @@ def test_reality_d2_sends_exactly_the_undecided_rows_to_the_graded_routine(monke
     stack, inside = _disc_states((10.0, 27.0, 40.0, 688.0))
     monkeypatch.setattr(experiments, "evolve_stack", lambda factors, grid: [stack])
     seen = []
+    graded = exponents._log_eig_moduli_graded
 
     def spy(q, log_scale):
-        seen.append(q.copy())
-        return exponents._log_eig_moduli_graded(q, log_scale)
+        if q.shape[1:] == (2, 2):  # not the 1x1 parts of a split, which recurse through the spy
+            seen.append(q.copy())
+        return graded(q, log_scale)
 
-    monkeypatch.setattr(experiments, "_log_eig_moduli_graded", spy)
+    monkeypatch.setattr(exponents, "_log_eig_moduli_graded", spy)
     got = experiments._reality_pairs(np.zeros((len(inside), 2, 2, 2)), (2,))[:, 0]
     np.testing.assert_array_equal(np.concatenate(seen), stack.v_frame[inside])
     assert 0 < inside.sum() < len(inside)

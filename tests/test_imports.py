@@ -1,12 +1,18 @@
 """Every module of the package (bar __init__, which re-exports) and every
 test file uses each name it imports: as a name, as the base of an attribute
-or in __all__."""
+or in __all__. A package module imports an underscore name from another
+package module only where PRIVATE_IMPORTS lists it."""
 import ast
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
 FILES = [p for p in sorted((ROOT / "src" / "matprod").glob("*.py")) if p.name != "__init__.py"]
 FILES += sorted((ROOT / "tests").glob("*.py"))
+# importing module: the "module.name" underscore names it takes from the package
+PRIVATE_IMPORTS = {
+    "exponents": {"linalg._as_matrix"},
+    "experiments": {"exponents._batches", "exponents._bound_clears"},
+}
 
 
 def unused_imports(path: Path) -> list[str]:
@@ -29,3 +35,19 @@ def unused_imports(path: Path) -> list[str]:
 
 def test_no_unused_imports():
     assert [entry for path in FILES for entry in unused_imports(path)] == []
+
+
+def private_imports(path: Path) -> set[str]:
+    """module.name for each underscore name, bar dunders, path imports from a package module."""
+    found = set()
+    for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+        if isinstance(node, ast.ImportFrom) and (node.level or (node.module or "").startswith("matprod.")):
+            module = (node.module or "").removeprefix("matprod.")
+            found.update(f"{module}.{alias.name}" for alias in node.names
+                         if alias.name.startswith("_") and not alias.name.endswith("__"))
+    return found
+
+
+def test_package_modules_import_only_the_listed_private_names():
+    found = {path.stem: private_imports(path) for path in FILES if path.parent.name == "matprod"}
+    assert {module: names for module, names in found.items() if names} == PRIVATE_IMPORTS
