@@ -32,27 +32,21 @@ from .exponents import (
     advance,
     analytic_spectrum,
     analytic_truncated_logdet,
-    digamma,
     elog_chisq,
     init_state,
     lyapunov_qr_stream,
     single_step_estimate,
     stability_from_state,
     supports_analytic_spectrum,
-    trigamma,
 )
 from .linalg import (
     LqPair,
     NumericError,
     QrPair,
     SingularInputError,
-    SvdTriple,
     count_complex_pairs,
-    eig_by_modulus,
     lq_positive,
-    principal_minor,
     qr_positive,
-    svd_descending,
 )
 from .rng import RngStream
 
@@ -62,15 +56,11 @@ __all__ = [
     "SingularInputError",
     "NumericError",
     "SpreadOverflowError",
-    "SvdTriple",
     "QrPair",
     "LqPair",
     "qr_positive",
     "lq_positive",
-    "svd_descending",
-    "eig_by_modulus",
     "count_complex_pairs",
-    "principal_minor",
     "ScalarLaw",
     "Ginibre",
     "TruncatedHaar",
@@ -96,8 +86,6 @@ __all__ = [
     "AnalyticSpectrum",
     "analytic_spectrum",
     "supports_analytic_spectrum",
-    "digamma",
-    "trigamma",
     "elog_chisq",
     "analytic_truncated_logdet",
 ]

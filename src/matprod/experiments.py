@@ -54,7 +54,7 @@ from .exponents import (
     stability_rows,
     supports_analytic_spectrum,
 )
-from .linalg import NumericError, eig_by_modulus, lq_positive, principal_minor, svd_descending
+from .linalg import NumericError, lq_positive
 from .recordio import FORMATS, ResultRecord, Stat
 from .rng import RngStream
 
@@ -585,17 +585,19 @@ def run_minor_identity(config: ExperimentConfig) -> ResultRecord:
             s = sample_singular_values(spec, gen)
             w = sample_haar_unitary(d, spec.field, gen)
             a = w * s[None, :]
-            eig = eig_by_modulus(a)
+            eig = np.linalg.eigvals(a).astype(np.complex128)
+            eig = eig[np.lexsort((-eig.imag, -eig.real, -np.abs(eig)))]  # descending modulus
             coeffs = np.poly(eig)
-            sigma = svd_descending(a).sigma
+            sigma = np.linalg.svd(a)[1]
             for i in range(1, d + 1):
                 total = 0.0 + 0.0j
                 magnitude = 0.0  # scale of the rounding in total, also where total is 0
                 for subset in itertools.combinations(range(d), i):
-                    minor_a = principal_minor(a, subset)
+                    rows = np.ix_(subset, subset)
+                    minor_a = np.linalg.det(a[rows])
                     total += minor_a
                     magnitude += abs(minor_a)
-                    ref = principal_minor(w, subset) * np.prod(s[list(subset)])
+                    ref = np.linalg.det(w[rows]) * np.prod(s[list(subset)])
                     scale = max(abs(minor_a), abs(ref))
                     if scale > 0:
                         wf = max(wf, abs(minor_a - ref) / scale)

@@ -55,8 +55,6 @@ __all__ = [
     "AnalyticSpectrum",
     "analytic_spectrum",
     "supports_analytic_spectrum",
-    "digamma",
-    "trigamma",
     "elog_chisq",
     "analytic_truncated_logdet",
 ]
@@ -672,11 +670,6 @@ class QrStreamResult:
         n = self.increments.shape[0]
         return self.increments.std(axis=0, ddof=1) / math.sqrt(n)
 
-    @property
-    def running_mean(self) -> np.ndarray:
-        counts = np.arange(1, self.increments.shape[0] + 1)[:, None]
-        return np.cumsum(self.increments, axis=0) / counts
-
 
 def lyapunov_qr_stream(spec: EnsembleSpec, n_steps: int, rng) -> QrStreamResult:
     """Streaming QR estimate of the Lyapunov exponent vector.
@@ -788,7 +781,7 @@ def analytic_spectrum(spec: EnsembleSpec) -> AnalyticSpectrum:
     are independent in all four cases, so the fluctuation covariance is
     diagonal.
     """
-    import scipy.special  # here and in (tri)digamma: ~50 ms, ~4 MB that only closed forms need
+    import scipy.special  # here and in elog_chisq: ~50 ms, ~4 MB that only closed forms need
 
     d = spec.d
     k = np.arange(d, 0, -1, dtype=np.float64)  # d-i+1 for i = 1..d
@@ -814,29 +807,13 @@ def analytic_spectrum(spec: EnsembleSpec) -> AnalyticSpectrum:
 # --- special functions -------------------------------------------------------
 
 
-def digamma(x: float) -> float:
-    """Logarithmic derivative of the gamma function, for x > 0."""
-    x = float(x)
-    if not x > 0:
-        raise ValueError(f"digamma requires x > 0, got {x}")
-    import scipy.special
-    return float(scipy.special.psi(x))
-
-
-def trigamma(x: float) -> float:
-    """Derivative of digamma, for x > 0."""
-    x = float(x)
-    if not x > 0:
-        raise ValueError(f"trigamma requires x > 0, got {x}")
-    import scipy.special
-    return float(scipy.special.polygamma(1, x))
-
-
 def elog_chisq(k: int) -> float:
     """Expected log of a chi-square variable with k degrees of freedom."""
     if not (isinstance(k, (int, np.integer)) and k >= 1):
         raise ValueError(f"elog_chisq requires an integer k >= 1, got {k!r}")
-    return _LOG2 + digamma(k / 2.0)
+    import scipy.special
+
+    return _LOG2 + float(scipy.special.psi(k / 2.0))
 
 
 def analytic_truncated_logdet(i: int, d: int, field: str) -> float:

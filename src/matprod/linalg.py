@@ -4,13 +4,14 @@ Real and complex matrices are plain ndarrays (float64 / complex128); the
 factorization helpers normalize triangular factors to a real nonnegative
 diagonal, which makes QR/LQ unique on full-rank input. Where noted, routines
 accept stacked input: leading axes broadcast and the last two are the matrix.
-Single-matrix wrappers raise NumericError when LAPACK does not converge;
-stacked calls go through lapack_rows, which marks only the rows that do not.
+qr_positive and lq_positive raise SingularInputError on rank-deficient
+input, and count_complex_pairs raises NumericError when the Schur iteration
+does not converge; stacked calls go through lapack_rows, which marks only the
+rows that do not.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable
 
 import numpy as np
 import scipy.linalg
@@ -18,16 +19,12 @@ import scipy.linalg
 __all__ = [
     "SingularInputError",
     "NumericError",
-    "SvdTriple",
     "QrPair",
     "LqPair",
     "qr_positive",
     "lq_positive",
-    "svd_descending",
-    "eig_by_modulus",
     "count_complex_pairs",
     "lapack_rows",
-    "principal_minor",
     "RANK_RTOL",
 ]
 
@@ -42,18 +39,6 @@ class SingularInputError(ValueError):
 
 class NumericError(RuntimeError):
     """An underlying iterative factorization failed to converge."""
-
-
-@dataclass(frozen=True)
-class SvdTriple:
-    """Factorization a = left @ diag(sigma) @ right with sigma descending."""
-
-    left: np.ndarray
-    sigma: np.ndarray
-    right: np.ndarray
-
-    def reconstruct(self) -> np.ndarray:
-        return self.left @ (self.sigma[..., :, None] * self.right)
 
 
 @dataclass(frozen=True)
@@ -146,39 +131,6 @@ def lq_positive(a) -> LqPair:
     return LqPair(np.conj(r.swapaxes(-1, -2)), np.conj(q.swapaxes(-1, -2)))
 
 
-def svd_descending(a) -> SvdTriple:
-    """Full SVD with singular values in descending order.
-
-    Accepts stacks. Non-convergence of the underlying iteration raises
-    NumericError carrying the input shape.
-    """
-    arr = _as_matrix(a)
-    try:
-        left, sigma, right = np.linalg.svd(arr)
-    except np.linalg.LinAlgError as exc:
-        raise NumericError(f"SVD did not converge on input of shape {arr.shape}") from exc
-    return SvdTriple(left, sigma, right)
-
-
-def eig_by_modulus(a) -> np.ndarray:
-    """Eigenvalues sorted by descending modulus.
-
-    Ties in modulus break by descending real part, then descending imaginary
-    part, so the output order is deterministic.
-    """
-    arr = _as_matrix(a)
-    _require_square(arr)
-    if arr.ndim != 2:
-        raise ValueError("eig_by_modulus takes a single matrix, not a stack")
-    try:
-        w = np.linalg.eigvals(arr)
-    except np.linalg.LinAlgError as exc:
-        raise NumericError(f"eigenvalue iteration did not converge (shape {arr.shape})") from exc
-    w = np.asarray(w, dtype=np.complex128)
-    order = np.lexsort((-w.imag, -w.real, -np.abs(w)))
-    return w[order]
-
-
 def count_complex_pairs(a) -> int:
     """Number of complex-conjugate eigenvalue pairs of a real square matrix.
 
@@ -218,26 +170,3 @@ def lapack_rows(fn, a: np.ndarray, fill) -> tuple:
             outs.append(fill)
             ok[b] = False
     return (tuple(map(np.stack, zip(*outs))) if isinstance(fill, tuple) else np.stack(outs)), ok
-
-
-def principal_minor(a, index_set: Iterable[int]):
-    """Determinant of the submatrix on rows and columns ``index_set``.
-
-    Indices are 0-based, must be distinct and within range; the set must be
-    nonempty. Returns a float for real input, complex otherwise.
-    """
-    arr = _as_matrix(a)
-    _require_square(arr)
-    if arr.ndim != 2:
-        raise ValueError("principal_minor takes a single matrix, not a stack")
-    idx = sorted(int(i) for i in index_set)
-    if not idx:
-        raise ValueError("index set must be nonempty")
-    if len(set(idx)) != len(idx):
-        raise ValueError(f"index set has duplicates: {idx}")
-    d = arr.shape[0]
-    if idx[0] < 0 or idx[-1] >= d:
-        raise ValueError(f"index set {idx} out of range for dimension {d}")
-    sub = arr[np.ix_(idx, idx)]
-    det = np.linalg.det(sub)
-    return complex(det) if np.iscomplexobj(arr) else float(det)

@@ -147,13 +147,14 @@ def test_equality_statistics_carry_counts():
 @pytest.mark.parametrize(
     "runner, spec",
     [(run_equality, GINIBRE_R3), (run_fluctuations, GINIBRE_R3), (run_real_probability, GINIBRE_R3),
-     (run_real_probability, LOGNORMAL_R2)],
-    ids=["equality", "fluctuations", "realprob", "realprob-failing-rows"],
+     (run_real_probability, LOGNORMAL_R2), (run_minor_identity, GINIBRE_R3)],
+    ids=["equality", "fluctuations", "realprob", "realprob-failing-rows", "minor-identity"],
 )
 def test_thread_count_invariant(runner, spec, monkeypatch):
     # 300 replications: one full chunk and a 44-row tail chunk, one stack each
-    # so that threads=3 runs them on the pool; on LOGNORMAL_R2 rows drop at
-    # singular factors between and before the grid points
+    # (the minor identities map the chunks themselves) so that threads=3 runs
+    # them on the pool; on LOGNORMAL_R2 rows drop at singular factors between
+    # and before the grid points
     monkeypatch.setattr(experiments, "_STACK_ENTRIES", 1)
     results = [
         runner(ExperimentConfig(seed=99, spec=spec, n_grid=(5, 12), replications=300, threads=t))

@@ -1,8 +1,10 @@
 """Every module of the package (bar __init__, which re-exports) and every
 test file uses each name it imports: as a name, as the base of an attribute
 or in __all__. A package module imports an underscore name from another
-package module only where PRIVATE_IMPORTS lists it."""
+package module only where PRIVATE_IMPORTS lists it. Every name in a package
+module's __all__, __init__'s included, exists there and is listed once."""
 import ast
+import importlib
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -51,3 +53,11 @@ def private_imports(path: Path) -> set[str]:
 def test_package_modules_import_only_the_listed_private_names():
     found = {path.stem: private_imports(path) for path in FILES if path.parent.name == "matprod"}
     assert {module: names for module, names in found.items() if names} == PRIVATE_IMPORTS
+
+
+def test_every_exported_name_exists_once():
+    stems = ["matprod"] + [f"matprod.{p.stem}" for p in FILES if p.parent.name == "matprod"]
+    for module in map(importlib.import_module, stems):
+        names = module.__all__
+        assert len(set(names)) == len(names), module.__name__
+        assert [name for name in names if not hasattr(module, name)] == [], module.__name__

@@ -10,12 +10,9 @@ from matprod.linalg import (
     QrPair,
     SingularInputError,
     count_complex_pairs,
-    eig_by_modulus,
     lapack_rows,
     lq_positive,
-    principal_minor,
     qr_positive,
-    svd_descending,
 )
 
 from conftest import rel_err, unitary_defect
@@ -131,64 +128,6 @@ def test_lq_rejects_wide_rows():
         lq_positive(np.ones((3, 2)))
 
 
-# --- svd_descending ----------------------------------------------------------
-
-
-def test_svd_reorders_diagonal():
-    triple = svd_descending(np.diag([1.0, 2.0]))
-    assert np.allclose(triple.sigma, [2.0, 1.0])
-    assert rel_err(triple.reconstruct(), np.diag([1.0, 2.0])) < 1e-12
-
-
-def test_svd_isometry_all_ones():
-    q = qr_positive(_random_matrix(3, 4, True)).q
-    triple = svd_descending(q)
-    assert np.allclose(triple.sigma, 1.0, atol=1e-10)
-
-
-def test_svd_hand_value():
-    # a* a = diag(1, 4)
-    triple = svd_descending([[0.0, 2.0], [1.0, 0.0]])
-    assert np.allclose(triple.sigma, [2.0, 1.0])
-
-
-@settings(deadline=None, max_examples=30, derandomize=True)
-@given(st.integers(0, 10_000), st.integers(1, 6), st.booleans())
-def test_svd_round_trip(seed, d, complex_field):
-    a = _random_matrix(seed, d, complex_field)
-    triple = svd_descending(a)
-    assert rel_err(triple.reconstruct(), a) < 1e-10
-    assert np.all(np.diff(triple.sigma) <= 0)
-    assert np.all(triple.sigma >= 0)
-    assert unitary_defect(triple.left) < 1e-10
-    assert unitary_defect(triple.right) < 1e-10
-
-
-# --- eig_by_modulus ----------------------------------------------------------
-
-
-def test_eig_diagonal():
-    w = eig_by_modulus(np.diag([1.0, -3.0]))
-    assert np.allclose(w, [-3.0, 1.0])
-
-
-def test_eig_rotation_tie_break():
-    w = eig_by_modulus([[0.0, -1.0], [1.0, 0.0]])
-    assert np.allclose(w, [1j, -1j])
-
-
-def test_eig_companion():
-    # z^2 - z - 2 = (z - 2)(z + 1)
-    w = eig_by_modulus([[0.0, 2.0], [1.0, 1.0]])
-    assert np.allclose(w, [2.0, -1.0])
-
-
-def test_eig_modulus_sorted():
-    a = _random_matrix(11, 6, False)
-    w = eig_by_modulus(a)
-    assert np.all(np.diff(np.abs(w)) <= 1e-12)
-
-
 # --- count_complex_pairs -----------------------------------------------------
 
 
@@ -220,8 +159,8 @@ def test_pairs_vs_eigenvalue_reality():
     while checked < 60:
         d = int(gen.integers(2, 7))
         a = gen.standard_normal((d, d))
-        w = eig_by_modulus(a)
-        if np.min(np.abs(np.diff(np.abs(w)))) < 1e-8:
+        w = np.linalg.eigvals(a)
+        if np.min(np.abs(np.diff(np.sort(np.abs(w))[::-1]))) < 1e-8:
             continue
         nonreal = int(np.sum(w.imag != 0.0))
         assert nonreal % 2 == 0
@@ -329,42 +268,7 @@ def test_lapack_rows_retries_one_matrix_at_a_time_only_after_a_stacked_failure()
         assert all(np.array_equal(x, y) for x, y in zip((left[b], sigma[b], right[b]), np.linalg.svd(a[b])))
 
 
-# --- principal_minor ---------------------------------------------------------
-
-
-def test_minor_identity_matrix():
-    for j in ([0], [1, 2], [0, 1, 2, 3]):
-        assert principal_minor(np.eye(4), j) == pytest.approx(1.0)
-
-
-def test_minor_hand_values():
-    a = [[1.0, 2.0], [3.0, 4.0]]
-    assert principal_minor(a, [0, 1]) == pytest.approx(-2.0)
-    assert principal_minor(a, [1]) == pytest.approx(4.0)
-
-
-def test_minor_argument_errors():
-    a = np.eye(3)
-    with pytest.raises(ValueError):
-        principal_minor(a, [])
-    with pytest.raises(ValueError):
-        principal_minor(a, [3])
-    with pytest.raises(ValueError):
-        principal_minor(a, [0, 0])
-
-
 # --- cross-operation properties ---------------------------------------------
-
-
-@settings(deadline=None, max_examples=25, derandomize=True)
-@given(st.integers(0, 10_000), st.integers(1, 6), st.booleans())
-def test_determinant_consistency(seed, d, complex_field):
-    a = _random_matrix(seed, d, complex_field)
-    det = abs(np.linalg.det(a))
-    sig = np.prod(svd_descending(a).sigma)
-    eig = np.prod(np.abs(eig_by_modulus(a)))
-    assert abs(det - sig) <= 1e-8 * max(det, sig)
-    assert abs(det - eig) <= 1e-8 * max(det, eig)
 
 
 @settings(deadline=None, max_examples=25, derandomize=True)
@@ -376,15 +280,14 @@ def test_minor_coefficient_identity(seed, d, complex_field):
     w = qr_positive(_random_matrix(seed + 1, d, complex_field)).q
     s = np.sort(gen.uniform(0.2, 3.0, d))[::-1]
     a = w * s[None, :]
-    eig = eig_by_modulus(a)
-    coeffs = np.poly(eig)
+    coeffs = np.poly(np.linalg.eigvals(a))
     for i in range(1, d + 1):
-        total = sum(principal_minor(a, sub) for sub in itertools.combinations(range(d), i))
+        total = sum(np.linalg.det(a[np.ix_(sub, sub)]) for sub in itertools.combinations(range(d), i))
         elem = (-1) ** i * coeffs[i]
         assert abs(total - elem) <= 1e-8 * max(abs(total), abs(elem), 1e-12)
         for sub in itertools.combinations(range(d), i):
-            lhs = principal_minor(a, sub)
-            rhs = principal_minor(w, sub) * np.prod(s[list(sub)])
+            lhs = np.linalg.det(a[np.ix_(sub, sub)])
+            rhs = np.linalg.det(w[np.ix_(sub, sub)]) * np.prod(s[list(sub)])
             assert abs(lhs - rhs) <= 1e-8 * max(abs(lhs), abs(rhs), 1e-12)
 
 
@@ -392,8 +295,8 @@ def test_minor_coefficient_identity(seed, d, complex_field):
 @given(st.integers(0, 10_000), st.integers(1, 6), st.booleans())
 def test_partial_product_bound(seed, d, complex_field):
     a = _random_matrix(seed, d, complex_field)
-    sig = svd_descending(a).sigma
-    mods = np.abs(eig_by_modulus(a))
+    sig = np.linalg.svd(a, compute_uv=False)
+    mods = np.sort(np.abs(np.linalg.eigvals(a)))[::-1]
     for k in range(1, d + 1):
         assert np.prod(mods[:k]) <= np.prod(sig[:k]) * (1 + 1e-8)
 
