@@ -13,9 +13,11 @@ aggregated statistics are identical for any thread count adopted.
 The trajectory runners (equality, fluctuations, reality) share one stack
 worker. A stack is a run of consecutive chunks, as many whole ones as fit
 in _STACK_ENTRIES factor entries and at least one, so its bounds follow
-from the replications, the last grid point and d alone. The worker draws
-each chunk's factors from the chunk's own stream (sample_isotropic_chunk,
-in the order of one replication after the other), concatenates them in
+from the replications, the last grid point and d alone. The calling thread
+computes the Philox key of every chunk's stream in one philox_keys call
+(_chunk_jobs); the worker builds each chunk's generator from its key and
+draws the chunk's factors from it (sample_isotropic_chunk, in the order of
+one replication after the other), concatenates them in
 chunk order and hands them to the runner's observer in one call; the
 stacks, not the chunks, are what `threads` spreads over a pool. Every
 observer is row-wise, so a row's bits do not depend on the rows that share
@@ -56,7 +58,7 @@ from .exponents import (
 )
 from .linalg import NumericError, lq_positive
 from .recordio import FORMATS, ResultRecord, Stat
-from .rng import RngStream
+from .rng import RngStream, philox_generator, philox_keys
 
 __all__ = [
     "ExperimentConfig",
@@ -77,12 +79,12 @@ _CHUNK = 256
 # Factor entries (replications x n_max x d^2) one observer call may take:
 # whole chunks are stacked up to it, and a chunk over it is a stack alone.
 # Short trajectories pay fixed numpy dispatch on every observer call (at
-# n = 1, d = 2 a row, drawn and classified, costs 0.9-1.0 us on a 256-row
-# chunk and 0.25-0.3 us on 3072 rows), and with threads > 1 each stack is a
+# n = 1, d = 2 a row, drawn and classified, costs 0.57-0.60 us on a 256-row
+# chunk and 0.18-0.20 us on 3072 rows), and with threads > 1 each stack is a
 # pool hand-off. 2^18 entries (2 MB of real factors) makes a
 # 3072-replication n = 1 run one call on the calling thread, and keeps
 # criterion 6 (10^6 replications at n = 1, d = 2, threads=2: 16 stacks) at a
-# peak RSS of 86-87 MB, against 70 MB with one call a chunk (in-process run,
+# peak RSS of 80-82 MB, against 66 MB with one call a chunk (in-process run,
 # 2-core Xeon, BLAS on 1 thread).
 _STACK_ENTRIES = 1 << 18
 
@@ -157,15 +159,18 @@ def wilson_interval(successes: int, trials: int, z: float = _Z95) -> tuple[float
     return max(0.0, min(center - half, p)), min(1.0, max(center + half, p))
 
 
-def _chunk_jobs(total: int) -> list[tuple[int, int]]:
-    """(chunk_index, count) pairs covering range(total)."""
-    return [(ci, min(_CHUNK, total - ci * _CHUNK)) for ci in range((total + _CHUNK - 1) // _CHUNK)]
+def _chunk_jobs(total: int, stream: RngStream) -> list[tuple[np.ndarray, int]]:
+    """(key, count) of each chunk covering range(total), in order: the Philox key of
+    chunk ci's stream, stream.derive(ci), and its replications. Every key of the
+    run is computed here, on the calling thread, in one philox_keys call."""
+    counts = [min(_CHUNK, total - start) for start in range(0, total, _CHUNK)]
+    return list(zip(philox_keys(stream, range(len(counts))), counts))
 
 
-def _stack_jobs(total: int, n_max: int, d: int) -> list[list[tuple[int, int]]]:
-    """_chunk_jobs(total) cut into stacks of consecutive chunks: as many whole
+def _stack_jobs(total: int, n_max: int, d: int, stream: RngStream) -> list[list[tuple[np.ndarray, int]]]:
+    """_chunk_jobs(total, stream) cut into stacks of consecutive chunks: as many whole
     chunks of _CHUNK * n_max * d^2 factor entries as fit in _STACK_ENTRIES, at least one."""
-    jobs = _chunk_jobs(total)
+    jobs = _chunk_jobs(total, stream)
     per = max(1, _STACK_ENTRIES // (_CHUNK * n_max * d * d))
     return [jobs[i:i + per] for i in range(0, len(jobs), per)]
 
@@ -192,15 +197,15 @@ def _reference(config: ExperimentConfig, exp_index: int) -> tuple[np.ndarray, np
 def _observe_chunks(config: ExperimentConfig, exp_index: int, grid: Sequence[int], observe: Callable) -> list:
     """observe(factors, grid) for every stack of chunks, in chunk order;
     factors is the (count, grid[-1], d, d) draws of the stack's chunks, concatenated."""
-    spec, n_max, base = config.spec, grid[-1], config.stream()
+    spec, n_max = config.spec, grid[-1]
 
-    def worker(*chunks: tuple[int, int]):
-        draws = [sample_isotropic_chunk(spec, base.derive(exp_index, 1, ci).generator(), count, n_max)
-                 for ci, count in chunks]
+    def worker(*chunks: tuple[np.ndarray, int]):
+        draws = [sample_isotropic_chunk(spec, philox_generator(key), count, n_max) for key, count in chunks]
         # a lone chunk goes as drawn: copying it cost 2% of a 100-replication n = 100 run
         return observe(draws[0] if len(draws) == 1 else np.concatenate(draws), grid)
 
-    return _map_chunks(_stack_jobs(config.replications, n_max, spec.d), worker, config.threads)
+    stacks = _stack_jobs(config.replications, n_max, spec.d, config.stream().derive(exp_index, 1))
+    return _map_chunks(stacks, worker, config.threads)
 
 
 def _observe_exponents(factors: np.ndarray, grid: Sequence[int]):
@@ -575,10 +580,9 @@ def run_minor_identity(config: ExperimentConfig) -> ResultRecord:
     spec = config.spec
     if spec.d > 6:
         raise ValueError("minor identity checks are limited to d <= 6")
-    base = config.stream()
 
-    def worker(ci: int, count: int):
-        gen = base.derive(_EXP_MINOR, 1, ci).generator()
+    def worker(key: np.ndarray, count: int):
+        gen = philox_generator(key)
         wc = wf = wh = 0.0
         d = spec.d
         for _ in range(count):
@@ -608,7 +612,8 @@ def run_minor_identity(config: ExperimentConfig) -> ResultRecord:
             wh = max(wh, float(np.exp(excess.max()) - 1.0))
         return wc, wf, wh
 
-    parts = _map_chunks(_chunk_jobs(config.replications), worker, config.threads)
+    parts = _map_chunks(_chunk_jobs(config.replications, config.stream().derive(_EXP_MINOR, 1)), worker,
+                        config.threads)
     worst = [max(0.0, *column) for column in zip(*parts)]
     return _record("verify:minor-identity", spec, spec.d, config.replications, {
         # minor sums vs char-poly coefficients, over the sum of |minors|

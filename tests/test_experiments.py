@@ -22,7 +22,7 @@ from matprod.experiments import (
     verify_passed,
     wilson_interval,
 )
-from matprod.ensembles import sample_ginibre, sample_haar_unitary, sample_isotropic_chunk
+from matprod.ensembles import parse_ensemble, sample_ginibre, sample_haar_unitary, sample_isotropic_chunk
 from matprod.exponents import single_step_estimate
 from matprod.linalg import RANK_RTOL, count_complex_pairs
 from matprod.recordio import ResultRecord, Stat
@@ -145,20 +145,23 @@ def test_equality_statistics_carry_counts():
 
 
 @pytest.mark.parametrize(
-    "runner, spec",
-    [(run_equality, GINIBRE_R3), (run_fluctuations, GINIBRE_R3), (run_real_probability, GINIBRE_R3),
-     (run_real_probability, LOGNORMAL_R2), (run_minor_identity, GINIBRE_R3)],
-    ids=["equality", "fluctuations", "realprob", "realprob-failing-rows", "minor-identity"],
+    "runner, spec, grid, replications, budget, threads",
+    [(run_equality, GINIBRE_R3, (5, 12), 300, 1, 3), (run_fluctuations, GINIBRE_R3, (5, 12), 300, 1, 3),
+     (run_real_probability, GINIBRE_R3, (5, 12), 300, 1, 3), (run_real_probability, LOGNORMAL_R2, (5, 12), 300, 1, 3),
+     (run_minor_identity, GINIBRE_R3, (5, 12), 300, 1, 3),
+     (run_real_probability, GINIBRE_R2, (1,), 19 * 256 + 100, 4 * 256 * 4, 2)],
+    ids=["equality", "fluctuations", "realprob", "realprob-failing-rows", "minor-identity", "realprob-n1-stacks"],
 )
-def test_thread_count_invariant(runner, spec, monkeypatch):
+def test_thread_count_invariant(runner, spec, grid, replications, budget, threads, monkeypatch):
     # 300 replications: one full chunk and a 44-row tail chunk, one stack each
     # (the minor identities map the chunks themselves) so that threads=3 runs
     # them on the pool; on LOGNORMAL_R2 rows drop at singular factors between
-    # and before the grid points
-    monkeypatch.setattr(experiments, "_STACK_ENTRIES", 1)
+    # and before the grid points. realprob-n1-stacks is criterion 6 in small:
+    # n = 1, 20 chunks in 5 stacks of 4 chunks, on a pool of 2
+    monkeypatch.setattr(experiments, "_STACK_ENTRIES", budget)
     results = [
-        runner(ExperimentConfig(seed=99, spec=spec, n_grid=(5, 12), replications=300, threads=t))
-        for t in (1, 3)
+        runner(ExperimentConfig(seed=99, spec=spec, n_grid=grid, replications=replications, threads=t))
+        for t in (1, threads)
     ]
     assert results[0] == results[1]
 
@@ -179,15 +182,21 @@ def test_results_do_not_depend_on_stack_bounds(runner, spec, grid, monkeypatch):
     assert results[0] == results[1]
 
 
-@pytest.mark.parametrize("budget, stacks", [(1, 5), (2 * 256 * 3 * 4, 3), (1 << 40, 1)])
-def test_each_observer_call_takes_whole_consecutive_chunks(budget, stacks, monkeypatch):
+@pytest.mark.parametrize("spec, budget, stacks", [
+    pytest.param(spec, budget, stacks, id=f"{name}{budget}-{stacks}")
+    for name, spec in [("", GINIBRE_R2), ("complex-", EnsembleSpec("complex", 2, Ginibre())),
+                       ("truncated-haar-", EnsembleSpec("real", 2, parse_ensemble("truncated-haar:m=5"))),
+                       ("custom-laws-", EnsembleSpec("real", 2, parse_ensemble("custom:laws(uniform(1,2),chisq(3))")))]
+    for budget, stacks in [(1, 5), (2 * 256 * 3 * 4, 3), (1 << 40, 1)]])
+def test_each_observer_call_takes_whole_consecutive_chunks(spec, budget, stacks, monkeypatch):
     monkeypatch.setattr(experiments, "_STACK_ENTRIES", budget)
-    config = cfg(GINIBRE_R2, seed=7, n_grid=(3,), replications=1100)
+    config = cfg(spec, seed=7, n_grid=(3,), replications=1100)
     calls = []
     experiments._observe_chunks(config, 3, config.n_grid, lambda factors, grid: calls.append(factors))
-    chunks = [sample_isotropic_chunk(GINIBRE_R2, RngStream(7).derive(3, 1, ci).generator(), count, 3)
-              for ci, count in experiments._chunk_jobs(1100)]
-    assert [len(c) for c in chunks] == [256] * 4 + [76] and len(calls) == stacks
+    # chunk ci is drawn from numpy's own SeedSequence(seed, spawn_key=(3, 1, ci))
+    chunks = [sample_isotropic_chunk(spec, np.random.Generator(np.random.Philox(
+        np.random.SeedSequence(7, spawn_key=(3, 1, ci)))), count, 3) for ci, count in enumerate([256] * 4 + [76])]
+    assert len(calls) == stacks
     start = 0
     for factors in calls:
         sizes = np.cumsum([len(c) for c in chunks[start:]])
@@ -271,6 +280,18 @@ def test_realprob_trend_toward_one():
     assert p15["wilson_low"].value > p1["wilson_high"].value
     # n = 1 matches the known constant within a generous window
     assert abs(p1["p_hat"].value - 1 / math.sqrt(2)) < 4 * math.sqrt(0.207 / 2000)
+
+
+def test_realprob_n1_matches_edelman_at_every_d():
+    # Edelman (J. Multivariate Anal. 60, 1997): every eigenvalue of a real
+    # Ginibre d x d matrix is real with probability 2^(-d(d-1)/4). The four d
+    # are one family, at verify_passed's family-wise level; seed fixed up front
+    rows = []
+    for d in range(2, 6):
+        spec = EnsembleSpec("real", d, Ginibre())
+        p = run_real_probability(cfg(spec, seed=14, n_grid=(1,), replications=100_000))[0].stats["p_hat"]
+        rows.append(experiments._check(spec, "edelman", d, 1, p.value, 2.0 ** (-d * (d - 1) / 4), p.se, p.count))
+    assert verify_passed(rows), [row.stats["z"].value for row in rows]
 
 
 def test_realprob_two_factor_closed_form():
@@ -445,7 +466,7 @@ def test_realprob_n1_excluded_counts_the_svd_rejections():
     rejected = sum(
         int((~exponents._init_rows(sample_isotropic_chunk(spec, RngStream(1621).derive(3, 1, ci).generator(),
                                                            count, 1)[:, 0]).ok).sum())
-        for ci, count in experiments._chunk_jobs(600))
+        for ci, count in enumerate((256, 256, 88)))
     assert rec.stats["excluded"].value == rejected > 0
 
 
