@@ -32,6 +32,10 @@ carrying the product's spectrum. Each grid point is read off its own
 stack: a replication counts at n when its trajectory is alive in the stack
 at n and its spectrum there converged, so one that fails at step k still
 counts at the grid points before k.
+
+The verify runners take whole samples: a minor-identity chunk reads its
+trials off its stream one by one and checks them in stacked calls, and a law
+check draws its sample in batches (_samples) and reads its rows off it.
 """
 from __future__ import annotations
 
@@ -45,8 +49,8 @@ import numpy as np
 
 from .ensembles import EnsembleSpec, sample_ginibre, sample_haar_unitary, sample_isotropic_chunk, sample_singular_values
 from .exponents import (
-    _batches,
     _bound_clears,
+    _samples,
     analytic_spectrum,
     analytic_truncated_logdet,
     evolve_stack,
@@ -268,14 +272,8 @@ def _observe_reality(factors: np.ndarray, grid: Sequence[int]):
 
 def _stat_vec(prefix: str, values, se=None, count=None) -> dict[str, Stat]:
     """Stats prefix_1, prefix_2, ... of a vector, with its SEs if given."""
-    out = {}
-    for i, v in enumerate(np.atleast_1d(values), start=1):
-        out[f"{prefix}_{i}"] = Stat(
-            float(v),
-            None if se is None else float(np.atleast_1d(se)[i - 1]),
-            count,
-        )
-    return out
+    ses = [None] * np.size(values) if se is None else np.atleast_1d(se).tolist()
+    return {f"{prefix}_{i}": Stat(float(v), s, count) for i, (v, s) in enumerate(zip(np.atleast_1d(values), ses), 1)}
 
 
 def _record(experiment: str, spec: EnsembleSpec, n: int, replications: int, stats: dict[str, Stat],
@@ -449,39 +447,17 @@ def verify_passed(records: Sequence[ResultRecord]) -> bool:
             and all(s["passed"].value for s in checks if "z" not in s))
 
 
-class _Moments:
-    """Streaming first four power sums per column."""
-
-    def __init__(self, width: int) -> None:
-        self.n = 0
-        self.s1 = np.zeros(width)
-        self.s2 = np.zeros(width)
-        self.s3 = np.zeros(width)
-        self.s4 = np.zeros(width)
-
-    def add(self, block: np.ndarray) -> None:
-        self.n += block.shape[0]
-        self.s1 += block.sum(axis=0)
-        self.s2 += (block**2).sum(axis=0)
-        self.s3 += (block**3).sum(axis=0)
-        self.s4 += (block**4).sum(axis=0)
-
-    def mean(self) -> np.ndarray:
-        return self.s1 / self.n
-
-    def mean_se(self) -> np.ndarray:
-        var = np.maximum(self.s2 / self.n - self.mean() ** 2, 0.0)
-        return np.sqrt(var / self.n)
-
-    def var(self) -> np.ndarray:
-        return (self.s2 - self.s1**2 / self.n) / (self.n - 1)
-
-    def var_se(self) -> np.ndarray:
-        # large-sample SE of the sample variance via the fourth central moment
-        m = self.mean()
-        m2 = self.s2 / self.n - m**2
-        m4 = (self.s4 - 4 * m * self.s3 + 6 * m**2 * self.s2) / self.n - 3 * m**4
-        return np.sqrt(np.maximum(m4 - m2**2, 0.0) / self.n)
+def _moment_rows(spec: EnsembleSpec, check: str, d: int, index: int, x: np.ndarray, mean_ref: float,
+                 var_ref: Optional[float] = None) -> list[ResultRecord]:
+    """Check rows of sample x: its mean against mean_ref and, given var_ref (check then has a {} for mean/var),
+    its variance against var_ref, with the large-sample SE from the fourth central moment."""
+    n, mean = x.shape[0], x.mean()
+    rows = [_check(spec, check.format("mean"), d, index, float(mean), mean_ref, float(_mean_se(x)), n)]
+    if var_ref is not None:
+        c2 = (x - mean) ** 2
+        var_se = math.sqrt(max(float((c2**2).mean() - c2.mean() ** 2), 0.0) / n)
+        rows.append(_check(spec, check.format("var"), d, index, float(x.var(ddof=1)), var_ref, var_se, n))
+    return rows
 
 
 def run_factorization_checks(config: ExperimentConfig) -> list[ResultRecord]:
@@ -499,72 +475,70 @@ def run_factorization_checks(config: ExperimentConfig) -> list[ResultRecord]:
         (a) and (c) read moduli, blind to the column phases it fixes.
     One record a check row (_check), in the order (a), (b), (c), (d).
     """
-    spec = config.spec
-    field = spec.field
-    mc = config.mc_samples
-    base = config.stream()
+    spec, field, mc, base = config.spec, config.spec.field, config.mc_samples, config.stream()
     rows: list[ResultRecord] = []
     phase_rows = []  # last, so every other row keeps its place in the records
 
     for d in range(1, spec.d + 1):
         gen = base.derive(_EXP_FACTOR, 1, d).generator()
-        corner, phase = [_Moments(1) for _ in range(d)], _Moments(1)
-        for _, b in _batches(mc):
-            u = sample_haar_unitary(d, field, gen, size=b)
-            phase.add(u[:, :1, 0].real)
-            for i in range(1, d + 1):
-                dets = np.linalg.det(u[:, :i, :i])
-                corner[i - 1].add(np.log(np.abs(dets))[:, None])
-        for i, mom in enumerate(corner, start=1):
-            rows.append(_check(spec, "corner-logdet", d, i, float(mom.mean()[0]), analytic_truncated_logdet(i, d, field),
-                               float(mom.mean_se()[0]), mom.n))
-        phase_rows.append(_check(spec, "haar-phase", d, 1, float(phase.mean()[0]), 0.0, float(phase.mean_se()[0]),
-                                 phase.n))
 
-    dof_scale = 2 if field == "complex" else 1
+        def corner(b: int) -> np.ndarray:  # columns: Re u_11, then log |det| of each corner
+            u = sample_haar_unitary(d, field, gen, size=b)
+            return np.stack([u[:, 0, 0].real, *(np.log(np.abs(np.linalg.det(u[:, :i, :i]))) for i in range(1, d + 1))],
+                            axis=1)
+
+        x = _samples(mc, corner)
+        for i in range(1, d + 1):
+            rows += _moment_rows(spec, "corner-logdet", d, i, x[:, i], analytic_truncated_logdet(i, d, field))
+        phase_rows += _moment_rows(spec, "haar-phase", d, 1, x[:, 0], 0.0)
+
     for d in range(1, spec.d + 1):
-        shapes = [d] if d == 1 else [d, d - 1]
-        for nrows in shapes:
+        for nrows in [d] if d == 1 else [d, d - 1]:
             gen = base.derive(_EXP_FACTOR, 2, d, nrows).generator()
-            diag_mom = _Moments(nrows)
-            off_mom = _Moments(1) if nrows > 1 else None
-            for _, b in _batches(mc):
-                g = sample_ginibre(nrows, d, field, gen, size=b)
-                t = lq_positive(g).t
-                tdiag = np.diagonal(t, axis1=-2, axis2=-1).real
-                diag_mom.add(tdiag**2)
-                if off_mom is not None:
-                    li, lj = np.tril_indices(nrows, k=-1)
-                    tril = t[:, li, lj]
-                    parts = [tril.real, tril.imag] if field == "complex" else [tril]
-                    off_mom.add(np.concatenate(parts, axis=1).reshape(-1, 1))
+            li, lj = np.tril_indices(nrows, k=-1)
+
+            def lq(b: int) -> np.ndarray:  # columns: squared diagonal, then the off-diagonals' parts
+                t = lq_positive(sample_ginibre(nrows, d, field, gen, size=b)).t
+                tril = t[:, li, lj]
+                parts = [tril.real, tril.imag] if field == "complex" else [tril]
+                return np.concatenate([np.diagonal(t, axis1=-2, axis2=-1).real ** 2, *parts], axis=1)
+
+            x = _samples(mc, lq)
             for j in range(1, nrows + 1):
-                k = dof_scale * (d - j + 1)
-                rows += _mean_var_rows(spec, f"lq-diag-{{}}:rows={nrows}", d, j, diag_mom, j - 1, float(k), float(2 * k))
-            if off_mom is not None:
-                rows += _mean_var_rows(spec, f"lq-offdiag-{{}}:rows={nrows}", d, nrows, off_mom, 0, 0.0, 1.0)
+                k = (2 if field == "complex" else 1) * (d - j + 1)
+                rows += _moment_rows(spec, f"lq-diag-{{}}:rows={nrows}", d, j, x[:, j - 1], float(k), float(2 * k))
+            if nrows > 1:
+                off = x[:, nrows:].reshape(-1)  # every part of every off-diagonal entry is one sample
+                rows += _moment_rows(spec, f"lq-offdiag-{{}}:rows={nrows}", d, nrows, off, 0.0, 1.0)
 
     for d in range(1, spec.d + 1):
         m = 4 * d
         gen = base.derive(_EXP_FACTOR, 3, d).generator()
-        mom = _Moments(1)
-        for _, b in _batches(min(mc, 20_000)):
+
+        def scaling(b: int) -> np.ndarray:
             u = sample_haar_unitary(m, field, gen, size=b)
-            block = m * np.abs(u[:, :d, :d]) ** 2
-            mom.add(block.reshape(b, -1).mean(axis=1)[:, None])
-        rows.append(_check(spec, "corner-scaling", d, m, float(mom.mean()[0]), 1.0, float(mom.mean_se()[0]), mom.n))
+            return (m * np.abs(u[:, :d, :d]) ** 2).reshape(b, -1).mean(axis=1)
+
+        rows += _moment_rows(spec, "corner-scaling", d, m, _samples(min(mc, 20_000), scaling), 1.0)
 
     return rows + phase_rows
 
 
-def _mean_var_rows(spec: EnsembleSpec, check: str, d: int, index: int, mom: _Moments, col: int,
-                   mean_ref: float, var_ref: float) -> list[ResultRecord]:
-    """Check rows of one moment column's mean and variance; check has a {} for mean/var."""
-    return [
-        _check(spec, check.format("mean"), d, index, float(mom.mean()[col]), mean_ref, float(mom.mean_se()[col]),
-               mom.n),
-        _check(spec, check.format("var"), d, index, float(mom.var()[col]), var_ref, float(mom.var_se()[col]), mom.n),
-    ]
+def _char_poly(roots: np.ndarray) -> np.ndarray:
+    """np.poly(roots[b]) as complex, row by row: c_k - z c_(k-1) for each root
+    z in turn, its terms rounded in the order np.poly's convolution takes them."""
+    c = np.zeros((len(roots), roots.shape[1] + 1), dtype=np.complex128)
+    c[:, 0] = 1.0
+    for k, z in enumerate(roots.T[:, :, None]):
+        prev, cur = c[:, :k + 1], c[:, 1:k + 2]
+        c[:, 1:k + 2] = ((cur.real - z.real * prev.real) + z.imag * prev.imag
+                         + 1j * ((cur.imag - z.real * prev.imag) - z.imag * prev.real))
+    return c
+
+
+def _worst_ratio(num: np.ndarray, den: np.ndarray) -> float:
+    """Largest num / den over the entries with den > 0; 0 if there are none."""
+    return float(np.divide(num, den, out=np.zeros(den.shape), where=den > 0).max())
 
 
 def run_minor_identity(config: ExperimentConfig) -> ResultRecord:
@@ -574,43 +548,37 @@ def run_minor_identity(config: ExperimentConfig) -> ResultRecord:
     corresponding elementary symmetric functions of the eigenvalues, (ii)
     the minor factorization across the diagonal factor, and (iii) that
     eigenvalue-modulus partial products never exceed singular-value partial
-    products beyond rounding. One record of the worst relative residual of
-    each, passed when none is over _MINOR_TOL.
+    products beyond rounding. A chunk reads its trials off its stream one
+    after the other, then checks them together: one eigvals and one SVD
+    call, and one det call per index subset. One record of the worst
+    relative residual of each, passed when none is over _MINOR_TOL.
     """
-    spec = config.spec
-    if spec.d > 6:
+    spec, d = config.spec, config.spec.d
+    if d > 6:
         raise ValueError("minor identity checks are limited to d <= 6")
 
     def worker(key: np.ndarray, count: int):
         gen = philox_generator(key)
-        wc = wf = wh = 0.0
-        d = spec.d
-        for _ in range(count):
-            s = sample_singular_values(spec, gen)
-            w = sample_haar_unitary(d, spec.field, gen)
-            a = w * s[None, :]
-            eig = np.linalg.eigvals(a).astype(np.complex128)
-            eig = eig[np.lexsort((-eig.imag, -eig.real, -np.abs(eig)))]  # descending modulus
-            coeffs = np.poly(eig)
-            sigma = np.linalg.svd(a)[1]
-            for i in range(1, d + 1):
-                total = 0.0 + 0.0j
-                magnitude = 0.0  # scale of the rounding in total, also where total is 0
-                for subset in itertools.combinations(range(d), i):
-                    rows = np.ix_(subset, subset)
-                    minor_a = np.linalg.det(a[rows])
-                    total += minor_a
-                    magnitude += abs(minor_a)
-                    ref = np.linalg.det(w[rows]) * np.prod(s[list(subset)])
-                    scale = max(abs(minor_a), abs(ref))
-                    if scale > 0:
-                        wf = max(wf, abs(minor_a - ref) / scale)
-                elem = (-1) ** i * coeffs[i]
-                if magnitude > 0:
-                    wc = max(wc, abs(total - elem) / magnitude)
-            excess = np.cumsum(np.log(np.abs(eig))) - np.cumsum(np.log(sigma))
-            wh = max(wh, float(np.exp(excess.max()) - 1.0))
-        return wc, wf, wh
+        draws = [(sample_singular_values(spec, gen), sample_haar_unitary(d, spec.field, gen)) for _ in range(count)]
+        s, w = (np.stack(part) for part in zip(*draws))
+        a = w * s[:, None, :]
+        eig = np.linalg.eigvals(a).astype(np.complex128)
+        order = np.lexsort((-eig.imag, -eig.real, -np.abs(eig)), axis=-1)  # descending modulus
+        eig = np.take_along_axis(eig, order, axis=-1)
+        coeffs = _char_poly(eig)
+        coeffs = coeffs if spec.field == "complex" else coeffs.real  # np.poly's result for conjugate pairs
+        wc, wf = [], []  # worst residual of each order's minor sum, of each subset's factorization
+        for i in range(1, d + 1):
+            total, magnitude = 0j, 0.0  # magnitude: scale of the rounding in total, also where total is 0
+            for subset in itertools.combinations(range(d), i):
+                rows = (slice(None), *np.ix_(subset, subset))
+                minor_a = np.linalg.det(a[rows])
+                total, magnitude = total + minor_a, magnitude + np.abs(minor_a)
+                ref = np.linalg.det(w[rows]) * np.prod(s[:, subset], axis=1)
+                wf.append(_worst_ratio(np.abs(minor_a - ref), np.maximum(np.abs(minor_a), np.abs(ref))))
+            wc.append(_worst_ratio(np.abs(total - (-1) ** i * coeffs[:, i]), magnitude))
+        excess = np.cumsum(np.log(np.abs(eig)), axis=1) - np.cumsum(np.log(np.linalg.svd(a)[1]), axis=1)
+        return max(wc), max(wf), float(np.exp(excess.max()) - 1.0)
 
     parts = _map_chunks(_chunk_jobs(config.replications, config.stream().derive(_EXP_MINOR, 1)), worker,
                         config.threads)

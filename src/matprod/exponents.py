@@ -64,7 +64,7 @@ __all__ = [
 # products come from the graded deflation (_log_eig_moduli_graded).
 SPREAD_HARD_CAP = 690.0
 
-_BATCH = 8192  # samples per vectorized draw in the Monte Carlo estimators and checks
+_BATCH = 8192  # samples a draw in _samples, which the single-step estimate and verify's law checks take
 _LOG2 = math.log(2.0)
 _LOG_REGULAR_BOUND = math.log(100 * RANK_RTOL)
 # Between grid points an aligned block of 2, 4, 8, ... consecutive factors
@@ -721,20 +721,10 @@ class ExponentEstimate:
     def se(self) -> np.ndarray:
         return np.sqrt(np.diag(self.cov) / self.count)
 
-    @classmethod
-    def from_samples(cls, samples: np.ndarray) -> "ExponentEstimate":
-        samples = np.asarray(samples, dtype=np.float64)
-        count = samples.shape[0]
-        if count < 2:
-            raise ValueError("need at least 2 samples for a covariance")
-        mean = samples.mean(axis=0)
-        cov = np.atleast_2d(np.cov(samples, rowvar=False, ddof=1))
-        return cls(mean=mean, cov=cov, count=count)
 
-
-def _batches(total: int) -> list[tuple[int, int]]:
-    """(start, size) of the consecutive blocks of at most _BATCH covering range(total)."""
-    return [(start, min(_BATCH, total - start)) for start in range(0, total, _BATCH)]
+def _samples(total: int, draw: Callable[[int], np.ndarray]) -> np.ndarray:
+    """draw(b) over consecutive batches of at most _BATCH samples covering total, concatenated in order."""
+    return np.concatenate([draw(min(_BATCH, total - start)) for start in range(0, total, _BATCH)])
 
 
 def single_step_estimate(spec: EnsembleSpec, n_samples: int, rng) -> ExponentEstimate:
@@ -749,14 +739,14 @@ def single_step_estimate(spec: EnsembleSpec, n_samples: int, rng) -> ExponentEst
     if n_samples < 2:
         raise ValueError(f"n_samples must be >= 2, got {n_samples}")
     gen = as_generator(rng)
-    d = spec.d
-    logs = np.empty((n_samples, d), dtype=np.float64)
-    for start, b in _batches(n_samples):
+
+    def draw(b: int) -> np.ndarray:
         dvals = sample_singular_values(spec, gen, size=b)
-        v = sample_haar_unitary(d, spec.field, gen, size=b)
-        pair = qr_positive(dvals[:, :, None] * v)
-        logs[start:start + b] = np.log(np.diagonal(pair.r, axis1=-2, axis2=-1).real)
-    return ExponentEstimate.from_samples(logs)
+        v = sample_haar_unitary(spec.d, spec.field, gen, size=b)
+        return np.log(np.diagonal(qr_positive(dvals[:, :, None] * v).r, axis1=-2, axis2=-1).real)
+
+    logs = _samples(n_samples, draw)
+    return ExponentEstimate(logs.mean(axis=0), np.atleast_2d(np.cov(logs, rowvar=False, ddof=1)), n_samples)
 
 
 @dataclass(frozen=True)
