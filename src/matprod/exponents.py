@@ -5,8 +5,9 @@ singular values on log scale together with the left/right unitary frames, so
 products of hundreds of factors stay representable; evolve_stack steps them
 by the discrete QR method, one step per factor or per folded block of
 well-conditioned factors, and takes the SVD at the grid points only. A
-step's LQ is in closed form at d = 2 and one batched QR otherwise; the
-singularity verdicts of a segment's steps are taken together before it.
+step's LQ is in closed form at d = 2 and one batched QR (linalg.qr_rows)
+otherwise; the singularity verdicts of a segment's single-factor steps are
+taken together before it.
 Its stacked LAPACK calls go through linalg.lapack_rows, so a matrix that
 does not converge fails only its own row. Estimators and analytic reference
 spectra for the supported ensembles live alongside.
@@ -33,6 +34,7 @@ from .linalg import (
     SingularInputError,
     lapack_rows,
     qr_positive,
+    qr_rows,
     _as_matrix,
 )
 from .rng import as_generator
@@ -214,15 +216,24 @@ def _pairs_2x2(m: np.ndarray) -> np.ndarray:
     return np.where(certain, (disc < 0).astype(int), -1)
 
 
-def _regular(m: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+def _regular(m: np.ndarray, test: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Per-matrix test that a stack (..., d, d) of factors is not numerically
-    singular, sigma_min > RANK_RTOL * sigma_max, and which converged. Only the
-    factors that fail the determinant bound (_bound_clears, |det| from m)
-    take the SVD test (lapack_rows), so every verdict is the SVD's."""
-    regular = _bound_clears(m)
+    singular, sigma_min > RANK_RTOL * sigma_max, and which converged; a matrix
+    where test is False counts as regular and takes no SVD. Only the factors
+    that fail the determinant bound (_bound_clears, |det| from m) take the SVD
+    test (lapack_rows), so every verdict is the SVD's. At d = 2 the bound is
+    closed-form and costs less on the whole stack than a gather of the tested
+    matrices."""
+    if m.shape[-1] == 2 or test.all():
+        regular = _bound_clears(m)
+    else:
+        regular = ~test
+        regular[test] = _bound_clears(m[test])
     converged = np.ones_like(regular)
     rest = ~regular
     if rest.any():
+        rest &= test
+        regular |= ~test
         sv, converged[rest] = lapack_rows(lambda a: np.linalg.svd(a, compute_uv=False), m[rest], np.ones(m.shape[-1]))
         regular[rest] = sv[:, -1] > RANK_RTOL * sv[:, 0]
     return regular, converged
@@ -305,7 +316,7 @@ def _step(stack: ProductStack, m: np.ndarray, verdict: tuple | None, live: np.nd
             g = g.copy()
             g[:, :, 0] += g[:, :, 1] * (ratio * np.exp(t[:, 1] - t[:, 0]))[:, None]
         else:
-            q, r = np.linalg.qr(x.conj().swapaxes(-1, -2))
+            q, r = qr_rows(x.conj().swapaxes(-1, -2))
             low = r.conj().swapaxes(-1, -2)
             pivot = np.diagonal(low, axis1=1, axis2=2)
             size = np.abs(pivot)
@@ -344,9 +355,10 @@ def _to_svd(stack: ProductStack) -> ProductStack:
     return ProductStack(stack.n, log_sigma, left.conj().swapaxes(-1, -2), right.conj().swapaxes(-1, -2) @ o, failure)
 
 
-def _fold_schedule(seg: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+def _fold_schedule(seg: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Steps (B, S, d, d) that carry each row of seg (B, L, d, d) through its
-    L factors, and which of them each row takes (B, S) bool.
+    L factors, which of them each row takes (B, S) bool, and which are single
+    factors (B, S) bool, the steps that need a singularity verdict.
 
     Each row steps once per block B = m_1 ... m_k, the product of an aligned
     pair, pair of pairs and so on, of its factors, at the largest block that
@@ -359,19 +371,20 @@ def _fold_schedule(seg: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     singularity is still decided by factor, and cond(B) < 1 / _FOLD_BOUND
     adds under 14 to the spread, inside the margin from the hard cap to exp
     overflow. It also puts B past _regular's determinant bound, with a margin
-    of 1e4, so a folded block takes no SVD test. A zero, non-finite,
-    overflowed or underflowed block does not fold. Only the pairs' log|det|
-    is computed (_log_abs_det: ad - bc at d = 2, slogdet otherwise): a larger
-    block sums its halves' log|det| and log-norms. A row with fewer steps
-    than S, the most any row has, does not take the last ones: its padded
-    steps are the identity, from a slot after the pool's blocks. Each row's
-    steps do not depend on the others.
+    of 1e4, so a folded block is regular and takes no test. A zero,
+    non-finite, overflowed or underflowed block does not fold. Only the pairs'
+    log|det| is computed (_log_abs_det: ad - bc at d = 2, slogdet otherwise):
+    a larger block sums its halves' log|det| and log-norms. A row with fewer
+    steps than S, the most any row has, does not take the last ones: its
+    padded steps are the identity, from a slot after the pool's blocks, and
+    regular too. Each row's steps do not depend on the others.
     """
     rows, count, d = seg.shape[:3]
-    plain = seg, np.ones((rows, count), dtype=bool)
+    every = np.ones((rows, count), dtype=bool)
+    plain = seg, every, every
     if count < 2:
         return plain
-    pool, level, block, fold = [seg], 0, seg, plain[1]
+    pool, level, block, fold = [seg], 0, seg, every
     top = np.zeros((rows, count), dtype=int)  # level of the block each factor steps in
     with np.errstate(all="ignore"):
         log_norm = 0.5 * np.log(np.einsum("...ij,...ij->...", seg, seg.conj()).real)
@@ -402,7 +415,7 @@ def _fold_schedule(seg: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     # padded steps read the identity slot at the end of the pool
     index = np.where(live, np.take_along_axis(slots, order, axis=1), offset[-1])
     pool.append(np.broadcast_to(np.eye(d, dtype=seg.dtype), (rows, 1, d, d)))
-    return np.concatenate(pool, axis=1)[np.arange(rows)[:, None], index], live
+    return np.concatenate(pool, axis=1)[np.arange(rows)[:, None], index], live, index < count
 
 
 def evolve_stack(factors, n_grid) -> list[ProductStack]:
@@ -414,8 +427,10 @@ def evolve_stack(factors, n_grid) -> list[ProductStack]:
     products are stepped by the discrete QR method (_step), each row on its
     own schedule: an aligned block of 2, 4, 8, ... factors that passes the
     conditioning guard takes one step as their product (_fold_schedule). One
-    _regular call gives the singularity verdicts of a segment's steps, and
-    each step applies its own. Each grid point takes one SVD call.
+    _regular call gives the singularity verdicts of a segment's single-factor
+    steps in the rows alive at its start, and each step applies its own; a
+    folded block or a padded identity is regular, and a dropped row stays
+    dropped. Each grid point takes one SVD call.
     """
     arr = _as_matrix(factors, "factors")
     if arr.ndim != 4 or arr.shape[-1] != arr.shape[-2] or arr.shape[1] < n_grid[-1]:
@@ -423,8 +438,8 @@ def evolve_stack(factors, n_grid) -> list[ProductStack]:
     stack = _init_rows(arr[:, 0])
     stacks = []
     for n in n_grid:
-        steps, live = _fold_schedule(arr[:, stack.n:n])
-        regular, converged = _regular(steps)
+        steps, live, single = _fold_schedule(arr[:, stack.n:n])
+        regular, converged = _regular(steps, single & stack.ok[:, None])
         passed, full = (regular & converged).all(axis=0).tolist(), live.all(axis=0).tolist()
         for s in range(steps.shape[1]):
             verdict = None if passed[s] else (regular[:, s], converged[:, s])
@@ -456,7 +471,7 @@ def advance(state: ProductState, m) -> ProductState:
         raise ValueError(f"factor shape {arr.shape} does not match state dimension {state.d}")
     stack = ProductStack(state.n, state.log_sigma[None], state.u_frame[None], state.v_frame[None],
                          np.full(1, None, dtype=object))
-    return _only_row(_to_svd(_step(stack, arr[None], _regular(arr[None]))))
+    return _only_row(_to_svd(_step(stack, arr[None], _regular(arr[None], np.ones(1, dtype=bool)))))
 
 
 # Above this spread the ratio of extreme eigenvalue moduli of the similarity

@@ -7,14 +7,16 @@ accept stacked input: leading axes broadcast and the last two are the matrix.
 qr_positive and lq_positive raise SingularInputError on rank-deficient
 input, and count_complex_pairs raises NumericError when the Schur iteration
 does not converge; stacked calls go through lapack_rows, which marks only the
-rows that do not.
+rows that do not. qr_rows is np.linalg.qr without its Python wrapper.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 import scipy.linalg
+from numpy.linalg import _umath_linalg
 
 __all__ = [
     "SingularInputError",
@@ -23,6 +25,7 @@ __all__ = [
     "LqPair",
     "qr_positive",
     "lq_positive",
+    "qr_rows",
     "count_complex_pairs",
     "lapack_rows",
     "RANK_RTOL",
@@ -76,13 +79,40 @@ def _require_square(a: np.ndarray, name: str = "a") -> None:
         raise ValueError(f"{name} must be square, got shape {a.shape}")
 
 
+@lru_cache(maxsize=None)
+def _upper(rows: int, cols: int) -> np.ndarray:
+    mask = np.triu(np.ones((rows, cols), dtype=bool))
+    mask.flags.writeable = False  # shared by every call
+    return mask
+
+
+def _qr_error(err, flag):
+    raise np.linalg.LinAlgError("Incorrect argument found while performing QR factorization")
+
+
+def qr_rows(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """np.linalg.qr(a) bit for bit, reduced q and r, for a stack of float64
+    or complex128 matrices: the same copy and the same two gufuncs of
+    numpy's private _umath_linalg (?geqrf, then ?orgqr or ?ungqr) without the
+    wrapper's checks, and r cut from the factored copy by a cached upper mask
+    instead of np.triu. On small stacks the wrapper costs about as much as
+    LAPACK."""
+    t = "D" if np.iscomplexobj(a) else "d"
+    a = a.astype(t, copy=True)  # ?geqrf factors the copy in place
+    with np.errstate(call=_qr_error, invalid="call", over="ignore", divide="ignore", under="ignore"):
+        tau = _umath_linalg.qr_r_raw(a, signature=f"{t}->{t}")
+        q = _umath_linalg.qr_reduced(a, tau, signature=f"{t}{t}->{t}")
+    k = min(a.shape[-2:])
+    return q, np.where(_upper(k, a.shape[-1]), a[..., :k, :], 0)
+
+
 def _positive_qr(a: np.ndarray, name: str) -> tuple[np.ndarray, np.ndarray]:
     """Reduced QR with the diagonal of r made exactly real nonnegative.
 
     Raises SingularInputError when any column residual |r_jj| falls below
     RANK_RTOL relative to the largest one.
     """
-    q, r = np.linalg.qr(a)
+    q, r = qr_rows(a)
     diag = np.diagonal(r, axis1=-2, axis2=-1)
     mag = np.abs(diag)
     if np.any(mag <= RANK_RTOL * np.max(mag, axis=-1, keepdims=True)):

@@ -509,7 +509,7 @@ def test_fold_guard_holds_at_its_bound(field, d):
     k = 2 if d == 5 else 4
     rel = np.linspace(-1e-3, 1e-3, 40)
     blocks = _blocks_at_the_fold_bound(field, d, k, RngStream(1611, (d, len(field))).generator(), rel)
-    steps, live = exponents._fold_schedule(blocks)
+    steps, live, _ = exponents._fold_schedule(blocks)
     folded = ~live[:, 1:].any(axis=1)
     assert np.array_equal(folded, rel > 0)
     assert np.array_equal(live.sum(axis=1), np.where(folded, 1, 2))
@@ -536,7 +536,7 @@ def test_fold_never_takes_odd_blocks(field, d):
     seg[4, 3] = 0.0
     seg[5, 3] = np.outer(np.arange(1.0, d + 1), np.ones(d))     # rank one
     seg[6, 2:4] *= np.array([1e-165, 1e150])[:, None, None]      # ||m_2||_F^2 underflows to 0
-    steps, live = exponents._fold_schedule(seg)
+    steps, live, _ = exponents._fold_schedule(seg)
     assert live.sum(axis=1).tolist() == [1] + [4] * 6
     for b in range(1, 7):
         assert np.array_equal(steps[b, 1:3], seg[b, 2:4])
@@ -550,7 +550,7 @@ def test_fold_needs_both_halves():
     p, q = np.diag(np.exp([0.0, -4.0, -4.0])), np.diag(np.exp([-4.0, 0.0, 0.0]))
     seg = np.stack([[p, p, q, q], sample_haar_unitary(3, "real", RngStream(1614).generator(), size=4)])
     assert _fold_g(seg[0, :2]) < math.log(exponents._FOLD_BOUND) < min(_fold_g(seg[0, 2:]), _fold_g(seg[0]))
-    steps, live = exponents._fold_schedule(seg)
+    steps, live, _ = exponents._fold_schedule(seg)
     assert live.sum(axis=1).tolist() == [3, 1]
     assert np.array_equal(steps[0, :3], [p, p, q @ q])
 
@@ -571,6 +571,35 @@ def test_fold_steps_complex_d5_in_blocks():
 
 
 @pytest.mark.filterwarnings("error")
+def test_verdicts_only_for_single_factors_of_live_rows(monkeypatch):
+    # the complex d = 5 stack above, with row 3 dropped by a rank-one factor
+    # in the first segment and given a graded one, which folds with nothing,
+    # in the second: _regular tests only single factors of the rows alive at
+    # a segment's start, never a folded block or a padded identity
+    factors = sample_isotropic_chunk(EnsembleSpec("complex", 5, Ginibre()), RngStream(1613).generator(), 10, 50)
+    factors[3, 4] = np.outer(np.arange(1.0, 6.0), np.ones(5))
+    factors[3, 30] = np.diag([1.0, 1.0, 1.0, 1.0, 1e-7])
+    grid = (10, 50)
+    calls, bounded = [], []
+    regular, bound_clears = exponents._regular, exponents._bound_clears
+    monkeypatch.setattr(exponents, "_regular", lambda m, test: calls.append((m, test)) or regular(m, test))
+    monkeypatch.setattr(exponents, "_bound_clears", lambda m: bounded.append(len(m)) or bound_clears(m))
+    stacks = evolve_stack(factors, grid)
+    assert [s.ok.tolist() for s in stacks] == [[b != 3 for b in range(10)]] * 2
+    assert bounded == [int(test.sum()) for _, test in calls]
+    for (m, test), lo, hi in zip(calls, (1, 10), grid):
+        _, live, single = exponents._fold_schedule(factors[:, lo:hi])
+        assert single[3].any() and (live & ~single).any()
+        assert np.array_equal(test, single & (np.arange(10) != 3)[:, None] if lo > 1 else single)
+        for b in range(10):
+            row = list(factors[b, lo:hi])
+            for step, tested, blocked in zip(m[b], test[b], live[b] & ~single[b]):
+                # a tested step is one of the row's factors; a folded block is none of them
+                if tested or blocked:
+                    assert any(np.array_equal(step, f) for f in row) == bool(tested)
+
+
+@pytest.mark.filterwarnings("error")
 @pytest.mark.parametrize("field", ["real", "complex"])
 def test_stack_pads_rows_that_fold(field):
     # row 1 holds a regular but graded factor every 5 steps, so some of its
@@ -581,7 +610,7 @@ def test_stack_pads_rows_that_fold(field):
     seen, final = _evolve(factors, grid)
     assert final.ok.all()
     assert [s.n for s in seen] == list(grid)
-    steps, live = exponents._fold_schedule(factors[:, 1:10])
+    steps, live, _ = exponents._fold_schedule(factors[:, 1:10])
     assert live[1].all() and not live[[0, 2, 3]].all()
     for b in range(4):
         alone, _ = _evolve(factors[b:b + 1], grid)
@@ -600,7 +629,7 @@ def test_padded_steps_check_nothing():
     over = np.stack([np.diag([1.0, 0.04])] * 213 + [np.diag([1.0, 1e-4])])
     factors = np.concatenate([over[None], _engine_factors("real", 2, "ginibre", rows=1, n=214)])
     factors[1, 1::2], factors[1, 2::2] = np.diag([1.0, 1e-7]), np.diag([1e-7, 1.0])
-    steps, live = exponents._fold_schedule(factors[:, 1:])
+    steps, live, _ = exponents._fold_schedule(factors[:, 1:])
     assert live.sum(axis=1).tolist() == [54, 213] and not live[0, 54:].any()
     seen, final = _evolve(factors, grid)
     alone, _ = _evolve(factors[:1], grid)
@@ -634,17 +663,16 @@ def test_stack_zero_pivot_drops_only_its_row(monkeypatch):
 
                 patch.setattr(exponents, "_lq_2x2", zero_pivot)
             else:
-                qr = np.linalg.qr
+                qr = exponents.qr_rows
 
-                def zero_pivot(a, *args, **kwargs):
-                    q, r = qr(a, *args, **kwargs)
+                def zero_pivot(a):
+                    q, r = qr(a)
                     calls.append(1)
                     if len(calls) == call:
-                        r = r.copy()
                         r[2, 1, 1] = 0.0
                     return q, r
 
-                patch.setattr(np.linalg, "qr", zero_pivot)
+                patch.setattr(exponents, "qr_rows", zero_pivot)
             seen, final = _evolve(factors, grid)
         assert final.ok.tolist() == [True, True, False, True, True]
         assert isinstance(final.failure[2], SingularInputError)
@@ -659,30 +687,33 @@ def test_stack_singular_factors_drop_at_their_own_steps():
     # singular factors where the segment's verdicts must place them: alone
     # between folded blocks (row 1), last in a segment (row 2), and in a row
     # that takes padded steps, at a step that others take padded (row 3);
-    # row 4's graded factors fold nowhere
+    # row 4's graded factors fold nowhere; at d = 2 and 3
     grid = (1, 10, 25, 42)
-    factors = _engine_factors("real", 2, "ginibre", rows=5, n=grid[-1])
-    factors[4, 1::2], factors[4, 2::2] = np.diag([1.0, 1e-7]), np.diag([1e-7, 1.0])
-    clean, _ = _evolve(factors[[0, 4]], grid)
-    rank_one = np.outer([1.0, -2.0], [0.5, 3.0])
-    bad = factors.copy()
-    bad[1, 13] = bad[2, 9] = bad[3, 32] = rank_one
-    steps, live = exponents._fold_schedule(bad[:, 10:25])
-    assert np.array_equal(steps[1, 2], rank_one) and np.array_equal(steps[1, 1], bad[1, 12])
-    assert rel_err(steps[1, 0], bad[1, 10] @ bad[1, 11]) < 1e-15
-    assert rel_err(steps[1, 3], np.linalg.multi_dot(list(bad[1, 14:18]))) < 1e-15
-    steps, live = exponents._fold_schedule(bad[:, 1:10])
-    assert np.array_equal(steps[2, live[2].sum() - 1], rank_one)
-    steps, live = exponents._fold_schedule(bad[:, 25:42])
-    assert np.array_equal(steps[3, 3], rank_one) and not live[:, 3].all()
-    assert live[4].all() and not live[3].all()
-    seen, final = _evolve(bad, grid)
-    _assert_rows_equal(seen, [0, 4], clean)
-    for b, dropped_at in ((1, 2), (2, 1), (3, 3)):
-        assert [s.ok[b] for s in seen] == [k < dropped_at for k in range(len(grid))]
-        assert isinstance(final.failure[b], SingularInputError)
-        assert str(final.failure[b]) == "factor is numerically singular"
-        _assert_reset(seen[dropped_at], b)
+    for d in (2, 3):
+        factors = _engine_factors("real", d, "ginibre", rows=5, n=grid[-1])
+        graded = np.r_[np.ones(d - 1), 1e-7]
+        factors[4, 1::2], factors[4, 2::2] = np.diag(graded), np.diag(graded[::-1])
+        clean, _ = _evolve(factors[[0, 4]], grid)
+        rank_one = np.outer([1.0, -2.0, 0.25][:d], [0.5, 3.0, -1.0][:d])
+        bad = factors.copy()
+        bad[1, 13] = bad[2, 9] = bad[3, 36] = rank_one
+        steps, live, _ = exponents._fold_schedule(bad[:, 10:25])
+        assert np.array_equal(steps[1, 2], rank_one) and np.array_equal(steps[1, 1], bad[1, 12])
+        assert rel_err(steps[1, 0], bad[1, 10] @ bad[1, 11]) < 1e-15
+        assert rel_err(steps[1, 3], np.linalg.multi_dot(list(bad[1, 14:18]))) < 1e-15
+        steps, live, _ = exponents._fold_schedule(bad[:, 1:10])
+        assert np.array_equal(steps[2, live[2].sum() - 1], rank_one)
+        steps, live, single = exponents._fold_schedule(bad[:, 25:42])
+        at = [np.array_equal(step, rank_one) for step in steps[3]].index(True)
+        assert single[3, at] and not live[:, at].all() and not live[3].all()
+        assert live[4].all()
+        seen, final = _evolve(bad, grid)
+        _assert_rows_equal(seen, [0, 4], clean)
+        for b, dropped_at in ((1, 2), (2, 1), (3, 3)):
+            assert [s.ok[b] for s in seen] == [k < dropped_at for k in range(len(grid))]
+            assert isinstance(final.failure[b], SingularInputError)
+            assert str(final.failure[b]) == "factor is numerically singular"
+            _assert_reset(seen[dropped_at], b)
 
 
 def test_evolve_stack_rejects_bad_factors():
@@ -703,7 +734,7 @@ def _svd_regular(m):
 def _regular_quietly(m):
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        regular, converged = exponents._regular(m)
+        regular, converged = exponents._regular(m, np.ones(m.shape[:-2], dtype=bool))
     assert converged.all()
     return regular
 
@@ -743,7 +774,7 @@ def test_regular_takes_no_svd_for_well_conditioned_factors(monkeypatch):
     svd = np.linalg.svd
     monkeypatch.setattr(np.linalg, "svd", lambda *a, **k: calls.append(k.get("compute_uv", True)) or svd(*a, **k))
     m = factors.reshape(50, 20, 2, 2)
-    regular, converged = exponents._regular(m)
+    regular, converged = exponents._regular(m, np.ones(m.shape[:2], dtype=bool))
     assert regular.all() and converged.all()
     assert not calls
     # a whole trajectory: its single factors, folded blocks and padded steps take no singular-value test

@@ -13,6 +13,7 @@ from matprod.linalg import (
     lapack_rows,
     lq_positive,
     qr_positive,
+    qr_rows,
 )
 
 from conftest import rel_err, unitary_defect
@@ -81,6 +82,24 @@ def test_qr_batched():
     pair = qr_positive(a)
     assert pair.q.shape == a.shape
     assert rel_err(pair.q @ pair.r, a) < 1e-10
+
+
+@pytest.mark.parametrize("complex_field", [False, True])
+@pytest.mark.parametrize("d", [3, 4, 5, 6])
+def test_qr_rows_is_numpy_qr_bit_for_bit(d, complex_field):
+    # stacks with an identity, a rank-deficient and a NaN row; transposed as
+    # the trajectory step passes them, and tall and wide as lq_positive can
+    gen = np.random.default_rng(40 + d)
+    a = np.stack([_random_matrix(int(seed), d, complex_field) for seed in gen.integers(0, 10_000, size=6)])
+    a[1] = np.eye(d)
+    a[2] = np.outer(np.arange(1.0, d + 1), a[2, 0])
+    a[3, 1, 2] = np.nan
+    for x in (a, a.conj().swapaxes(-1, -2), a[:, :, : d - 1], a[:, : d - 2]):
+        q, r = qr_rows(x)
+        want_q, want_r = np.linalg.qr(x)
+        assert q.dtype == want_q.dtype and r.dtype == want_r.dtype
+        assert q.shape == want_q.shape and r.shape == want_r.shape
+        assert q.tobytes() == want_q.tobytes() and r.tobytes() == want_r.tobytes()
 
 
 # --- lq_positive -------------------------------------------------------------
