@@ -224,16 +224,15 @@ def _regular(m: np.ndarray, test: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     test (lapack_rows), so every verdict is the SVD's. At d = 2 the bound is
     closed-form and costs less on the whole stack than a gather of the tested
     matrices."""
-    if m.shape[-1] == 2 or test.all():
+    if m.shape[-1] == 2:
         regular = _bound_clears(m)
     else:
         regular = ~test
         regular[test] = _bound_clears(m[test])
     converged = np.ones_like(regular)
-    rest = ~regular
+    rest = ~regular & test
+    regular |= ~test
     if rest.any():
-        rest &= test
-        regular |= ~test
         sv, converged[rest] = lapack_rows(lambda a: np.linalg.svd(a, compute_uv=False), m[rest], np.ones(m.shape[-1]))
         regular[rest] = sv[:, -1] > RANK_RTOL * sv[:, 0]
     return regular, converged
