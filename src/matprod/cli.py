@@ -36,7 +36,7 @@ from .experiments import (
     run_verify,
     verify_passed,
 )
-from .exponents import SpreadOverflowError, analytic_spectrum
+from .exponents import analytic_spectrum
 from .linalg import NumericError, SingularInputError
 from .recordio import FORMATS, ResultRecord, RunManifest, manifest_timestamp, write_records
 
@@ -177,7 +177,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         if overrides:
             config = replace(config, **overrides)
         return cmd_run(args.experiment, config, emit_plotdata=args.emit_plotdata)
-    except (NumericError, SingularInputError, SpreadOverflowError, np.linalg.LinAlgError, OSError) as exc:
+    except (NumericError, SingularInputError, np.linalg.LinAlgError, OSError) as exc:
         print(f"numeric failure: {exc}", file=sys.stderr)
         return EXIT_NUMERIC
     except ValueError as exc:  # after LinAlgError and SingularInputError, which are ValueErrors too

@@ -22,9 +22,10 @@ chunk order and hands them to the runner's observer in one call; the
 stacks, not the chunks, are what `threads` spreads over a pool. Every
 observer is row-wise, so a row's bits do not depend on the rows that share
 its stack. The observer advances the rows it needs together (evolve_stack:
-one QR call a step, where a step takes one factor or an aligned block of 2,
-4, 8, ... factors that passes an exact conditioning guard, and one SVD call
-a grid point) and reads each grid point off the stack in SVD form. The
+one LQ a step, in closed form at d = 2 and by one QR call at d >= 3, where a
+step takes one factor or an aligned block of 2, 4, 8, ... factors that passes
+an exact conditioning guard, and one SVD call a grid point) and reads each
+grid point off the stack in SVD form. The
 reality observer counts complex pairs by one routine, pair_rows: at n = 1
 on the well-conditioned factors themselves, so with n = 1 the only grid
 point it evolves only the other rows, and in SVD form on the similarity

@@ -219,19 +219,14 @@ def _pairs_2x2(m: np.ndarray) -> np.ndarray:
 def _regular(m: np.ndarray, test: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Per-matrix test that a stack (..., d, d) of factors is not numerically
     singular, sigma_min > RANK_RTOL * sigma_max, and which converged; a matrix
-    where test is False counts as regular and takes no SVD. Only the factors
-    that fail the determinant bound (_bound_clears, |det| from m) take the SVD
-    test (lapack_rows), so every verdict is the SVD's. At d = 2 the bound is
-    closed-form and costs less on the whole stack than a gather of the tested
-    matrices."""
-    if m.shape[-1] == 2:
-        regular = _bound_clears(m)
-    else:
-        regular = ~test
-        regular[test] = _bound_clears(m[test])
+    where test is False counts as regular and takes neither test. The tested
+    matrices are gathered for the determinant bound (_bound_clears, |det|
+    from m), and only those that fail it take the SVD test (lapack_rows), so
+    every verdict is the SVD's."""
+    regular = ~test
+    regular[test] = _bound_clears(m[test])
     converged = np.ones_like(regular)
-    rest = ~regular & test
-    regular |= ~test
+    rest = ~regular
     if rest.any():
         sv, converged[rest] = lapack_rows(lambda a: np.linalg.svd(a, compute_uv=False), m[rest], np.ones(m.shape[-1]))
         regular[rest] = sv[:, -1] > RANK_RTOL * sv[:, 0]
@@ -381,8 +376,6 @@ def _fold_schedule(seg: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]
     rows, count, d = seg.shape[:3]
     every = np.ones((rows, count), dtype=bool)
     plain = seg, every, every
-    if count < 2:
-        return plain
     pool, level, block, fold = [seg], 0, seg, every
     top = np.zeros((rows, count), dtype=int)  # level of the block each factor steps in
     with np.errstate(all="ignore"):

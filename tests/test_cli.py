@@ -1,4 +1,6 @@
+import csv
 import dataclasses
+import json
 
 import numpy as np
 import pytest
@@ -6,6 +8,7 @@ import pytest
 from matprod import cli, experiments
 from matprod.cli import main
 from matprod.configtext import config_to_text, parse_config
+from matprod.exponents import SpreadOverflowError, evolve_stack
 from matprod.recordio import read_jsonl
 
 
@@ -79,6 +82,17 @@ def test_run_lyapunov_rerun_byte_identical(tmp_path, capsys):
     manifest, rows = read_jsonl(out)
     assert manifest["started_utc"] == "2000-01-01T00:00:00Z"
     assert [r["seq"] for r in rows] == [1, 2]
+    # --format overrides the config's format: the same records as CSV, the manifest in a sidecar
+    out_csv = str(tmp_path / "r.csv")
+    assert main(["run", "lyapunov", "--config", cfg, "--format", "csv", "--out", out_csv]) == 0
+    with open(out_csv, newline="") as fh:
+        table = list(csv.DictReader(fh))
+    assert [(r["experiment"], int(r["n"]), int(r["seq"])) for r in table] == [
+        (r["experiment"], r["n"], r["seq"]) for r in rows]
+    with open(out_csv + ".manifest.json") as fh:
+        sidecar = json.load(fh)
+    assert parse_config(sidecar["config"]) == dataclasses.replace(parse_config(manifest["config"]),
+                                                                  format="csv", out=out_csv)
 
 
 def test_run_stability_emit_plotdata(tmp_path, capsys):
@@ -92,6 +106,10 @@ def test_run_stability_emit_plotdata(tmp_path, capsys):
     assert len(lines) == 2
     ns = [int(line.split()[0]) for line in lines]
     assert ns == [4, 8]
+    # an experiment with no curve writes none with --emit-plotdata
+    lyap = str(tmp_path / "l.jsonl")
+    assert main(["run", "lyapunov", "--config", cfg, "--out", lyap, "--emit-plotdata"]) == 0
+    assert sorted(p.name for p in tmp_path.glob("l.jsonl*")) == ["l.jsonl"]
 
 
 def test_run_realprob_emit_plotdata(tmp_path):
@@ -199,6 +217,20 @@ def test_run_singular_factor_batch_exit_3(experiment, tmp_path, capsys):
                               "replications=200 mc_samples=20000")
     assert main(["run", experiment, "--config", cfg]) == 3
     assert "numeric failure: qr_positive input is numerically rank deficient" in capsys.readouterr().err
+
+
+def test_run_spread_capped_rows_exit_3(tmp_path, capsys):
+    # fixed(1e5,1e-5) factors are regular but widen every product past the
+    # hard cap between n = 10 and 40: the engine keeps each row's
+    # SpreadOverflowError in its stack, and the runner, left with no row at
+    # n = 40, raises NumericError
+    text = 'seed=3 field=real d=2 ensemble="custom:fixed(1e5,1e-5)" n_grid=10,40 replications=50 mc_samples=2000'
+    assert main(["run", "stability", "--config", write_cfg(tmp_path, text)]) == 3
+    assert "numeric failure: fewer than 2 replications survived at n=40" in capsys.readouterr().err
+    config = parse_config(text)
+    (early, late), = experiments._observe_chunks(config, experiments._EXP_EQUALITY, config.n_grid, evolve_stack)
+    assert early.ok.all() and not late.ok.any()
+    assert all(isinstance(f, SpreadOverflowError) and "exceeds hard cap" in str(f) for f in late.failure)
 
 
 def test_run_unconverged_svd_exit_3(tmp_path, monkeypatch, capsys):
@@ -345,6 +377,9 @@ def test_threads_env_and_flag(tmp_path, monkeypatch, capsys):
         assert [r["stats"]["p_hat"]["value"] for r in rows] == [
             r["stats"]["p_hat"]["value"] for r in single
         ]
+    monkeypatch.setenv("MATPROD_THREADS", "two")
+    assert main(["run", "realprob", "--config", cfg]) == 2
+    assert "MATPROD_THREADS must be an integer, got 'two'" in capsys.readouterr().err
 
 
 def test_cli_version(capsys):

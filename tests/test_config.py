@@ -40,6 +40,8 @@ def test_type_errors_name_key_and_line():
         parse_config(MINIMAL.replace("field=real", "field=octonion"))
     with pytest.raises(ConfigError, match="format"):
         parse_config(MINIMAL + " format=yaml")
+    with pytest.raises(ConfigError, match="^line 2: ensemble: "):
+        parse_config(MINIMAL.replace(" ensemble=ginibre", "\nensemble=wishart"))
 
 
 def test_quoted_hash_kept_and_unterminated_quote_rejected():

@@ -31,7 +31,7 @@ from matprod.ensembles import (
     sample_singular_values,
 )
 from matprod.exponents import single_step_estimate
-from matprod.linalg import RANK_RTOL, count_complex_pairs
+from matprod.linalg import RANK_RTOL, count_complex_pairs, qr_positive
 from matprod.recordio import ResultRecord, Stat
 from matprod.rng import RngStream, philox_generator
 
@@ -299,6 +299,58 @@ def test_realprob_n1_matches_edelman_at_every_d():
         p = run_real_probability(cfg(spec, seed=14, n_grid=(1,), replications=100_000))[0].stats["p_hat"]
         rows.append(experiments._check(spec, "edelman", d, 1, p.value, 2.0 ** (-d * (d - 1) / 4), p.se, p.count))
     assert verify_passed(rows), [row.stats["z"].value for row in rows]
+
+
+def _reduction_samples(draw, samples: int, grid) -> list[np.ndarray]:
+    """Per-sample P(all real | R_n ... R_1) of a real 2x2 isotropic product at
+    each n of grid, by the reduction P_n = Q R_n ... R_1 (Q Haar on O(2), the
+    R_i i.i.d. copies of one factor's positive-diagonal R, all independent).
+    With R_n ... R_1 = [[a, c], [0, b]], a reflection Q makes det P < 0 and a
+    rotation by a uniform angle gives 1/2 + arccos(x) / pi, so the
+    probability is 1 - arcsin(x) / pi, x = 2 sqrt(ab) / sqrt((a + b)^2 + c^2)
+    = 1 / sqrt(cosh(r)^2 + s^2 / 4) in r = (log a - log b) / 2 and
+    s = c / sqrt(ab). draw(samples) gives one factor's log a, log b and c; a
+    new factor [[a', c'], [0, b']] on the left takes c to a'c + c'b, so
+    s to s e^(r') + c' / sqrt(a'b') e^(-r)."""
+    r, s, out = np.zeros(samples), np.zeros(samples), []
+    for steps in np.diff((0, *grid)):
+        for _ in range(steps):
+            log_a, log_b, c = draw(samples)
+            half = 0.5 * (log_a - log_b)
+            r, s = r + half, s * np.exp(half) + c * np.exp(-0.5 * (log_a + log_b) - r)
+        out.append(1.0 - np.arcsin(1.0 / np.sqrt(np.cosh(r) ** 2 + s ** 2 / 4)) / math.pi)
+    return out
+
+
+def test_realprob_d2_matches_the_triangular_reduction_at_every_n():
+    # the engine's p_hat at every grid point of a real d = 2 run against
+    # _reduction_samples, which takes no QR step, fold, SVD or eigenvalue
+    # routine. Ginibre: a ~ chi_2, b ~ chi_1 and c ~ N(0, 1), independent (at
+    # n = 1 and 2 the reduction reads 1/sqrt(2) and pi/4); lognormal(0,1)
+    # singular values: R from the positive QR of diag(D) v, v Haar. Every
+    # (ensemble, n) is one family, at verify_passed's family-wise level, z in
+    # combined SE; seeds fixed up front
+    grid, rows = (1, 2, 3, 5, 10), []
+    gen = RngStream(30, (0,)).generator()
+    lognormal_spec = EnsembleSpec("real", 2, parse_ensemble("custom:iid(lognormal(0,1))"))
+
+    def ginibre(k):
+        return 0.5 * np.log(gen.chisquare(2, k)), 0.5 * np.log(gen.chisquare(1, k)), gen.standard_normal(k)
+
+    def lognormal(k):
+        r = qr_positive(sample_singular_values(lognormal_spec, gen, size=k)[:, :, None]
+                        * sample_haar_unitary(2, "real", gen, size=k)).r
+        return np.log(r[:, 0, 0]), np.log(r[:, 1, 1]), r[:, 0, 1]
+
+    for spec, draw, reps, samples in ((GINIBRE_R2, ginibre, 100_000, 400_000),
+                                      (lognormal_spec, lognormal, 10_000, 100_000)):
+        records = run_real_probability(cfg(spec, seed=30, n_grid=grid, replications=reps, threads=2))
+        for rec, oracle in zip(records, _reduction_samples(draw, samples, grid)):
+            p = rec.stats["p_hat"]
+            assert p.count == reps
+            se = math.hypot(p.se, float(experiments._mean_se(oracle)))
+            rows.append(experiments._check(spec, "reduction", 2, rec.n, p.value, float(oracle.mean()), se, reps))
+    assert verify_passed(rows), [round(row.stats["z"].value, 2) for row in rows]
 
 
 def test_complex_ginibre_eigenvalue_moduli_match_kostlan_at_every_n(monkeypatch):

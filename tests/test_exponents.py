@@ -572,31 +572,32 @@ def test_fold_steps_complex_d5_in_blocks():
 
 @pytest.mark.filterwarnings("error")
 def test_verdicts_only_for_single_factors_of_live_rows(monkeypatch):
-    # the complex d = 5 stack above, with row 3 dropped by a rank-one factor
-    # in the first segment and given a graded one, which folds with nothing,
-    # in the second: _regular tests only single factors of the rows alive at
-    # a segment's start, never a folded block or a padded identity
-    factors = sample_isotropic_chunk(EnsembleSpec("complex", 5, Ginibre()), RngStream(1613).generator(), 10, 50)
-    factors[3, 4] = np.outer(np.arange(1.0, 6.0), np.ones(5))
-    factors[3, 30] = np.diag([1.0, 1.0, 1.0, 1.0, 1e-7])
+    # the complex d = 5 stack above, and one at d = 2, with row 3 dropped by a
+    # rank-one factor in the first segment and given a graded one, which folds
+    # with nothing, in the second: _regular tests only single factors of the
+    # rows alive at a segment's start, never a folded block or a padded identity
     grid = (10, 50)
-    calls, bounded = [], []
     regular, bound_clears = exponents._regular, exponents._bound_clears
-    monkeypatch.setattr(exponents, "_regular", lambda m, test: calls.append((m, test)) or regular(m, test))
-    monkeypatch.setattr(exponents, "_bound_clears", lambda m: bounded.append(len(m)) or bound_clears(m))
-    stacks = evolve_stack(factors, grid)
-    assert [s.ok.tolist() for s in stacks] == [[b != 3 for b in range(10)]] * 2
-    assert bounded == [int(test.sum()) for _, test in calls]
-    for (m, test), lo, hi in zip(calls, (1, 10), grid):
-        _, live, single = exponents._fold_schedule(factors[:, lo:hi])
-        assert single[3].any() and (live & ~single).any()
-        assert np.array_equal(test, single & (np.arange(10) != 3)[:, None] if lo > 1 else single)
-        for b in range(10):
-            row = list(factors[b, lo:hi])
-            for step, tested, blocked in zip(m[b], test[b], live[b] & ~single[b]):
-                # a tested step is one of the row's factors; a folded block is none of them
-                if tested or blocked:
-                    assert any(np.array_equal(step, f) for f in row) == bool(tested)
+    for d in (2, 5):
+        factors = sample_isotropic_chunk(EnsembleSpec("complex", d, Ginibre()), RngStream(1613).generator(), 10, 50)
+        factors[3, 4] = np.outer(np.arange(1.0, d + 1.0), np.ones(d))
+        factors[3, 30] = np.diag(np.r_[np.ones(d - 1), 1e-7])
+        calls, bounded = [], []
+        monkeypatch.setattr(exponents, "_regular", lambda m, test: calls.append((m, test)) or regular(m, test))
+        monkeypatch.setattr(exponents, "_bound_clears", lambda m: bounded.append(len(m)) or bound_clears(m))
+        stacks = evolve_stack(factors, grid)
+        assert [s.ok.tolist() for s in stacks] == [[b != 3 for b in range(10)]] * 2
+        assert bounded == [int(test.sum()) for _, test in calls]
+        for (m, test), lo, hi in zip(calls, (1, 10), grid):
+            _, live, single = exponents._fold_schedule(factors[:, lo:hi])
+            assert single[3].any() and (live & ~single).any()
+            assert np.array_equal(test, single & (np.arange(10) != 3)[:, None] if lo > 1 else single)
+            for b in range(10):
+                row = list(factors[b, lo:hi])
+                for step, tested, blocked in zip(m[b], test[b], live[b] & ~single[b]):
+                    # a tested step is one of the row's factors; a folded block is none of them
+                    if tested or blocked:
+                        assert any(np.array_equal(step, f) for f in row) == bool(tested)
 
 
 @pytest.mark.filterwarnings("error")
