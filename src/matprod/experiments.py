@@ -24,12 +24,14 @@ observer is row-wise, so a row's bits do not depend on the rows that share
 its stack. The observer advances the rows it needs together (evolve_stack:
 one LQ a step, in closed form at d = 2 and by one QR call at d >= 3, where a
 step takes one factor or an aligned block of 2, 4, 8, ... factors that passes
-an exact conditioning guard, and one SVD call a grid point) and reads each
-grid point off the stack in SVD form. The
-reality observer counts complex pairs by one routine, pair_rows: at n = 1
-on the well-conditioned factors themselves, so with n = 1 the only grid
-point it evolves only the other rows, and in SVD form on the similarity
-carrying the product's spectrum. Each grid point is read off its own
+an exact conditioning guard) and reads each grid point off the stack. The
+exponent observer reads singular values, so its stacks take one SVD call a
+grid point. The reality observer reads eigenvalues alone and counts complex
+pairs by one routine, pair_rows: at n = 1 on the well-conditioned factors
+themselves, so with n = 1 the only grid point it evolves only the other
+rows, and otherwise on the similarity carrying the product's spectrum, in
+the first factor's SVD form at n = 1 and in the step form past it, which
+takes no SVD. Each grid point is read off its own
 stack: a replication counts at n when its trajectory is alive in the stack
 at n and its spectrum there converged, so one that fails at step k still
 counts at the grid points before k.
@@ -42,6 +44,7 @@ from __future__ import annotations
 
 import itertools
 import math
+from collections import Counter
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import Callable, Optional, Sequence
@@ -215,27 +218,40 @@ def _observe_chunks(config: ExperimentConfig, exp_index: int, grid: Sequence[int
 
 def _observe_exponents(factors: np.ndarray, grid: Sequence[int]):
     """Scaled log singular values and log eigenvalue moduli, (B, grid, d)
-    each, and which rows count at each grid point, (B, grid): those alive in
-    its stack whose spectrum there converged."""
+    each, and per row and grid point, (B, grid), None where the row counts
+    there (alive in its stack, its spectrum converged), else the exception
+    that rules it out."""
     stacks = evolve_stack(factors, grid)
     sig = np.stack([s.log_sigma / s.n for s in stacks], axis=1)
     stab = np.full_like(sig, np.nan)
-    ok = np.stack([s.ok for s in stacks], axis=1)
+    failure = np.stack([s.failure for s in stacks], axis=1)
     for gi, s in enumerate(stacks):
-        rows = np.flatnonzero(ok[:, gi])
-        logs, failure = stability_rows(s.log_sigma[rows], s.u_frame[rows], s.v_frame[rows])
+        rows = np.flatnonzero(s.ok)
+        logs, failure[rows, gi] = stability_rows(s.log_sigma[rows], s.u_frame[rows], s.v_frame[rows])
         stab[rows, gi] = logs / s.n
-        ok[rows, gi] = np.equal(failure, None)
-    return sig, stab, ok
+    return sig, stab, failure
+
+
+def _commonest_failure(failure: np.ndarray) -> str:
+    """The most common exception class among the rows of failure, with its
+    count and one of its messages, as a parenthesis; "" if no row failed."""
+    errors = [f for f in failure if f is not None]
+    if not errors:
+        return ""
+    name, count = Counter(type(f).__name__ for f in errors).most_common(1)[0]
+    example = next(f for f in errors if type(f).__name__ == name)
+    return f" ({count} of {len(failure)} rows dropped by {name}, e.g. {example})"
 
 
 def _exponent_samples(config: ExperimentConfig, exp_index: int, grid: Sequence[int]):
     """(singular, stability) samples of the rows that count at each grid point, (count, d) each."""
     parts = _observe_chunks(config, exp_index, grid, _observe_exponents)
-    sig, stab, ok = (np.concatenate(p) for p in zip(*parts))
+    sig, stab, failure = (np.concatenate(p) for p in zip(*parts))
+    ok = np.equal(failure, None)
     for gi, n in enumerate(grid):
         if int(ok[:, gi].sum()) < 2:
-            raise NumericError(f"fewer than 2 replications survived at n={n}; cannot report statistics")
+            raise NumericError(f"fewer than 2 replications survived at n={n}{_commonest_failure(failure[:, gi])}; "
+                               "cannot report statistics")
     return [(sig[ok[:, gi], gi], stab[ok[:, gi], gi]) for gi in range(len(grid))]
 
 
@@ -246,8 +262,10 @@ def _reality_pairs(factors: np.ndarray, grid: Sequence[int]) -> np.ndarray:
     _bound_clears (not singular, spread < 23: the graded routine's LAPACK
     branch) is classified off the factor itself, at log scale 0. The rest,
     and a factor whose eigenvalue iteration does not converge (with the grid
-    (1,) only they are evolved), and every row at a later grid point, are
-    classified on q = v @ u with log sigma."""
+    (1,) only they are evolved), are classified on q = v @ u with log sigma
+    of its SVD, and every row at a later grid point on q = O @ G with t
+    descending of its step form (evolve_stack without svd: no grid-point
+    SVD); q is v_frame @ u_frame either way."""
     m = factors[:, 0]
     pairs = np.full((len(m), len(grid)), -1)
     by_svd = np.ones(len(m), dtype=bool)  # rows classified at grid[0] from the SVD form
@@ -259,7 +277,7 @@ def _reality_pairs(factors: np.ndarray, grid: Sequence[int]) -> np.ndarray:
     if len(grid) == 1:
         evolved = np.flatnonzero(by_svd)
         factors = factors[evolved]
-    for gi, s in enumerate(evolve_stack(factors, grid) if evolved.size else ()):
+    for gi, s in enumerate(evolve_stack(factors, grid, svd=False) if evolved.size else ()):
         rows = np.flatnonzero(s.ok & by_svd[evolved]) if gi == 0 else np.flatnonzero(s.ok)
         pairs[evolved[rows], gi] = pair_rows(s.v_frame[rows] @ s.u_frame[rows], s.log_sigma[rows])
     return pairs
@@ -410,7 +428,7 @@ def run_real_probability(config: ExperimentConfig) -> list[ResultRecord]:
             "trials": Stat(float(trials)),
             "wilson_low": Stat(lo),
             "wilson_high": Stat(hi),
-            # trajectory failed by n (singular step, overflow, SVD) or unconverged classification at n
+            # trajectory failed by n (first factor's SVD, singular step, overflow) or unconverged classification at n
             "excluded": Stat(float(config.replications - trials)),
         }))
     return records

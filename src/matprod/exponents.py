@@ -4,10 +4,10 @@ The running product P_n is never formed explicitly: a ProductState keeps its
 singular values on log scale together with the left/right unitary frames, so
 products of hundreds of factors stay representable; evolve_stack steps them
 by the discrete QR method, one step per factor or per folded block of
-well-conditioned factors, and takes the SVD at the grid points only. A
-step's LQ is in closed form at d = 2 and one batched QR (linalg.qr_rows)
-otherwise; the singularity verdicts of a segment's single-factor steps are
-taken together before it.
+well-conditioned factors, and takes the SVD at the grid points only, and
+only for observers that read singular values. A step's LQ is in closed form
+at d = 2 and one batched QR (linalg.qr_rows) otherwise; the singularity
+verdicts of a segment's single-factor steps are taken together before it.
 Its stacked LAPACK calls go through linalg.lapack_rows, so a matrix that
 does not converge fails only its own row. Estimators and analytic reference
 spectra for the supported ensembles live alongside.
@@ -106,7 +106,9 @@ class ProductState:
 
 @dataclass(frozen=True)
 class ProductStack:
-    """B running products stepped together; row b is one ProductState.
+    """B running products stepped together; row b is one ProductState, or
+    the step form G diag(exp(t)) O of evolve_stack without svd (u_frame G,
+    log_sigma t descending, v_frame O).
 
     A row that fails a check keeps the exception in failure[b] and is reset
     to the identity (zero log sigma, identity frames), so no NaN or inf
@@ -183,8 +185,9 @@ def _bound_clears(m: np.ndarray) -> np.ndarray:
 def _pairs_2x2(m: np.ndarray) -> np.ndarray:
     """Complex pairs of each real 2x2 matrix M = [[a, b], [c, d]] of a stack,
     the scaled similarity q @ diag(exp(ls - ls[0])) of pair_rows (a factor
-    itself at ls = 0), from the sign of disc = p^2 + bc, p = (a - d)/2 (a
-    pair exactly when disc < 0), or -1 where that sign is not certain.
+    itself at ls = 0; q = v u of an SVD form or O G of a step form), from
+    the sign of disc = p^2 + bc, p = (a - d)/2 (a pair exactly when
+    disc < 0), or -1 where that sign is not certain.
 
     The sign is certain where |disc| > _DISC_MARGIN ||M||_F^2 (2^10 eps) and
     ||M||_F^2 is finite (so is every other quantity) and |disc|, |det M| are
@@ -204,7 +207,12 @@ def _pairs_2x2(m: np.ndarray) -> np.ndarray:
     rounded entrywise, which moves disc by about 2 eps ||M||_F^2, well inside
     the margin, so mpmath's disc has the same sign, and a pair it sees has
     Im lambda >= sqrt(2^10 eps) ||M||_F, far above its 1e-15 |lambda| test.
-    Below the hard cap det M = +-e^(ls2 - ls1) >= e^-690 is normal.
+    |det q| = 1 in either form: v and u are unitary, O is, and every update
+    of G is a unit lower triangular factor, a column permutation or the first
+    factor's unitary frame. So below the hard cap det M = +-e^(ls2 - ls1) >=
+    e^-690 is normal. Forming O @ G rounds each of its columns within about
+    eps of the column's own norm, as O is unitary, and scaling keeps that, so
+    the margin decides the same sign as on the exact step form.
     """
     a, b, c, d = m[:, 0, 0], m[:, 0, 1], m[:, 1, 0], m[:, 1, 1]
     tiny = np.finfo(np.float64).tiny
@@ -410,8 +418,8 @@ def _fold_schedule(seg: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]
     return np.concatenate(pool, axis=1)[np.arange(rows)[:, None], index], live, index < count
 
 
-def evolve_stack(factors, n_grid) -> list[ProductStack]:
-    """Stacks at each grid point of B products, in SVD form; factors is (B, n, d, d).
+def evolve_stack(factors, n_grid, *, svd: bool = True) -> list[ProductStack]:
+    """Stacks at each grid point of B products; factors is (B, n, d, d).
 
     Row b is the product factors[b, 0] @ factors[b, 1] @ ... Each stack
     tells which rows are alive at its grid point: a row dropped at a step is
@@ -422,7 +430,14 @@ def evolve_stack(factors, n_grid) -> list[ProductStack]:
     _regular call gives the singularity verdicts of a segment's single-factor
     steps in the rows alive at its start, and each step applies its own; a
     folded block or a padded identity is regular, and a dropped row stays
-    dropped. Each grid point takes one SVD call.
+    dropped.
+
+    The stack at n = 1 is the first factor's SVD (_init_rows). With svd, each
+    later grid point takes one SVD call (_to_svd) and its stack is in SVD
+    form. Without it, a later grid point takes no SVD: its stack is the step
+    form G diag(exp(t)) O with t sorted descending (_descending), G in
+    u_frame and O in v_frame, which shares the product's spectrum through
+    the similarity O G diag(exp(t)). Either stack is the one stepped on.
     """
     arr = _as_matrix(factors, "factors")
     if arr.ndim != 4 or arr.shape[-1] != arr.shape[-2] or arr.shape[1] < n_grid[-1]:
@@ -436,7 +451,10 @@ def evolve_stack(factors, n_grid) -> list[ProductStack]:
         for s in range(steps.shape[1]):
             verdict = None if passed[s] else (regular[:, s], converged[:, s])
             stack = _step(stack, steps[:, s], verdict, None if full[s] else live[:, s])
-        stack = _to_svd(replace(stack, n=n)) if n > 1 else stack
+        if n > 1 and svd:
+            stack = _to_svd(replace(stack, n=n))
+        elif n > 1:
+            stack = ProductStack(n, *_descending(stack.log_sigma, stack.u_frame, stack.v_frame), stack.failure)
         stacks.append(stack)
     return stacks
 
@@ -637,10 +655,12 @@ def stability_rows(log_sigma: np.ndarray, u_frame: np.ndarray, v_frame: np.ndarr
 def pair_rows(q: np.ndarray, log_scale: np.ndarray) -> np.ndarray:
     """Complex conjugate pairs of each real q[b] @ diag(exp(log_scale[b])) of
     a stack, each log_scale[b] descending, or -1 in a row whose eigenvalue
-    iteration does not converge. At d = 2 they are read off the
-    discriminant's sign of the scaled similarity, its second column times
-    exp(ls1 - ls0) (_pairs_2x2), where that sign is certain; the other rows,
-    and every row at d != 2, take the graded routine."""
+    iteration does not converge: q is v @ u with log sigma of an SVD form,
+    or O @ G with t of a step form, either way a similarity of the product.
+    At d = 2 they are read off the discriminant's sign of the scaled
+    similarity, its second column times exp(ls1 - ls0) (_pairs_2x2), where
+    that sign is certain; the other rows, and every row at d != 2, take the
+    graded routine."""
     pairs = np.full(len(q), -1)
     if q.shape[-1] == 2:
         a = q.copy()

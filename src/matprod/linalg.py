@@ -15,7 +15,6 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
-import scipy.linalg
 from numpy.linalg import _umath_linalg
 
 __all__ = [
@@ -177,6 +176,8 @@ def count_complex_pairs(a) -> int:
         raise ValueError("count_complex_pairs takes a single matrix, not a stack")
     if arr.shape[0] == 1:
         return 0
+    import scipy.linalg  # ~0.3 s of start-up that only this oracle needs
+
     try:
         t, _ = scipy.linalg.schur(arr, output="real")
     except scipy.linalg.LinAlgError as exc:

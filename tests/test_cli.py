@@ -1,10 +1,15 @@
 import csv
 import dataclasses
 import json
+import os
+import pathlib
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 
+import matprod
 from matprod import cli, experiments
 from matprod.cli import main
 from matprod.configtext import config_to_text, parse_config
@@ -226,7 +231,9 @@ def test_run_spread_capped_rows_exit_3(tmp_path, capsys):
     # n = 40, raises NumericError
     text = 'seed=3 field=real d=2 ensemble="custom:fixed(1e5,1e-5)" n_grid=10,40 replications=50 mc_samples=2000'
     assert main(["run", "stability", "--config", write_cfg(tmp_path, text)]) == 3
-    assert "numeric failure: fewer than 2 replications survived at n=40" in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert "numeric failure: fewer than 2 replications survived at n=40" in err
+    assert "50 of 50 rows dropped by SpreadOverflowError, e.g. log-singular-value spread" in err
     config = parse_config(text)
     (early, late), = experiments._observe_chunks(config, experiments._EXP_EQUALITY, config.n_grid, evolve_stack)
     assert early.ok.all() and not late.ok.any()
@@ -388,21 +395,20 @@ def test_cli_version(capsys):
     assert exc.value.code == 0
 
 
-def test_cli_module_entry_point():
-    import os
-    import pathlib
-    import subprocess
-    import sys
-
-    import matprod
-
-    # the child imports the same matprod, installed or not
+def _python(*args):
+    """A fresh interpreter run with args; the child imports the same matprod, installed or not."""
     path = [str(pathlib.Path(matprod.__file__).parents[1]), os.environ.get("PYTHONPATH", "")]
-    proc = subprocess.run(
-        [sys.executable, "-m", "matprod.cli", "analytic", "--field", "real", "--d", "1", "--ensemble", "ginibre"],
-        capture_output=True,
-        text=True,
-        env={**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, path))},
-    )
+    return subprocess.run([sys.executable, *args], capture_output=True, text=True,
+                          env={**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, path))})
+
+
+def test_cli_module_entry_point():
+    proc = _python("-m", "matprod.cli", "analytic", "--field", "real", "--d", "1", "--ensemble", "ginibre")
     assert proc.returncode == 0
     assert "-0.6351814227" in proc.stdout
+
+
+def test_cli_import_leaves_scipy_linalg_unloaded():
+    # scipy.linalg is about 0.3 s of start-up, and only linalg.count_complex_pairs needs it
+    proc = _python("-c", "import sys, matprod.cli; print('scipy.linalg' in sys.modules)")
+    assert proc.returncode == 0 and proc.stdout.split() == ["False"], proc.stderr

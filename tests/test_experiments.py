@@ -31,7 +31,7 @@ from matprod.ensembles import (
     sample_singular_values,
 )
 from matprod.exponents import single_step_estimate
-from matprod.linalg import RANK_RTOL, count_complex_pairs, qr_positive
+from matprod.linalg import RANK_RTOL, SingularInputError, count_complex_pairs, qr_positive
 from matprod.recordio import ResultRecord, Stat
 from matprod.rng import RngStream, philox_generator
 
@@ -626,6 +626,38 @@ def test_reality_d2_grid_point_pairs_match_the_graded_routine_and_mpmath(spec):
         assert got[b, gi] == exponents._log_eig_moduli_extended(s.v_frame[b] @ s.u_frame[b], ls - ls[0])[1]
 
 
+@pytest.mark.parametrize("spec, grid, rows", [
+    (GINIBRE_R2, (1, 5, 20, 60, 200), 1000),
+    (GINIBRE_R3, (1, 5, 20, 60, 120), 300),
+    (EnsembleSpec("real", 4, Ginibre()), (1, 5, 20, 60, 100), 200),
+    (LOGNORMAL_R2, (1, 3, 10, 20), 1000),
+    (EnsembleSpec("real", 3, parse_ensemble("truncated-haar:m=6")), (1, 5, 20, 50, 100), 200),
+], ids=["ginibre-d2", "ginibre-d3", "ginibre-d4", "lognormal10-d2", "truncated-haar-d3"])
+def test_reality_step_form_pairs_match_the_svd_form_and_mpmath(spec, grid, rows):
+    # realprob classifies each row past n = 1 on its step form O G diag(e^t)
+    # (evolve_stack without svd): the same counts, row by row, as pair_rows on
+    # the SVD form v u diag(sigma) of the same trajectories; seeds fixed
+    # before the first run
+    factors = sample_isotropic_chunk(spec, RngStream(31, (spec.d,)).generator(), rows, grid[-1])
+    got = experiments._reality_pairs(factors, grid)
+    step_form = exponents.evolve_stack(factors, grid, svd=False)
+    for gi, (s, svd) in enumerate(zip(step_form, exponents.evolve_stack(factors, grid))):
+        np.testing.assert_array_equal(s.ok, svd.ok)
+        assert np.all(np.diff(s.log_sigma, axis=1) <= 0)
+        live = np.flatnonzero(svd.ok)
+        np.testing.assert_array_equal(got[live, gi], exponents.pair_rows(svd.v_frame[live] @ svd.u_frame[live],
+                                                                         svd.log_sigma[live]))
+        assert np.all(got[~svd.ok, gi] == -1)
+    assert 0 < np.count_nonzero(got == 0) and 0 < np.count_nonzero(got > 0)
+    # a subsample of the rows past spread 25, against the extended-precision
+    # spectrum of the step form's own similarity
+    wide = [(s, gi, b) for gi, s in enumerate(step_form) for b in np.flatnonzero(s.ok & (s.spread > 25))]
+    assert max(float(s.spread[s.ok].max()) for s in step_form) > 100 and len(wide) > 100
+    for s, gi, b in wide[:: len(wide) // 8]:
+        ls = s.log_sigma[b]
+        assert got[b, gi] == exponents._log_eig_moduli_extended(s.v_frame[b] @ s.u_frame[b], ls - ls[0])[1]
+
+
 def _disc_states(spreads):
     """Stacks of similarities v @ diag(1, e^-S) (identity u, log sigma (S/2,
     -S/2)) with v a rotation [[c, -s], [s, c]] or the swap, and which of them
@@ -655,7 +687,7 @@ def test_reality_d2_sends_exactly_the_undecided_rows_to_the_graded_routine(monke
     # at spread 27 a complex pair can still sit outside the margin (e^-27 > 2^10
     # eps), where the graded routine would fail to split it and take mpmath
     stack, inside = _disc_states((10.0, 27.0, 40.0, 688.0))
-    monkeypatch.setattr(experiments, "evolve_stack", lambda factors, grid: [stack])
+    monkeypatch.setattr(experiments, "evolve_stack", lambda factors, grid, svd: [stack])
     seen = []
     graded = exponents._log_eig_moduli_graded
 
@@ -695,14 +727,16 @@ def test_exponent_rows_count_at_the_grid_points_before_their_singular_factor():
     factors[1::8, 4] = 0.0
     dropped = np.zeros(40, dtype=bool)
     dropped[::4] = dropped[1::8] = True
-    sig, stab, ok = experiments._observe_exponents(factors, (4, 9))
-    sig4, stab4, ok4 = experiments._observe_exponents(factors[:, :4], (4,))
+    sig, stab, failure = experiments._observe_exponents(factors, (4, 9))
+    sig4, stab4, failure4 = experiments._observe_exponents(factors[:, :4], (4,))
+    ok, ok4 = np.equal(failure, None), np.equal(failure4, None)
     assert ok.shape == (40, 2) and ok4.all()
     np.testing.assert_array_equal(ok[:, 0], True)
     np.testing.assert_array_equal(ok[:, 1], ~dropped)
     np.testing.assert_array_equal(sig[:, 0], sig4[:, 0])
     np.testing.assert_array_equal(stab[:, 0], stab4[:, 0])
     assert np.all(np.isfinite(stab[:, 0])) and np.all(np.isnan(stab[dropped, 1]))
+    assert all(isinstance(f, SingularInputError) for f in failure[dropped, 1])
 
 
 def test_realprob_falls_with_dimension():
