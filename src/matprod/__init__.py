@@ -19,7 +19,6 @@ from .ensembles import (
     sample_ginibre,
     sample_haar_unitary,
     sample_isotropic,
-    sample_right_isotropic,
     sample_singular_values,
     sample_truncated_haar,
 )
@@ -74,7 +73,6 @@ __all__ = [
     "sample_truncated_haar",
     "sample_singular_values",
     "sample_isotropic",
-    "sample_right_isotropic",
     "ProductState",
     "init_state",
     "advance",

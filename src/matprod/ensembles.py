@@ -35,12 +35,9 @@ __all__ = [
     "sample_singular_values",
     "sample_isotropic",
     "sample_isotropic_chunk",
-    "sample_right_isotropic",
-    "UNITARY_TOL",
 ]
 
 FIELDS = ("real", "complex")
-UNITARY_TOL = 1e-10
 
 _LAW_ARITY = {"const": 1, "lognormal": 2, "uniform": 2, "chisq": 1}
 
@@ -379,16 +376,3 @@ def sample_isotropic_chunk(spec: EnsembleSpec, rng, count: int, n: int) -> np.nd
              for _ in range(count)]
     return np.reshape(draws, (count, n, d, d))
 
-
-def sample_right_isotropic(spec: EnsembleSpec, u_fixed, rng, size=None) -> np.ndarray:
-    """Sample u_fixed @ diag(D) @ v with only the right factor Haar."""
-    gen = as_generator(rng)
-    u = np.asarray(u_fixed, dtype=spec.dtype)
-    if u.shape != (spec.d, spec.d):
-        raise ValueError(f"u_fixed must be {spec.d} x {spec.d}, got {u.shape}")
-    defect = np.max(np.abs(np.conj(u.T) @ u - np.eye(spec.d)))
-    if defect > UNITARY_TOL:
-        raise ValueError(f"u_fixed is not unitary within {UNITARY_TOL} (defect {defect:.3g})")
-    dvals = sample_singular_values(spec, gen, size=size)
-    v = sample_haar_unitary(spec.d, spec.field, gen, size=size)
-    return u @ (dvals[..., :, None] * v)

@@ -24,17 +24,19 @@ observer is row-wise, so a row's bits do not depend on the rows that share
 its stack. The observer advances the rows it needs together (evolve_stack:
 one LQ a step, in closed form at d = 2 and by one QR call at d >= 3, where a
 step takes one factor or an aligned block of 2, 4, 8, ... factors that passes
-an exact conditioning guard) and reads each grid point off the stack. The
-exponent observer reads singular values, so its stacks take one SVD call a
-grid point. The reality observer reads eigenvalues alone and counts complex
-pairs by one routine, pair_rows: at n = 1 on the well-conditioned factors
-themselves, so with n = 1 the only grid point it evolves only the other
-rows, and otherwise on the similarity carrying the product's spectrum, in
-the first factor's SVD form at n = 1 and in the step form past it, which
-takes no SVD. Each grid point is read off its own
-stack: a replication counts at n when its trajectory is alive in the stack
-at n and its spectrum there converged, so one that fails at step k still
-counts at the grid points before k.
+an exact conditioning guard) and reads each grid point off the stack, which
+is in the first factor's SVD form at n = 1 and in the step form past it.
+The exponent observer reads singular values, so it takes one SVD call a
+grid point past n = 1 (_to_svd), a read the engine never steps on; it reads
+eigenvalue moduli off the same SVD form. The reality observer reads
+eigenvalues alone and counts complex pairs by one routine, pair_rows: at
+n = 1 on the well-conditioned factors themselves, so with n = 1 the only
+grid point it evolves only the other rows, and otherwise on the similarity
+carrying the product's spectrum in the stack's own form, which takes no
+SVD. Each grid point is read off its own stack: a replication counts at n
+when its trajectory is alive in the stack at n and its reads there
+converged, so one that fails at step k still counts at the grid points
+before k, and one whose read fails at n counts again at the next one.
 
 The verify runners take whole samples: a minor-identity chunk reads its
 trials off its stream one by one and checks them in stacked calls, and a law
@@ -55,6 +57,7 @@ from .ensembles import EnsembleSpec, sample_ginibre, sample_haar_unitary, sample
 from .exponents import (
     _bound_clears,
     _samples,
+    _to_svd,
     analytic_spectrum,
     analytic_truncated_logdet,
     evolve_stack,
@@ -219,9 +222,11 @@ def _observe_chunks(config: ExperimentConfig, exp_index: int, grid: Sequence[int
 def _observe_exponents(factors: np.ndarray, grid: Sequence[int]):
     """Scaled log singular values and log eigenvalue moduli, (B, grid, d)
     each, and per row and grid point, (B, grid), None where the row counts
-    there (alive in its stack, its spectrum converged), else the exception
-    that rules it out."""
-    stacks = evolve_stack(factors, grid)
+    there (alive in its stack, its SVD read and its spectrum converged), else
+    the exception that rules it out. The singular values of each grid stack
+    past n = 1 are read off its SVD (_to_svd), which the engine never steps
+    on: a failed read rules the row out at that grid point alone."""
+    stacks = [s if s.n == 1 else _to_svd(s) for s in evolve_stack(factors, grid)]
     sig = np.stack([s.log_sigma / s.n for s in stacks], axis=1)
     stab = np.full_like(sig, np.nan)
     failure = np.stack([s.failure for s in stacks], axis=1)
@@ -232,7 +237,7 @@ def _observe_exponents(factors: np.ndarray, grid: Sequence[int]):
     return sig, stab, failure
 
 
-def _commonest_failure(failure: np.ndarray) -> str:
+def _commonest_failure(failure: Sequence) -> str:
     """The most common exception class among the rows of failure, with its
     count and one of its messages, as a parenthesis; "" if no row failed."""
     errors = [f for f in failure if f is not None]
@@ -255,19 +260,21 @@ def _exponent_samples(config: ExperimentConfig, exp_index: int, grid: Sequence[i
     return [(sig[ok[:, gi], gi], stab[ok[:, gi], gi]) for gi in range(len(grid))]
 
 
-def _reality_pairs(factors: np.ndarray, grid: Sequence[int]) -> np.ndarray:
+def _reality_pairs(factors: np.ndarray, grid: Sequence[int]) -> tuple[np.ndarray, list]:
     """Complex pairs (eigenvalues with imaginary part > 0) of each row's
     product at each grid point, (B, len(grid)), or -1 for a row dropped by
-    then or unconverged, all by pair_rows. At n = 1 a factor that clears
-    _bound_clears (not singular, spread < 23: the graded routine's LAPACK
-    branch) is classified off the factor itself, at log scale 0. The rest,
-    and a factor whose eigenvalue iteration does not converge (with the grid
-    (1,) only they are evolved), are classified on q = v @ u with log sigma
-    of its SVD, and every row at a later grid point on q = O @ G with t
-    descending of its step form (evolve_stack without svd: no grid-point
-    SVD); q is v_frame @ u_frame either way."""
+    then or unconverged, all by pair_rows; and at each grid point the
+    exceptions that rule out those -1 rows, a list. At n = 1 a factor that
+    clears _bound_clears (not singular, spread < 23: the graded routine's
+    LAPACK branch) is classified off the factor itself, at log scale 0. The
+    rest, and a factor whose eigenvalue iteration does not converge (with
+    the grid (1,) only they are evolved), are classified on q = v @ u with
+    log sigma of its SVD, and every row at a later grid point on q = O @ G
+    with t descending of its step form (evolve_stack: no grid-point SVD); q
+    is v_frame @ u_frame either way."""
     m = factors[:, 0]
     pairs = np.full((len(m), len(grid)), -1)
+    lost = [[] for _ in grid]
     by_svd = np.ones(len(m), dtype=bool)  # rows classified at grid[0] from the SVD form
     if grid[0] == 1:
         first = pair_rows(m, np.zeros(m.shape[:2]))
@@ -277,16 +284,20 @@ def _reality_pairs(factors: np.ndarray, grid: Sequence[int]) -> np.ndarray:
     if len(grid) == 1:
         evolved = np.flatnonzero(by_svd)
         factors = factors[evolved]
-    for gi, s in enumerate(evolve_stack(factors, grid, svd=False) if evolved.size else ()):
+    # every row left at -1 is evolved: the others were classified off their factor
+    for gi, s in enumerate(evolve_stack(factors, grid) if evolved.size else ()):
         rows = np.flatnonzero(s.ok & by_svd[evolved]) if gi == 0 else np.flatnonzero(s.ok)
         pairs[evolved[rows], gi] = pair_rows(s.v_frame[rows] @ s.u_frame[rows], s.log_sigma[rows])
-    return pairs
+        lost[gi] = [NumericError(f"eigenvalue iteration did not converge (shape {m.shape[1:]})") if f is None else f
+                    for f in s.failure[pairs[evolved, gi] < 0]]
+    return pairs, lost
 
 
 def _observe_reality(factors: np.ndarray, grid: Sequence[int]):
-    """All-real and classified counts per grid point."""
-    pairs = _reality_pairs(factors, grid)
-    return np.count_nonzero(pairs == 0, axis=0), np.count_nonzero(pairs >= 0, axis=0)
+    """All-real and classified counts per grid point, and at each grid point
+    the exceptions that rule out its unclassified rows."""
+    pairs, lost = _reality_pairs(factors, grid)
+    return np.count_nonzero(pairs == 0, axis=0), np.count_nonzero(pairs >= 0, axis=0), lost
 
 
 def _stat_vec(prefix: str, values, se=None, count=None) -> dict[str, Stat]:
@@ -412,14 +423,16 @@ def run_real_probability(config: ExperimentConfig) -> list[ResultRecord]:
     if spec.field != "real":
         raise ValueError("realprob requires field=real")
     grid = config.n_grid
-    real, classified = np.sum(_observe_chunks(config, _EXP_REALPROB, grid, _observe_reality), axis=0)
+    real, classified, unclassified = zip(*_observe_chunks(config, _EXP_REALPROB, grid, _observe_reality))
+    real, classified = np.sum(real, axis=0), np.sum(classified, axis=0)
 
     records = []
     for gi, n in enumerate(grid):
         trials = int(classified[gi])
         hits = int(real[gi])
         if trials == 0:
-            raise NumericError(f"no classifiable replications at n={n}")
+            lost = [f for part in unclassified for f in part[gi]]
+            raise NumericError(f"no classifiable replications at n={n}{_commonest_failure(lost)}")
         p_hat = hits / trials
         lo, hi = wilson_interval(hits, trials)
         records.append(_record("realprob", spec, n, config.replications, {

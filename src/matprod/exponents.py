@@ -2,20 +2,22 @@
 
 The running product P_n is never formed explicitly: a ProductState keeps its
 singular values on log scale together with the left/right unitary frames, so
-products of hundreds of factors stay representable; evolve_stack steps them
-by the discrete QR method, one step per factor or per folded block of
-well-conditioned factors, and takes the SVD at the grid points only, and
-only for observers that read singular values. A step's LQ is in closed form
-at d = 2 and one batched QR (linalg.qr_rows) otherwise; the singularity
-verdicts of a segment's single-factor steps are taken together before it.
-Its stacked LAPACK calls go through linalg.lapack_rows, so a matrix that
-does not converge fails only its own row. Estimators and analytic reference
-spectra for the supported ensembles live alongside.
+products of hundreds of factors stay representable. evolve_stack carries a
+stack of products in one form, the step form G diag(exp(t)) O of the discrete
+QR method, one step per factor or per folded block of well-conditioned
+factors, and takes no SVD past the first factor's: an observer that reads
+singular values takes its own SVD of a grid stack (_to_svd) and never steps
+on it. A step's LQ is in closed form at d = 2 and one batched QR
+(linalg.qr_rows) otherwise; the singularity verdicts of a segment's
+single-factor steps are taken together before it. Its stacked LAPACK calls go
+through linalg.lapack_rows, so a matrix that does not converge fails only its
+own row. Estimators and analytic reference spectra for the supported
+ensembles live alongside.
 """
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
@@ -106,9 +108,9 @@ class ProductState:
 
 @dataclass(frozen=True)
 class ProductStack:
-    """B running products stepped together; row b is one ProductState, or
-    the step form G diag(exp(t)) O of evolve_stack without svd (u_frame G,
-    log_sigma t descending, v_frame O).
+    """B running products stepped together, row b in the step form
+    G diag(exp(t)) O (u_frame G, log_sigma t, v_frame O unitary); the SVD
+    form, G unitary and t descending, is its special case.
 
     A row that fails a check keeps the exception in failure[b] and is reset
     to the identity (zero log sigma, identity frames), so no NaN or inf
@@ -127,10 +129,11 @@ class ProductStack:
 
     @property
     def spread(self) -> np.ndarray:
+        """t[0] - t[-1] of each row: in the SVD form the log-singular-value
+        spread; in the step form (t descending) the range of t, close to that
+        spread but no bound on it: the spread is at least the range plus
+        log(|g_1| / |g_d|), g_j the columns of G."""
         return self.log_sigma[:, 0] - self.log_sigma[:, -1]
-
-    def row(self, b: int) -> ProductState:
-        return ProductState(self.n, self.log_sigma[b], self.u_frame[b], self.v_frame[b])
 
 
 def _fail(failure: np.ndarray, mask: np.ndarray, error: Callable) -> np.ndarray:
@@ -418,7 +421,7 @@ def _fold_schedule(seg: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]
     return np.concatenate(pool, axis=1)[np.arange(rows)[:, None], index], live, index < count
 
 
-def evolve_stack(factors, n_grid, *, svd: bool = True) -> list[ProductStack]:
+def evolve_stack(factors, n_grid) -> list[ProductStack]:
     """Stacks at each grid point of B products; factors is (B, n, d, d).
 
     Row b is the product factors[b, 0] @ factors[b, 1] @ ... Each stack
@@ -432,12 +435,12 @@ def evolve_stack(factors, n_grid, *, svd: bool = True) -> list[ProductStack]:
     folded block or a padded identity is regular, and a dropped row stays
     dropped.
 
-    The stack at n = 1 is the first factor's SVD (_init_rows). With svd, each
-    later grid point takes one SVD call (_to_svd) and its stack is in SVD
-    form. Without it, a later grid point takes no SVD: its stack is the step
-    form G diag(exp(t)) O with t sorted descending (_descending), G in
-    u_frame and O in v_frame, which shares the product's spectrum through
-    the similarity O G diag(exp(t)). Either stack is the one stepped on.
+    The stack at n = 1 is the first factor's SVD (_init_rows); every later
+    one is the step form G diag(exp(t)) O with t sorted descending
+    (_descending), which shares the product's spectrum through the
+    similarity O G diag(exp(t)) and takes no SVD. Each stack is the one
+    stepped on; its SVD form (_to_svd) is a read for the observers of
+    singular values.
     """
     arr = _as_matrix(factors, "factors")
     if arr.ndim != 4 or arr.shape[-1] != arr.shape[-2] or arr.shape[1] < n_grid[-1]:
@@ -451,18 +454,17 @@ def evolve_stack(factors, n_grid, *, svd: bool = True) -> list[ProductStack]:
         for s in range(steps.shape[1]):
             verdict = None if passed[s] else (regular[:, s], converged[:, s])
             stack = _step(stack, steps[:, s], verdict, None if full[s] else live[:, s])
-        if n > 1 and svd:
-            stack = _to_svd(replace(stack, n=n))
-        elif n > 1:
+        if n > 1:
             stack = ProductStack(n, *_descending(stack.log_sigma, stack.u_frame, stack.v_frame), stack.failure)
         stacks.append(stack)
     return stacks
 
 
 def _only_row(stack: ProductStack) -> ProductState:
+    """The ProductState of a one-row stack in SVD form, raising what dropped the row."""
     if stack.failure[0] is not None:
         raise stack.failure[0]
-    return stack.row(0)
+    return ProductState(stack.n, stack.log_sigma[0], stack.u_frame[0], stack.v_frame[0])
 
 
 def init_state(m1) -> ProductState:

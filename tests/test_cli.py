@@ -240,6 +240,16 @@ def test_run_spread_capped_rows_exit_3(tmp_path, capsys):
     assert all(isinstance(f, SpreadOverflowError) and "exceeds hard cap" in str(f) for f in late.failure)
 
 
+def test_realprob_spread_capped_rows_exit_3(tmp_path, capsys):
+    # every row passes the hard cap between n = 10 and 40, so realprob has
+    # nothing to classify at n = 40, and says why
+    text = 'seed=3 field=real d=2 ensemble="custom:fixed(1e5,1e-5)" n_grid=10,40 replications=50'
+    assert main(["run", "realprob", "--config", write_cfg(tmp_path, text)]) == 3
+    err = capsys.readouterr().err
+    assert "numeric failure: no classifiable replications at n=40" in err
+    assert "50 of 50 rows dropped by SpreadOverflowError, e.g. log-singular-value spread" in err
+
+
 def test_run_unconverged_svd_exit_3(tmp_path, monkeypatch, capsys):
     # the single-step estimate draws singular values by an SVD outside the engine
     svd = np.linalg.svd

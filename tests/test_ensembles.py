@@ -16,7 +16,6 @@ from matprod.ensembles import (
     sample_haar_unitary,
     sample_isotropic,
     sample_isotropic_chunk,
-    sample_right_isotropic,
     sample_singular_values,
     sample_truncated_haar,
 )
@@ -297,27 +296,6 @@ def test_ginibre_two_construction_routes_agree(stream):
         log_s1_direct.var(ddof=1) / n + log_s1_udv.var(ddof=1) / n
     )
     assert abs(log_s1_direct.mean() - log_s1_udv.mean()) < 3 * se
-
-
-def test_right_isotropic_row_norms(stream):
-    spec = EnsembleSpec("real", 2, CustomSingular(values=(2.0, 1.0)))
-    m = sample_right_isotropic(spec, np.eye(2), stream.derive(54))
-    norms = np.linalg.norm(m, axis=1)
-    assert np.allclose(np.sort(norms)[::-1], [2.0, 1.0])
-
-
-def test_right_isotropic_singular_values_any_frame(stream):
-    spec = EnsembleSpec("real", 3, CustomSingular(values=(2.0, 1.5, 0.5)))
-    u_fixed = sample_haar_unitary(3, "real", stream.derive(55))
-    m = sample_right_isotropic(spec, u_fixed, stream.derive(56), size=10)
-    sv = np.linalg.svd(m, compute_uv=False)
-    assert np.max(np.abs(sv - np.array([2.0, 1.5, 0.5]))) < 1e-10
-
-
-def test_right_isotropic_rejects_nonunitary(stream):
-    spec = EnsembleSpec("real", 2, Ginibre())
-    with pytest.raises(ValueError):
-        sample_right_isotropic(spec, np.array([[1.0, 0.0], [0.0, 2.0]]), stream)
 
 
 # --- triangular-factor laws of Gaussian matrices ----------------------------

@@ -31,7 +31,7 @@ from matprod.ensembles import (
     sample_singular_values,
 )
 from matprod.exponents import single_step_estimate
-from matprod.linalg import RANK_RTOL, SingularInputError, count_complex_pairs, qr_positive
+from matprod.linalg import RANK_RTOL, NumericError, SingularInputError, count_complex_pairs, qr_positive
 from matprod.recordio import ResultRecord, Stat
 from matprod.rng import RngStream, philox_generator
 
@@ -418,7 +418,7 @@ def _svd_route_pairs(m):
 def test_reality_n1_pairs_match_schur_oracle_and_svd_route(spec):
     factors = sample_isotropic_chunk(spec, RngStream(1616, (spec.d,)).generator(), 10_000, 1)
     m = factors[:, 0]
-    got = experiments._reality_pairs(factors, (1,))[:, 0]
+    got = experiments._reality_pairs(factors, (1,))[0][:, 0]
     np.testing.assert_array_equal(got, _svd_route_pairs(m))
     kept = np.flatnonzero(got >= 0)
     assert np.array_equal(got[kept], [count_complex_pairs(m[b]) for b in kept])
@@ -451,7 +451,7 @@ def test_reality_n1_rows_between_the_bound_and_the_svd_test_take_the_svd_route(d
     assert np.all(sv[:, -1] > RANK_RTOL * sv[:, 0]) and np.all(sv[:, -1] < 1e-10 * sv[:, 0])
     assert not exponents._bound_clears(m).any()
     assert np.any(np.log(sv[:, 0] / sv[:, -1]) > exponents._EIG_DOUBLE_SPREAD)
-    got = experiments._reality_pairs(m[:, None], (1,))[:, 0]
+    got = experiments._reality_pairs(m[:, None], (1,))[0][:, 0]
     oracle = [exponents._log_eig_moduli_extended(b, np.zeros(d))[1] for b in m]
     np.testing.assert_array_equal(got, oracle)
     np.testing.assert_array_equal(got, (traces**2 < ratios).astype(int))
@@ -488,7 +488,7 @@ def test_reality_n1_d2_pairs_from_the_discriminant_match_eigvals_and_schur():
     with warnings.catch_warnings():
         warnings.simplefilter("error", RuntimeWarning)
         first = exponents._pairs_2x2(m)
-        got = experiments._reality_pairs(m[:, None], (1,))[:, 0]
+        got = experiments._reality_pairs(m[:, None], (1,))[0][:, 0]
     decided = np.flatnonzero(first >= 0)
     assert 0 < decided.size < len(m) and set(first[decided]) == {0, 1}
     np.testing.assert_array_equal(got, _eigvals_route_pairs(m))
@@ -506,7 +506,7 @@ def test_reality_n1_eigvals_takes_only_the_rows_the_discriminant_leaves(monkeypa
 
     def taken(m):
         seen.clear()
-        experiments._reality_pairs(m[:, None], (1,))
+        experiments._reality_pairs(m[:, None], (1,))[0]
         return np.concatenate(seen) if seen else np.empty((0,) + m.shape[1:])
 
     monkeypatch.setattr(exponents, "_log_eig_moduli_graded", spy)
@@ -526,7 +526,7 @@ def test_reality_n1_excludes_exactly_the_rows_the_svd_test_rejects():
     m[3::8] = _conditioned_batch(3, np.full(8, 1e-11), np.zeros(8), seed=1620)     # passes it, not the bound
     rejected = int((~exponents._init_rows(m).ok).sum())
     assert rejected == 24
-    real, classified = experiments._observe_reality(m[:, None], (1,))
+    real, classified, _ = experiments._observe_reality(m[:, None], (1,))
     assert classified[0] == 64 - rejected and real[0] <= classified[0]
 
 
@@ -534,7 +534,7 @@ def test_reality_n1_factor_whose_eigvals_does_not_converge_takes_the_svd_route(m
     m = sample_isotropic_chunk(GINIBRE_R3, RngStream(1631).generator(), 200, 1)[:, 0]
     bad = 7
     assert exponents._bound_clears(m)[bad]
-    clean, svd_route = experiments._reality_pairs(m[:, None], (1,))[:, 0], _svd_route_pairs(m)
+    clean, svd_route = experiments._reality_pairs(m[:, None], (1,))[0][:, 0], _svd_route_pairs(m)
     eigvals = np.linalg.eigvals
 
     def flaky(a):
@@ -544,7 +544,7 @@ def test_reality_n1_factor_whose_eigvals_does_not_converge_takes_the_svd_route(m
         return eigvals(a)
 
     monkeypatch.setattr(np.linalg, "eigvals", flaky)
-    got = experiments._reality_pairs(m[:, None], (1,))[:, 0]
+    got = experiments._reality_pairs(m[:, None], (1,))[0][:, 0]
     assert got[bad] == svd_route[bad] >= 0
     np.testing.assert_array_equal(np.delete(got, bad), np.delete(clean, bad))
 
@@ -591,8 +591,8 @@ def test_reality_n1_rule_is_the_same_whatever_the_grid():
     factors[::10, 0] = _conditioned_batch(2, np.geomspace(3e-13, 3e-11, 30), np.zeros(30), seed=1623)
     factors[1::10, 1, :, 1] = factors[1::10, 1, :, 0]   # exactly singular second factor
     factors[5::20, 1] = 0.0
-    alone = experiments._reality_pairs(factors[:, :1], (1,))[:, 0]
-    pairs = experiments._reality_pairs(factors, (1, 2))
+    alone = experiments._reality_pairs(factors[:, :1], (1,))[0][:, 0]
+    pairs = experiments._reality_pairs(factors, (1, 2))[0]
     np.testing.assert_array_equal(pairs[:, 0], alone)
     assert (alone == -1).sum() > 0 and (alone == 1).sum() > 0 and (alone == 0).sum() > 0
     assert np.all(alone[1::10] >= 0) and np.all(alone[5::20] >= 0)
@@ -614,7 +614,7 @@ def _graded_route_pairs(factors, grid):
 def test_reality_d2_grid_point_pairs_match_the_graded_routine_and_mpmath(spec):
     grid = (1, 5, 20, 60, 200)
     factors = sample_isotropic_chunk(spec, RngStream(1629).generator(), 400, grid[-1])
-    got = experiments._reality_pairs(factors, grid)
+    got = experiments._reality_pairs(factors, grid)[0]
     np.testing.assert_array_equal(got, _graded_route_pairs(factors, grid))
     assert 0 < np.count_nonzero(got == 0) and 0 < np.count_nonzero(got == 1)
     # a subsample of the rows past spread 100, against the extended-precision spectrum
@@ -634,14 +634,14 @@ def test_reality_d2_grid_point_pairs_match_the_graded_routine_and_mpmath(spec):
     (EnsembleSpec("real", 3, parse_ensemble("truncated-haar:m=6")), (1, 5, 20, 50, 100), 200),
 ], ids=["ginibre-d2", "ginibre-d3", "ginibre-d4", "lognormal10-d2", "truncated-haar-d3"])
 def test_reality_step_form_pairs_match_the_svd_form_and_mpmath(spec, grid, rows):
-    # realprob classifies each row past n = 1 on its step form O G diag(e^t)
-    # (evolve_stack without svd): the same counts, row by row, as pair_rows on
-    # the SVD form v u diag(sigma) of the same trajectories; seeds fixed
-    # before the first run
+    # realprob classifies each row past n = 1 on its step form O G diag(e^t):
+    # the same counts, row by row, as pair_rows on the SVD read v u diag(sigma)
+    # of the same stacks; seeds fixed before the first run
     factors = sample_isotropic_chunk(spec, RngStream(31, (spec.d,)).generator(), rows, grid[-1])
-    got = experiments._reality_pairs(factors, grid)
-    step_form = exponents.evolve_stack(factors, grid, svd=False)
-    for gi, (s, svd) in enumerate(zip(step_form, exponents.evolve_stack(factors, grid))):
+    got = experiments._reality_pairs(factors, grid)[0]
+    step_form = exponents.evolve_stack(factors, grid)
+    for gi, s in enumerate(step_form):
+        svd = s if s.n == 1 else exponents._to_svd(s)
         np.testing.assert_array_equal(s.ok, svd.ok)
         assert np.all(np.diff(s.log_sigma, axis=1) <= 0)
         live = np.flatnonzero(svd.ok)
@@ -687,7 +687,7 @@ def test_reality_d2_sends_exactly_the_undecided_rows_to_the_graded_routine(monke
     # at spread 27 a complex pair can still sit outside the margin (e^-27 > 2^10
     # eps), where the graded routine would fail to split it and take mpmath
     stack, inside = _disc_states((10.0, 27.0, 40.0, 688.0))
-    monkeypatch.setattr(experiments, "evolve_stack", lambda factors, grid, svd: [stack])
+    monkeypatch.setattr(experiments, "evolve_stack", lambda factors, grid: [stack])
     seen = []
     graded = exponents._log_eig_moduli_graded
 
@@ -697,7 +697,7 @@ def test_reality_d2_sends_exactly_the_undecided_rows_to_the_graded_routine(monke
         return graded(q, log_scale)
 
     monkeypatch.setattr(exponents, "_log_eig_moduli_graded", spy)
-    got = experiments._reality_pairs(np.zeros((len(inside), 2, 2, 2)), (2,))[:, 0]
+    got = experiments._reality_pairs(np.zeros((len(inside), 2, 2, 2)), (2,))[0][:, 0]
     np.testing.assert_array_equal(np.concatenate(seen), stack.v_frame[inside])
     assert 0 < inside.sum() < len(inside)
     oracle = [exponents._log_eig_moduli_extended(v, ls - ls[0])[1] for v, ls in zip(stack.v_frame, stack.log_sigma)]
@@ -737,6 +737,41 @@ def test_exponent_rows_count_at_the_grid_points_before_their_singular_factor():
     np.testing.assert_array_equal(stab[:, 0], stab4[:, 0])
     assert np.all(np.isfinite(stab[:, 0])) and np.all(np.isnan(stab[dropped, 1]))
     assert all(isinstance(f, SingularInputError) for f in failure[dropped, 1])
+
+
+def test_a_failed_svd_read_rules_its_row_out_at_its_grid_point_alone(monkeypatch):
+    # the grid-point SVD is a read the engine never steps on: when row 5's
+    # read at n = 10 does not converge, the stability samples leave the row
+    # out there and count it again, with the same bits, at n = 20
+    config = cfg(GINIBRE_R3, seed=1632, n_grid=(1, 10, 20), replications=40)
+    clean = experiments._exponent_samples(config, experiments._EXP_EQUALITY, config.n_grid)
+    svd, stacked, seen = np.linalg.svd, [], []
+
+    def flaky(a, *args, **kwargs):
+        # full SVDs of a stack: the first factors', then the reads at n = 10 and 20
+        if kwargs.get("compute_uv", True) and a.ndim == 3:
+            stacked.append(a[5].copy())
+            if len(stacked) == 2:
+                raise np.linalg.LinAlgError("SVD did not converge")
+        elif len(stacked) == 2 and np.array_equal(a, stacked[1]):
+            raise np.linalg.LinAlgError("SVD did not converge")
+        return svd(a, *args, **kwargs)
+
+    observe = experiments._observe_exponents
+    monkeypatch.setattr(experiments, "_observe_exponents", lambda *a: seen.append(observe(*a)) or seen[-1])
+    monkeypatch.setattr(np.linalg, "svd", flaky)
+    samples = experiments._exponent_samples(config, experiments._EXP_EQUALITY, config.n_grid)
+    monkeypatch.undo()
+    assert len(stacked) == 3
+    (_, _, failure), = seen
+    assert np.flatnonzero(np.not_equal(failure, None).any(axis=1)).tolist() == [5]
+    assert failure[5, 0] is None and failure[5, 2] is None
+    assert isinstance(failure[5, 1], NumericError) and "SVD did not converge" in str(failure[5, 1])
+    assert [len(sig) for sig, _ in samples] == [40, 39, 40]
+    for gi, ((sig, stab), (sig0, stab0)) in enumerate(zip(samples, clean)):
+        rows = np.arange(40) != 5 if gi == 1 else slice(None)
+        np.testing.assert_array_equal(sig, sig0[rows])
+        np.testing.assert_array_equal(stab, stab0[rows])
 
 
 def test_realprob_falls_with_dimension():

@@ -17,6 +17,7 @@ from matprod.ensembles import (
     sample_haar_unitary,
     sample_isotropic,
     sample_isotropic_chunk,
+    sample_singular_values,
 )
 from matprod.exponents import (
     SPREAD_HARD_CAP,
@@ -255,12 +256,13 @@ def test_stack_matches_explicit_products(field, d, ensemble):
     assert final.ok.all() and all(f is None for f in final.failure)
     for n, stack in zip(ENGINE_GRID, seen):
         assert stack.n == n
+        svd = stack if n == 1 else exponents._to_svd(stack)
+        assert svd.ok.all()
         for b in range(factors.shape[0]):
             prod = np.linalg.multi_dot([np.eye(d), *factors[b, :n]])
             sv = np.linalg.svd(prod, compute_uv=False)
-            assert np.max(np.abs(stack.log_sigma[b] - np.log(sv))) < 1e-8
-            st_ = stack.row(b)
-            recon = st_.u_frame @ (np.exp(st_.log_sigma)[:, None] * st_.v_frame)
+            assert np.max(np.abs(svd.log_sigma[b] - np.log(sv))) < 1e-8
+            recon = svd.u_frame[b] @ (np.exp(svd.log_sigma[b])[:, None] * svd.v_frame[b])
             assert rel_err(recon, prod) < 1e-8
 
 
@@ -377,7 +379,8 @@ def test_stack_regular_svd_fallback_drops_only_unconverged_rows(monkeypatch):
 
 @pytest.mark.filterwarnings("error")
 def test_stack_failures_stay_in_their_rows(monkeypatch):
-    # one stack, five ways to drop a row; nothing non-finite may reach the others
+    # one stack, four ways to drop a row and a fifth to rule one out of a
+    # grid point's SVD read; nothing non-finite may reach the others
     factors = _engine_factors("real", 2, "ginibre", rows=8, n=40)
     grid = (1, 20, 40)
     bad = factors.copy()
@@ -385,35 +388,36 @@ def test_stack_failures_stay_in_their_rows(monkeypatch):
     bad[2, 10] = 0.0                                   # zero factor mid-trajectory
     bad[3, 30] = np.outer([1.0, -2.0], [0.5, 3.0])     # rank-one factor
     bad[4] = np.diag([1.0, 1e-11])                     # over the hard cap at step 29
+    seen, final = _evolve(bad, grid)
     svd, calls = np.linalg.svd, []
 
     def flaky(a, *args, **kwargs):
-        # the stacked SVD at the grid point n = 20 fails, and so does row 5 alone
-        if kwargs.get("compute_uv", True) and a.ndim == 3:
+        # the stacked SVD read at the grid point n = 20 fails, and so does row 5 alone
+        if a.ndim == 3:
             calls.append(a[5].copy())
-            if len(calls) == 2:
-                raise np.linalg.LinAlgError("SVD did not converge")
-        elif len(calls) >= 2 and np.array_equal(a, calls[1]):
+            raise np.linalg.LinAlgError("SVD did not converge")
+        if np.array_equal(a, calls[0]):
             raise np.linalg.LinAlgError("SVD did not converge")
         return svd(a, *args, **kwargs)
 
     monkeypatch.setattr(np.linalg, "svd", flaky)
-    seen, final = _evolve(bad, grid)
+    read = exponents._to_svd(seen[1])
     monkeypatch.undo()
-    keep = np.arange(8) > 5
+    keep = (np.arange(8) == 0) | (np.arange(8) > 4)  # the rows no step drops
     clean, _ = _evolve(factors[keep], grid)
     _assert_rows_equal(seen, keep, clean)
-    assert final.ok.tolist() == [True] + [False] * 5 + [True, True]
-    assert seen[0].ok.all() and seen[1].ok.tolist() == [True, False, False, True, True, False, True, True]
+    assert final.ok.tolist() == [True] + [False] * 4 + [True] * 3
+    assert seen[0].ok.all() and seen[1].ok.tolist() == [True, False, False, True, True, True, True, True]
+    assert read.ok.tolist() == [True, False, False, True, True, False, True, True]
     for b in (1, 2, 3):
         assert isinstance(final.failure[b], SingularInputError)
         assert str(final.failure[b]) == "factor is numerically singular"
     assert isinstance(final.failure[4], SpreadOverflowError) and "exceeds hard cap" in str(final.failure[4])
-    assert isinstance(final.failure[5], NumericError) and "SVD did not converge" in str(final.failure[5])
-    for b in range(1, 6):
+    assert isinstance(read.failure[5], NumericError) and "SVD did not converge" in str(read.failure[5])
+    for b in range(1, 5):
         _assert_reset(final, b)
-    _assert_reset(seen[1], 5)
-    assert all(np.isfinite(getattr(s, a)).all() for s in seen for a in ("log_sigma", "u_frame", "v_frame"))
+    _assert_reset(read, 5)
+    assert all(np.isfinite(getattr(s, a)).all() for s in (*seen, read) for a in ("log_sigma", "u_frame", "v_frame"))
 
 
 def _explicit_log_sigma(factors, grid, dps):
@@ -441,7 +445,7 @@ def _explicit_log_sigma(factors, grid, dps):
 def test_stack_matches_extended_precision_products(field, d, ensemble, grid):
     spec = EnsembleSpec(field, d, parse_ensemble(ensemble))
     factors = sample_isotropic_chunk(spec, RngStream(1610, (d,)).generator(), 3, grid[-1])
-    stacks = evolve_stack(factors, grid)
+    stacks = [s if s.n == 1 else exponents._to_svd(s) for s in evolve_stack(factors, grid)]
     assert stacks[-1].ok.all()
     for b in range(3):
         ref = _explicit_log_sigma(factors[b], grid, 40 + d * grid[-1])
@@ -781,7 +785,7 @@ def test_regular_takes_no_svd_for_well_conditioned_factors(monkeypatch):
     # a whole trajectory: its single factors, folded blocks and padded steps take no singular-value test
     stacks = evolve_stack(m, (1, 7, 20))
     assert stacks[-1].ok.all()
-    assert False not in calls and len(calls) == 3
+    assert False not in calls and len(calls) == 1  # the first factor's SVD alone
 
 
 # --- stability exponents -----------------------------------------------
@@ -1385,16 +1389,15 @@ def test_right_isotropic_estimates_match_single_step(stream):
     # the one-step diagonal law ignores the left frame entirely
     spec = EnsembleSpec("real", 2, Ginibre())
     est = single_step_estimate(spec, 50_000, stream.derive(19))
-
-    from matprod.ensembles import sample_right_isotropic
-
     for tag, u_fixed in (
         (20, np.eye(2)),
         (21, sample_haar_unitary(2, "real", stream.derive(98))),
     ):
         gen = stream.derive(tag).generator()
         n = 50_000
-        m = sample_right_isotropic(spec, u_fixed, gen, size=n)
+        # u_fixed @ diag(D) @ v with only the right factor Haar
+        dvals = sample_singular_values(spec, gen, size=n)
+        m = u_fixed @ (dvals[:, :, None] * sample_haar_unitary(2, "real", gen, size=n))
         logs = np.log(np.diagonal(qr_positive(m).r, axis1=-2, axis2=-1).real)
         se = np.sqrt(logs.var(axis=0, ddof=1) / n + est.se**2)
         assert np.all(np.abs(logs.mean(axis=0) - est.mean) < 3 * se)

@@ -13,7 +13,7 @@ FILES += sorted((ROOT / "tests").glob("*.py"))
 # importing module: the "module.name" underscore names it takes from the package
 PRIVATE_IMPORTS = {
     "exponents": {"linalg._as_matrix"},
-    "experiments": {"exponents._bound_clears", "exponents._samples"},
+    "experiments": {"exponents._bound_clears", "exponents._samples", "exponents._to_svd"},
 }
 
 
