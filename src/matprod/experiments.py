@@ -24,19 +24,19 @@ observer is row-wise, so a row's bits do not depend on the rows that share
 its stack. The observer advances the rows it needs together (evolve_stack:
 one LQ a step, in closed form at d = 2 and by one QR call at d >= 3, where a
 step takes one factor or an aligned block of 2, 4, 8, ... factors that passes
-an exact conditioning guard) and reads each grid point off the stack, which
-is in the first factor's SVD form at n = 1 and in the step form past it.
+an exact conditioning guard; every row starts from the identity at n = 0)
+and reads each grid point off the stack, in the step form at every one.
 The exponent observer reads singular values, so it takes one SVD call a
-grid point past n = 1 (_to_svd), a read the engine never steps on; it reads
-eigenvalue moduli off the same SVD form. The reality observer reads
-eigenvalues alone and counts complex pairs by one routine, pair_rows: at
-n = 1 on the well-conditioned factors themselves, so with n = 1 the only
-grid point it evolves only the other rows, and otherwise on the similarity
-carrying the product's spectrum in the stack's own form, which takes no
-SVD. Each grid point is read off its own stack: a replication counts at n
-when its trajectory is alive in the stack at n and its reads there
-converged, so one that fails at step k still counts at the grid points
-before k, and one whose read fails at n counts again at the next one.
+grid point (_to_svd), a read the engine never steps on; it reads eigenvalue
+moduli off the same SVD form. The reality observer reads eigenvalues alone
+and counts complex pairs by one routine, pair_rows: at n = 1 on the
+well-conditioned factors themselves, so with n = 1 the only grid point it
+evolves only the other rows, and otherwise on the similarity carrying the
+product's spectrum in the step form, which takes no SVD. Each grid point is
+read off its own stack: a replication counts at n when its trajectory is
+alive in the stack at n and its reads there converged, so one that fails at
+step k still counts at the grid points before k, and one whose read fails
+at n counts again at the next one.
 
 The verify runners take whole samples: a minor-identity chunk reads its
 trials off its stream one by one and checks them in stacked calls, and a law
@@ -224,9 +224,9 @@ def _observe_exponents(factors: np.ndarray, grid: Sequence[int]):
     each, and per row and grid point, (B, grid), None where the row counts
     there (alive in its stack, its SVD read and its spectrum converged), else
     the exception that rules it out. The singular values of each grid stack
-    past n = 1 are read off its SVD (_to_svd), which the engine never steps
-    on: a failed read rules the row out at that grid point alone."""
-    stacks = [s if s.n == 1 else _to_svd(s) for s in evolve_stack(factors, grid)]
+    are read off its SVD (_to_svd), which the engine never steps on: a failed
+    read rules the row out at that grid point alone."""
+    stacks = [_to_svd(s) for s in evolve_stack(factors, grid)]
     sig = np.stack([s.log_sigma / s.n for s in stacks], axis=1)
     stab = np.full_like(sig, np.nan)
     failure = np.stack([s.failure for s in stacks], axis=1)
@@ -268,25 +268,24 @@ def _reality_pairs(factors: np.ndarray, grid: Sequence[int]) -> tuple[np.ndarray
     clears _bound_clears (not singular, spread < 23: the graded routine's
     LAPACK branch) is classified off the factor itself, at log scale 0. The
     rest, and a factor whose eigenvalue iteration does not converge (with
-    the grid (1,) only they are evolved), are classified on q = v @ u with
-    log sigma of its SVD, and every row at a later grid point on q = O @ G
-    with t descending of its step form (evolve_stack: no grid-point SVD); q
-    is v_frame @ u_frame either way."""
+    the grid (1,) only they are evolved), are classified like every row at
+    a later grid point: on q = O @ G = v_frame @ u_frame with t descending
+    of its step form (evolve_stack: no grid-point SVD)."""
     m = factors[:, 0]
     pairs = np.full((len(m), len(grid)), -1)
     lost = [[] for _ in grid]
-    by_svd = np.ones(len(m), dtype=bool)  # rows classified at grid[0] from the SVD form
+    stepped = np.ones(len(m), dtype=bool)  # rows classified at grid[0] from the step form
     if grid[0] == 1:
         first = pair_rows(m, np.zeros(m.shape[:2]))
-        by_svd = ~_bound_clears(m) | (first < 0)
-        pairs[:, 0] = np.where(by_svd, -1, first)
+        stepped = ~_bound_clears(m) | (first < 0)
+        pairs[:, 0] = np.where(stepped, -1, first)
     evolved = np.arange(len(m))
     if len(grid) == 1:
-        evolved = np.flatnonzero(by_svd)
+        evolved = np.flatnonzero(stepped)
         factors = factors[evolved]
     # every row left at -1 is evolved: the others were classified off their factor
     for gi, s in enumerate(evolve_stack(factors, grid) if evolved.size else ()):
-        rows = np.flatnonzero(s.ok & by_svd[evolved]) if gi == 0 else np.flatnonzero(s.ok)
+        rows = np.flatnonzero(s.ok & stepped[evolved]) if gi == 0 else np.flatnonzero(s.ok)
         pairs[evolved[rows], gi] = pair_rows(s.v_frame[rows] @ s.u_frame[rows], s.log_sigma[rows])
         lost[gi] = [NumericError(f"eigenvalue iteration did not converge (shape {m.shape[1:]})") if f is None else f
                     for f in s.failure[pairs[evolved, gi] < 0]]
@@ -441,7 +440,7 @@ def run_real_probability(config: ExperimentConfig) -> list[ResultRecord]:
             "trials": Stat(float(trials)),
             "wilson_low": Stat(lo),
             "wilson_high": Stat(hi),
-            # trajectory failed by n (first factor's SVD, singular step, overflow) or unconverged classification at n
+            # trajectory failed by n (singular factor or step, overflow) or unconverged classification at n
             "excluded": Stat(float(config.replications - trials)),
         }))
     return records

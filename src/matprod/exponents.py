@@ -5,7 +5,7 @@ singular values on log scale together with the left/right unitary frames, so
 products of hundreds of factors stay representable. evolve_stack carries a
 stack of products in one form, the step form G diag(exp(t)) O of the discrete
 QR method, one step per factor or per folded block of well-conditioned
-factors, and takes no SVD past the first factor's: an observer that reads
+factors, from the identity at n = 0, and takes no SVD: an observer that reads
 singular values takes its own SVD of a grid stack (_to_svd) and never steps
 on it. A step's LQ is in closed form at d = 2 and one batched QR
 (linalg.qr_rows) otherwise; the singularity verdicts of a segment's
@@ -84,7 +84,8 @@ _DISC_MARGIN = 2.0**10 * _EPS
 
 
 class SpreadOverflowError(OverflowError):
-    """Log-singular-value spread exceeds what double precision can carry."""
+    """The range of a product's log scales exceeds what double precision can
+    carry: its log singular values, or the t of its step form."""
 
 
 @dataclass(frozen=True)
@@ -148,7 +149,7 @@ def _fail(failure: np.ndarray, mask: np.ndarray, error: Callable) -> np.ndarray:
 def _cap_spread(failure: np.ndarray, spread: np.ndarray, on: np.ndarray | bool = True) -> np.ndarray:
     """failure with each row of on whose spread passes SPREAD_HARD_CAP failed."""
     return _fail(failure, on & (spread > SPREAD_HARD_CAP), lambda b: SpreadOverflowError(
-        f"log-singular-value spread {spread[b]:.1f} exceeds hard cap {SPREAD_HARD_CAP}"))
+        f"log-scale range {spread[b]:.1f} exceeds hard cap {SPREAD_HARD_CAP}"))
 
 
 def _fail_unconverged(failure: np.ndarray, converged: np.ndarray, shape: tuple) -> np.ndarray:
@@ -211,9 +212,9 @@ def _pairs_2x2(m: np.ndarray) -> np.ndarray:
     the margin, so mpmath's disc has the same sign, and a pair it sees has
     Im lambda >= sqrt(2^10 eps) ||M||_F, far above its 1e-15 |lambda| test.
     |det q| = 1 in either form: v and u are unitary, O is, and every update
-    of G is a unit lower triangular factor, a column permutation or the first
-    factor's unitary frame. So below the hard cap det M = +-e^(ls2 - ls1) >=
-    e^-690 is normal. Forming O @ G rounds each of its columns within about
+    of G, from the identity, is a unit lower triangular factor or a column
+    permutation. So below the hard cap det M = +-e^(ls2 - ls1) >= e^-690 is
+    normal. Forming O @ G rounds each of its columns within about
     eps of the column's own norm, as O is unitary, and scaling keeps that, so
     the margin decides the same sign as on the exact step form.
     """
@@ -242,22 +243,6 @@ def _regular(m: np.ndarray, test: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         sv, converged[rest] = lapack_rows(lambda a: np.linalg.svd(a, compute_uv=False), m[rest], np.ones(m.shape[-1]))
         regular[rest] = sv[:, -1] > RANK_RTOL * sv[:, 0]
     return regular, converged
-
-
-def _svd_rows(a: np.ndarray, failure: np.ndarray) -> tuple:
-    """Full SVD of each matrix of a stack by lapack_rows; a row that does not
-    converge fails with NumericError and has identity frames and sigma 1."""
-    eye = np.eye(a.shape[-1], dtype=a.dtype)
-    (left, sigma, right), converged = lapack_rows(np.linalg.svd, a, (eye, np.ones(a.shape[-1]), eye))
-    return left, sigma, right, _fail_unconverged(failure, converged, a.shape[1:])
-
-
-def _init_rows(m1: np.ndarray) -> ProductStack:
-    left, sigma, right, failure = _svd_rows(m1, np.full(m1.shape[0], None, dtype=object))
-    singular = sigma[:, -1] <= RANK_RTOL * sigma[:, 0]
-    failure = _fail(failure, singular, lambda b: SingularInputError("initial factor is numerically singular"))
-    sigma, left, right = _identity_rows(np.equal(failure, None), sigma, 1.0, left, right)
-    return ProductStack(1, np.log(sigma), left, right, failure)
 
 
 def _lq_2x2(y: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -350,9 +335,13 @@ def _descending(t: np.ndarray, g: np.ndarray, o: np.ndarray, which: np.ndarray |
 def _to_svd(stack: ProductStack) -> ProductStack:
     """The stack in SVD form, from G diag(exp(t)) O: one SVD call for the stack
     of diag(exp(t - max t)) G^H, t descending. LAPACK takes rows graded from the
-    first to full relative accuracy, and loses small singular values otherwise."""
+    first to full relative accuracy, and loses small singular values otherwise.
+    A row whose SVD does not converge fails with NumericError."""
     t, g, o = _descending(stack.log_sigma, stack.u_frame, stack.v_frame)
-    right, sigma, left, failure = _svd_rows(np.exp(t - t[:, :1])[:, :, None] * g.conj().swapaxes(1, 2), stack.failure)
+    graded = np.exp(t - t[:, :1])[:, :, None] * g.conj().swapaxes(1, 2)
+    eye = np.eye(g.shape[-1], dtype=g.dtype)
+    (right, sigma, left), converged = lapack_rows(np.linalg.svd, graded, (eye, np.ones(g.shape[-1]), eye))
+    failure = _fail_unconverged(stack.failure, converged, g.shape[1:])
     failure = _fail(failure, sigma[:, -1] <= 0.0, lambda b: SingularInputError(
         "factor drove the product to numerical singularity"))
     sigma, left, right, o = _identity_rows(np.equal(failure, None), sigma, 1.0, left, right, o)
@@ -435,17 +424,19 @@ def evolve_stack(factors, n_grid) -> list[ProductStack]:
     folded block or a padded identity is regular, and a dropped row stays
     dropped.
 
-    The stack at n = 1 is the first factor's SVD (_init_rows); every later
-    one is the step form G diag(exp(t)) O with t sorted descending
-    (_descending), which shares the product's spectrum through the
-    similarity O G diag(exp(t)) and takes no SVD. Each stack is the one
-    stepped on; its SVD form (_to_svd) is a read for the observers of
-    singular values.
+    Every row starts from the identity at n = 0 (t = 0, G = O = I), so its
+    first factor is one more step. Each grid stack is the step form
+    G diag(exp(t)) O with t sorted descending (_descending), which shares the
+    product's spectrum through the similarity O G diag(exp(t)) and takes no
+    SVD. Each stack is the one stepped on; its SVD form (_to_svd) is a read
+    for the observers of singular values.
     """
     arr = _as_matrix(factors, "factors")
     if arr.ndim != 4 or arr.shape[-1] != arr.shape[-2] or arr.shape[1] < n_grid[-1]:
         raise ValueError(f"factors must be (B, n >= {n_grid[-1]}, d, d), got shape {arr.shape}")
-    stack = _init_rows(arr[:, 0])
+    rows, d = arr.shape[0], arr.shape[-1]
+    eye = np.broadcast_to(np.eye(d, dtype=arr.dtype), (rows, d, d))
+    stack = ProductStack(0, np.zeros((rows, d)), eye, eye, np.full(rows, None, dtype=object))
     stacks = []
     for n in n_grid:
         steps, live, single = _fold_schedule(arr[:, stack.n:n])
@@ -454,8 +445,7 @@ def evolve_stack(factors, n_grid) -> list[ProductStack]:
         for s in range(steps.shape[1]):
             verdict = None if passed[s] else (regular[:, s], converged[:, s])
             stack = _step(stack, steps[:, s], verdict, None if full[s] else live[:, s])
-        if n > 1:
-            stack = ProductStack(n, *_descending(stack.log_sigma, stack.u_frame, stack.v_frame), stack.failure)
+        stack = ProductStack(n, *_descending(stack.log_sigma, stack.u_frame, stack.v_frame), stack.failure)
         stacks.append(stack)
     return stacks
 
@@ -468,11 +458,12 @@ def _only_row(stack: ProductStack) -> ProductState:
 
 
 def init_state(m1) -> ProductState:
-    """State of the one-factor product: straight SVD of the first factor."""
+    """State of the one-factor product: one step from the identity (advance)."""
     arr = _as_matrix(m1, "m1")
     if arr.ndim != 2 or arr.shape[0] != arr.shape[1]:
         raise ValueError(f"m1 must be a single square matrix, got shape {arr.shape}")
-    return _only_row(_init_rows(arr[None]))
+    eye = np.eye(arr.shape[0], dtype=arr.dtype)
+    return advance(ProductState(0, np.zeros(arr.shape[0]), eye, eye), arr)
 
 
 def advance(state: ProductState, m) -> ProductState:

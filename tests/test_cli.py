@@ -233,7 +233,7 @@ def test_run_spread_capped_rows_exit_3(tmp_path, capsys):
     assert main(["run", "stability", "--config", write_cfg(tmp_path, text)]) == 3
     err = capsys.readouterr().err
     assert "numeric failure: fewer than 2 replications survived at n=40" in err
-    assert "50 of 50 rows dropped by SpreadOverflowError, e.g. log-singular-value spread" in err
+    assert "50 of 50 rows dropped by SpreadOverflowError, e.g. log-scale range" in err
     config = parse_config(text)
     (early, late), = experiments._observe_chunks(config, experiments._EXP_EQUALITY, config.n_grid, evolve_stack)
     assert early.ok.all() and not late.ok.any()
@@ -247,7 +247,7 @@ def test_realprob_spread_capped_rows_exit_3(tmp_path, capsys):
     assert main(["run", "realprob", "--config", write_cfg(tmp_path, text)]) == 3
     err = capsys.readouterr().err
     assert "numeric failure: no classifiable replications at n=40" in err
-    assert "50 of 50 rows dropped by SpreadOverflowError, e.g. log-singular-value spread" in err
+    assert "50 of 50 rows dropped by SpreadOverflowError, e.g. log-scale range" in err
 
 
 def test_run_unconverged_svd_exit_3(tmp_path, monkeypatch, capsys):

@@ -404,12 +404,21 @@ def test_realprob_classifies_every_trajectory_to_large_n():
         assert last["p_hat"].value > first["p_hat"].value and last["wilson_low"].value > first["wilson_high"].value
 
 
+def _svd_rejects(m):
+    """Which factors numpy's own SVD finds numerically singular."""
+    sv = np.linalg.svd(m, compute_uv=False)
+    return sv[:, -1] <= RANK_RTOL * sv[:, 0]
+
+
 def _svd_route_pairs(m):
-    """n = 1 complex pairs by the SVD route: the SVD singularity test (-1 for a
-    row it rejects), then the graded routine on v @ u with log sigma."""
-    stack = exponents._init_rows(m)
-    pairs = exponents._log_eig_moduli_graded(stack.v_frame @ stack.u_frame, stack.log_sigma)[1]
-    return np.where(stack.ok, pairs, -1)
+    """n = 1 complex pairs by the SVD route, a path the program does not take:
+    numpy's own SVD m = u diag(s) vh, its singularity test (-1 for a row it
+    rejects), then the graded routine on vh @ u with log s."""
+    u, s, vh = np.linalg.svd(m)
+    ok = s[:, -1] > RANK_RTOL * s[:, 0]
+    pairs = np.full(len(m), -1)
+    pairs[ok] = exponents._log_eig_moduli_graded(vh[ok] @ u[ok], np.log(s[ok]))[1]
+    return pairs
 
 
 @pytest.mark.parametrize("spec", [EnsembleSpec("real", d, Ginibre()) for d in (2, 3, 4)]
@@ -491,7 +500,19 @@ def test_reality_n1_d2_pairs_from_the_discriminant_match_eigvals_and_schur():
         got = experiments._reality_pairs(m[:, None], (1,))[0][:, 0]
     decided = np.flatnonzero(first >= 0)
     assert 0 < decided.size < len(m) and set(first[decided]) == {0, 1}
-    np.testing.assert_array_equal(got, _eigvals_route_pairs(m))
+    # the copies scaled by 2^530 whose ||M||_F^2 overflows, of factors whose
+    # discriminant sits inside the margin even unscaled: the step form and the
+    # SVD route classify different roundings of one similarity, and either
+    # count is valid there
+    with np.errstate(over="ignore"):
+        scaled = np.flatnonzero(~np.isfinite(np.einsum("bij,bij->b", m, m)))
+    assert np.array_equal(scaled, np.arange(len(scaled)) + len(scaled))  # the 2^530 copies, after the originals
+    either = np.zeros(len(m), dtype=bool)
+    either[scaled] = exponents._pairs_2x2(m[scaled] * 2.0**-530) < 0
+    ref = _eigvals_route_pairs(m)
+    np.testing.assert_array_equal(got[~either], ref[~either])
+    np.testing.assert_array_equal(got[either] < 0, ref[either] < 0)
+    assert set(got[either]) == {-1, 0, 1}
     assert np.array_equal(first[decided], [count_complex_pairs(b) for b in m[decided]])
 
 
@@ -524,7 +545,7 @@ def test_reality_n1_excludes_exactly_the_rows_the_svd_test_rejects():
     m[::4, :, 2] = m[::4, :, 0]                                                    # exactly singular
     m[1::8] = _conditioned_batch(3, np.full(8, 1e-13), np.zeros(8), seed=1619)     # fails the SVD test
     m[3::8] = _conditioned_batch(3, np.full(8, 1e-11), np.zeros(8), seed=1620)     # passes it, not the bound
-    rejected = int((~exponents._init_rows(m).ok).sum())
+    rejected = int(_svd_rejects(m).sum())
     assert rejected == 24
     real, classified, _ = experiments._observe_reality(m[:, None], (1,))
     assert classified[0] == 64 - rejected and real[0] <= classified[0]
@@ -552,10 +573,9 @@ def test_reality_n1_factor_whose_eigvals_does_not_converge_takes_the_svd_route(m
 def test_realprob_n1_excluded_counts_the_svd_rejections():
     spec = EnsembleSpec("real", 2, CustomSingular(iid=ScalarLaw("lognormal", (0.0, 10.0))))
     (rec,) = run_real_probability(cfg(spec, seed=1621, n_grid=(1,), replications=600))
-    rejected = sum(
-        int((~exponents._init_rows(sample_isotropic_chunk(spec, RngStream(1621).derive(3, 1, ci).generator(),
-                                                           count, 1)[:, 0]).ok).sum())
-        for ci, count in enumerate((256, 256, 88)))
+    rejected = sum(int(_svd_rejects(sample_isotropic_chunk(spec, RngStream(1621).derive(3, 1, ci).generator(),
+                                                           count, 1)[:, 0]).sum())
+                   for ci, count in enumerate((256, 256, 88)))
     assert rec.stats["excluded"].value == rejected > 0
 
 
@@ -573,10 +593,14 @@ def test_realprob_excludes_the_rows_whose_singular_value_test_does_not_converge(
 
     monkeypatch.setattr(np.linalg, "svd", failing)
     res = run_real_probability(config)
-    # n = 1 takes no step, so no singular-value test: its exclusions are the
-    # clean run's; a trajectory dropped at a later step is excluded from then on
+    # at n = 1 the rows past the bound take the test in their first step: all
+    # of them are excluded, not only those the clean run finds singular; a
+    # trajectory dropped at a later step is excluded from then on
+    first = np.concatenate([sample_isotropic_chunk(spec, RngStream(1624).derive(3, 1, ci).generator(), count, 5)[:, 0]
+                            for ci, count in enumerate((256, 44))])
+    past_bound = int((~exponents._bound_clears(first)).sum())
     excluded = [[rec.stats["excluded"].value for rec in run] for run in (clean, res)]
-    assert excluded[1][0] == excluded[0][0]
+    assert excluded[1][0] == past_bound > excluded[0][0]
     assert excluded[1][1] > excluded[0][1]
     for rec in res:
         assert rec.stats["trials"].value + rec.stats["excluded"].value == 300
@@ -641,7 +665,7 @@ def test_reality_step_form_pairs_match_the_svd_form_and_mpmath(spec, grid, rows)
     got = experiments._reality_pairs(factors, grid)[0]
     step_form = exponents.evolve_stack(factors, grid)
     for gi, s in enumerate(step_form):
-        svd = s if s.n == 1 else exponents._to_svd(s)
+        svd = exponents._to_svd(s)
         np.testing.assert_array_equal(s.ok, svd.ok)
         assert np.all(np.diff(s.log_sigma, axis=1) <= 0)
         live = np.flatnonzero(svd.ok)
@@ -748,7 +772,7 @@ def test_a_failed_svd_read_rules_its_row_out_at_its_grid_point_alone(monkeypatch
     svd, stacked, seen = np.linalg.svd, [], []
 
     def flaky(a, *args, **kwargs):
-        # full SVDs of a stack: the first factors', then the reads at n = 10 and 20
+        # full SVDs of a stack: the reads at n = 1, 10 and 20
         if kwargs.get("compute_uv", True) and a.ndim == 3:
             stacked.append(a[5].copy())
             if len(stacked) == 2:

@@ -181,13 +181,14 @@ def test_recursion_matches_explicit_product(field, d):
     spec = EnsembleSpec(field, d, Ginibre())
     gen = RngStream(515, (d, {"real": 26, "complex": 0}[field])).generator()
     factors = sample_isotropic(spec, gen, size=8)
-    exact = _explicit_log_sigma(factors, range(2, 9), 50)
+    exact = _explicit_log_sigma(factors, range(1, 9), 50)
     st_ = init_state(factors[0])
+    assert rel_err(st_.log_sigma, exact[0]) < 1e-8
     prod = np.array(factors[0])
     for k in range(1, 8):
         st_ = advance(st_, factors[k])
         prod = prod @ factors[k]
-        assert rel_err(st_.log_sigma, exact[k - 1]) < 1e-8
+        assert rel_err(st_.log_sigma, exact[k]) < 1e-8
     recon = st_.u_frame @ (np.exp(st_.log_sigma)[:, None] * st_.v_frame)
     assert rel_err(recon, prod) < 1e-8
 
@@ -256,7 +257,7 @@ def test_stack_matches_explicit_products(field, d, ensemble):
     assert final.ok.all() and all(f is None for f in final.failure)
     for n, stack in zip(ENGINE_GRID, seen):
         assert stack.n == n
-        svd = stack if n == 1 else exponents._to_svd(stack)
+        svd = exponents._to_svd(stack)
         assert svd.ok.all()
         for b in range(factors.shape[0]):
             prod = np.linalg.multi_dot([np.eye(d), *factors[b, :n]])
@@ -321,13 +322,15 @@ def test_stack_row_over_hard_cap_drops_only_its_row():
     assert isinstance(final.failure[1], SpreadOverflowError)
     spread_28 = 28 * 11 * math.log(10)  # the first spread over the cap
     assert spread_28 - 11 * math.log(10) <= SPREAD_HARD_CAP < spread_28
-    assert str(final.failure[1]) == f"log-singular-value spread {spread_28:.1f} exceeds hard cap {SPREAD_HARD_CAP}"
+    assert str(final.failure[1]) == f"log-scale range {spread_28:.1f} exceeds hard cap {SPREAD_HARD_CAP}"
     _assert_reset(final, 1)
 
 
 def test_stack_svd_fallback_drops_only_unconverged_rows(monkeypatch):
+    # the engine takes no full SVD: the SVD read of a grid stack (_to_svd) does
     factors = _engine_factors("real", 2, "ginibre")
-    _, clean = _evolve(factors)
+    _, final = _evolve(factors)
+    clean = exponents._to_svd(final)
     svd = np.linalg.svd
     calls = []
 
@@ -340,12 +343,12 @@ def test_stack_svd_fallback_drops_only_unconverged_rows(monkeypatch):
         return svd(a, *args, **kwargs)
 
     monkeypatch.setattr(np.linalg, "svd", flaky)
-    _, final = _evolve(factors)
-    assert final.ok.tolist() == [True, True, True, False, True]
-    assert isinstance(final.failure[3], NumericError)
+    read = exponents._to_svd(final)
+    assert read.ok.tolist() == [True, True, True, False, True]
+    assert isinstance(read.failure[3], NumericError)
     keep = np.arange(5) != 3
-    assert np.array_equal(final.log_sigma[keep], clean.log_sigma[keep])
-    _assert_reset(final, 3)
+    assert np.array_equal(read.log_sigma[keep], clean.log_sigma[keep])
+    _assert_reset(read, 3)
 
 
 def test_stack_regular_svd_fallback_drops_only_unconverged_rows(monkeypatch):
@@ -445,7 +448,7 @@ def _explicit_log_sigma(factors, grid, dps):
 def test_stack_matches_extended_precision_products(field, d, ensemble, grid):
     spec = EnsembleSpec(field, d, parse_ensemble(ensemble))
     factors = sample_isotropic_chunk(spec, RngStream(1610, (d,)).generator(), 3, grid[-1])
-    stacks = [s if s.n == 1 else exponents._to_svd(s) for s in evolve_stack(factors, grid)]
+    stacks = [exponents._to_svd(s) for s in evolve_stack(factors, grid)]
     assert stacks[-1].ok.all()
     for b in range(3):
         ref = _explicit_log_sigma(factors[b], grid, 40 + d * grid[-1])
@@ -461,7 +464,7 @@ def test_stack_follows_a_reversal_of_the_growth_order(grid):
     factors = np.stack([np.array([[c, -s], [s, c]]) @ np.diag([1.0, 1e-10])] + [np.diag([1.0, 1e-10])] * 9
                        + [np.diag([1e-11, 1.0])] * 25)[None]
     stacks = evolve_stack(factors, grid)
-    got = np.array([st_.log_sigma[0] for st_ in stacks])
+    got = np.array([exponents._to_svd(st_).log_sigma[0] for st_ in stacks])
     assert np.max(np.abs(got - _explicit_log_sigma(factors[0], grid, 400))) <= 1e-9
 
 
@@ -592,10 +595,10 @@ def test_verdicts_only_for_single_factors_of_live_rows(monkeypatch):
         stacks = evolve_stack(factors, grid)
         assert [s.ok.tolist() for s in stacks] == [[b != 3 for b in range(10)]] * 2
         assert bounded == [int(test.sum()) for _, test in calls]
-        for (m, test), lo, hi in zip(calls, (1, 10), grid):
+        for (m, test), lo, hi in zip(calls, (0, 10), grid):
             _, live, single = exponents._fold_schedule(factors[:, lo:hi])
             assert single[3].any() and (live & ~single).any()
-            assert np.array_equal(test, single & (np.arange(10) != 3)[:, None] if lo > 1 else single)
+            assert np.array_equal(test, single & (np.arange(10) != 3)[:, None] if lo > 0 else single)
             for b in range(10):
                 row = list(factors[b, lo:hi])
                 for step, tested, blocked in zip(m[b], test[b], live[b] & ~single[b]):
@@ -785,7 +788,7 @@ def test_regular_takes_no_svd_for_well_conditioned_factors(monkeypatch):
     # a whole trajectory: its single factors, folded blocks and padded steps take no singular-value test
     stacks = evolve_stack(m, (1, 7, 20))
     assert stacks[-1].ok.all()
-    assert False not in calls and len(calls) == 1  # the first factor's SVD alone
+    assert not calls
 
 
 # --- stability exponents -----------------------------------------------
@@ -1124,9 +1127,10 @@ def _pair_corpus():
         spec = EnsembleSpec("real", d, kind)
         factors = sample_isotropic_chunk(spec, RngStream(1603, (i,)).generator(), 6, grid[-1])
         for n, stack in zip(grid, evolve_stack(factors, grid)):
-            for b in np.flatnonzero(stack.ok & (stack.spread >= 30)):
-                states.append((f"{spec.tag()} n={n} row {b}", stack.v_frame[b] @ stack.u_frame[b],
-                               stack.log_sigma[b], factors[b, :n] if n <= 8 and d <= 3 else None))
+            svd = exponents._to_svd(stack)
+            for b in np.flatnonzero(svd.ok & (svd.spread >= 30)):
+                states.append((f"{spec.tag()} n={n} row {b}", svd.v_frame[b] @ svd.u_frame[b],
+                               svd.log_sigma[b], factors[b, :n] if n <= 8 and d <= 3 else None))
     for tag, state in _oracle_corpus():
         if np.isrealobj(state.u_frame) and state.d <= 5 and state.spread >= 30:
             states.append((f"{tag} n={state.n}", state.v_frame @ state.u_frame, state.log_sigma, None))
