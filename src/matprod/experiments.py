@@ -30,9 +30,19 @@ The exponent observer reads singular values, so it takes one SVD call a
 grid point (_to_svd), a read the engine never steps on; it reads eigenvalue
 moduli off the same SVD form. The reality observer reads eigenvalues alone
 and counts complex pairs by one routine, pair_rows: at n = 1 on the
-well-conditioned factors themselves, so with n = 1 the only grid point it
-evolves only the other rows, and otherwise on the similarity carrying the
-product's spectrum in the step form, which takes no SVD. Each grid point is
+well-conditioned factors themselves, and otherwise on the similarity
+carrying the product's spectrum in the step form, which takes no SVD. At
+d = 2 past n = 1 it first reads each row off a certified tree product of
+its factors (exponents._tree_pairs_2x2): the product in double precision,
+of aligned blocks of factors each multiplied pairwise, with a bound on
+its normwise relative error, which gives the exact product's
+count wherever the discriminant's sign clears the bound. A row goes there
+only if evolve_stack provably keeps it to the last grid point (every
+factor clears the determinant bound, with the sum of its log conditioning
+within the hard cap), so the route drops no row the engine would keep.
+Only the rows it does not decide at every grid point, and at n = 1 the
+factors that fail the bound, are evolved; on Ginibre factors to n = 200 it
+leaves none. Each grid point is
 read off its own stack: a replication counts at n when its trajectory is
 alive in the stack at n and its reads there converged, so one that fails at
 step k still counts at the grid points before k, and one whose read fails
@@ -58,6 +68,7 @@ from .exponents import (
     _bound_clears,
     _samples,
     _to_svd,
+    _tree_pairs_2x2,
     analytic_spectrum,
     analytic_truncated_logdet,
     evolve_stack,
@@ -263,29 +274,39 @@ def _exponent_samples(config: ExperimentConfig, exp_index: int, grid: Sequence[i
 def _reality_pairs(factors: np.ndarray, grid: Sequence[int]) -> tuple[np.ndarray, list]:
     """Complex pairs (eigenvalues with imaginary part > 0) of each row's
     product at each grid point, (B, len(grid)), or -1 for a row dropped by
-    then or unconverged, all by pair_rows; and at each grid point the
-    exceptions that rule out those -1 rows, a list. At n = 1 a factor that
-    clears _bound_clears (not singular, spread < 23: the graded routine's
-    LAPACK branch) is classified off the factor itself, at log scale 0. The
-    rest, and a factor whose eigenvalue iteration does not converge (with
-    the grid (1,) only they are evolved), are classified like every row at
-    a later grid point: on q = O @ G = v_frame @ u_frame with t descending
-    of its step form (evolve_stack: no grid-point SVD)."""
+    then or unconverged; and at each grid point the exceptions that rule out
+    those -1 rows, a list.
+
+    At n = 1 a factor that clears _bound_clears (not singular, spread < 23:
+    the graded routine's LAPACK branch) is classified off the factor itself
+    by pair_rows, at log scale 0. At d = 2 past n = 1 a row is classified
+    off its certified tree product (_tree_pairs_2x2) when it is eligible,
+    so evolve_stack provably keeps it to the last grid point, and the sign
+    of its discriminant is certain at every grid point past n = 1. Every
+    other grid point is read off the step form (evolve_stack: no grid-point
+    SVD) by pair_rows on q = O @ G = v_frame @ u_frame with t descending: at
+    n = 1 a factor past the bound or whose eigenvalue iteration does not
+    converge, at d = 2 each grid point past n = 1 of a row the tree route
+    leaves, at d >= 3 each grid point past n = 1. Only the rows with such a
+    grid point are evolved."""
     m = factors[:, 0]
     pairs = np.full((len(m), len(grid)), -1)
     lost = [[] for _ in grid]
-    stepped = np.ones(len(m), dtype=bool)  # rows classified at grid[0] from the step form
+    stepped = np.ones(pairs.shape, dtype=bool)  # which grid points of a row are read off its step form
     if grid[0] == 1:
         first = pair_rows(m, np.zeros(m.shape[:2]))
-        stepped = ~_bound_clears(m) | (first < 0)
-        pairs[:, 0] = np.where(stepped, -1, first)
-    evolved = np.arange(len(m))
-    if len(grid) == 1:
-        evolved = np.flatnonzero(stepped)
+        stepped[:, 0] = ~_bound_clears(m) | (first < 0)
+        pairs[:, 0] = np.where(stepped[:, 0], -1, first)
+    later = int(grid[0] == 1)
+    if m.shape[-1] == 2 and later < len(grid):
+        tree = _tree_pairs_2x2(factors, grid[later:])
+        stepped[:, later:] = (tree < 0).any(axis=1)[:, None]
+        pairs[:, later:] = np.where(stepped[:, later:], -1, tree)
+    evolved = np.flatnonzero(stepped.any(axis=1))
+    if evolved.size < len(m):
         factors = factors[evolved]
-    # every row left at -1 is evolved: the others were classified off their factor
     for gi, s in enumerate(evolve_stack(factors, grid) if evolved.size else ()):
-        rows = np.flatnonzero(s.ok & stepped[evolved]) if gi == 0 else np.flatnonzero(s.ok)
+        rows = np.flatnonzero(s.ok & stepped[evolved, gi])
         pairs[evolved[rows], gi] = pair_rows(s.v_frame[rows] @ s.u_frame[rows], s.log_sigma[rows])
         lost[gi] = [NumericError(f"eigenvalue iteration did not converge (shape {m.shape[1:]})") if f is None else f
                     for f in s.failure[pairs[evolved, gi] < 0]]
@@ -411,9 +432,13 @@ def run_real_probability(config: ExperimentConfig) -> list[ResultRecord]:
     """Probability that every eigenvalue of the running product is real.
 
     Every replication alive at a grid point is classified there, whatever
-    its spread, by its count of complex pairs (_reality_pairs, pair_rows):
-    at n = 1 from the factor itself when it is well conditioned, else from
-    the similarity carrying the product's spectrum.
+    its spread, by its count of complex pairs (_reality_pairs): at n = 1
+    from the factor itself when it is well conditioned; at d = 2 past n = 1
+    from a certified tree product of its factors (_tree_pairs_2x2) when the
+    engine provably keeps the row and the discriminant's sign clears the
+    product's error bound, which is then the exact product's count; else by
+    pair_rows on the similarity carrying the product's spectrum in its step
+    form.
     At each n, the replications whose trajectory failed by n, or whose
     eigenvalue iteration at n does not converge, are excluded and counted.
     One "realprob" record per grid point: p_hat with its Wilson interval.

@@ -1,6 +1,6 @@
 """Product-state recursion, exponent estimators, and closed-form spectra.
 
-The running product P_n is never formed explicitly: a ProductState keeps its
+The engine never forms the running product P_n: a ProductState keeps its
 singular values on log scale together with the left/right unitary frames, so
 products of hundreds of factors stay representable. evolve_stack carries a
 stack of products in one form, the step form G diag(exp(t)) O of the discrete
@@ -11,11 +11,15 @@ on it. A step's LQ is in closed form at d = 2 and one batched QR
 (linalg.qr_rows) otherwise; the singularity verdicts of a segment's
 single-factor steps are taken together before it. Its stacked LAPACK calls go
 through linalg.lapack_rows, so a matrix that does not converge fails only its
-own row. Estimators and analytic reference spectra for the supported
-ensembles live alongside.
+own row. The reality count of real 2x2 products is the one read that forms
+the product itself (_tree_pairs_2x2): in double precision, each node
+rescaled by a power of two and carrying a certified error bound, for the
+rows the engine provably keeps. Estimators and analytic reference spectra
+for the supported ensembles live alongside.
 """
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 from typing import Callable
@@ -81,6 +85,13 @@ _EPS = float(np.finfo(np.float64).eps)
 # sign of its discriminant where |disc| exceeds this many ||M||_F^2, far past
 # what rounding, ours or LAPACK's, can move it by: see _pairs_2x2.
 _DISC_MARGIN = 2.0**10 * _EPS
+# Rounding of a real inner product of length 2: gamma_2 = 2u / (1 - 2u), u = eps / 2.
+_GAMMA2 = _EPS / (1 - _EPS)
+# Raises every bound of a tree product (_certified_product): it covers the
+# rounding of the computed norms and of the bound itself (under 20 u), and
+# entries of products of normalized matrices that fall below the normal range
+# (off by 2^-1074 at most, against norms near 1 and a gamma_2 term near 2^-52).
+_TREE_SLACK = 1 + 2.0**-40
 
 
 class SpreadOverflowError(OverflowError):
@@ -226,6 +237,136 @@ def _pairs_2x2(m: np.ndarray) -> np.ndarray:
         frob_sq = np.einsum("...ij,...ij->...", m, m)
         certain = (np.abs(disc) > _DISC_MARGIN * frob_sq) & (frob_sq < np.inf) & (np.abs(disc) >= tiny) & (det >= tiny)
     return np.where(certain, (disc < 0).astype(int), -1)
+
+
+def _normalized(p: np.ndarray, frob_sq: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """A stack p of 2x2 matrices in entry-first layout (2, 2, ...) and its
+    squared norms frob_sq (...), each matrix scaled by 2^-k and its norm by
+    4^-k, k = floor(e / 2) for frob_sq = f 2^e, f in [1/2, 1): squared norms
+    in [1/2, 2). A power of two scales exactly, but for entries it pushes
+    below the normal range."""
+    k = np.frexp(frob_sq)[1] // 2
+    return np.ldexp(p, -k, order="C"), np.ldexp(frob_sq, -2 * k, order="C")
+
+
+def _certified_product(a, fa, ra, b, fb, rb) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """fl(A B) for stacks A, B of real 2x2 matrices in entry-first layout
+    (2, 2, ...), squared norms fa, fb and normwise relative error bounds ra,
+    rb (...): the product normalized (_normalized), its squared norm and its
+    bound r (call under np.errstate).
+
+    With ||A - A*||_F <= ra ||A||_F and likewise for B, A* B* - fl(A B) is
+    (A - A*) B + A (B - B*) - (A - A*)(B - B*) plus the rounding of the
+    products, at most gamma_2 |A| |B| entrywise for inner products of length
+    2, so ||A* B* - fl(A B)||_F <= (ra + rb + ra rb + gamma_2) ||A||_F ||B||_F
+    = r ||fl(A B)||_F. The ratio ||A||_F ||B||_F / ||fl(A B)||_F is 1 to 2
+    for unrelated factors and large where the product cancels: the bound
+    compounds through it, so a tree of products, whose depth is about
+    log2 of its length, keeps r near gamma_2 where a chain would not.
+    _TREE_SLACK covers the rounding of the computed norms and of r itself.
+    A zero product gets r = inf."""
+    p = np.empty(np.broadcast_shapes(a.shape, b.shape))
+    for i, k in itertools.product(range(2), range(2)):
+        np.multiply(a[i, 0], b[0, k], out=p[i, k])
+        p[i, k] += a[i, 1] * b[1, k]
+    fp = np.einsum("ij...,ij...->...", p, p)
+    r = (ra + rb + ra * rb + _GAMMA2) * np.sqrt(fa * fb / fp) * _TREE_SLACK
+    return (*_normalized(p, fp), r)
+
+
+def _grid_products_2x2(m: np.ndarray, frob_sq: np.ndarray, grid) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The product of each row of real 2x2 factors m (B, n, 2, 2), nonzero
+    and of squared norms frob_sq (B, n) in the normal range, at each grid
+    point: normalized (_normalized) in entry-first layout (2, 2, B,
+    len(grid)), with its squared norms and its bounds r (B, len(grid)) on the
+    normwise relative error (call under np.errstate).
+
+    The factors, each normalized first, are multiplied in pairs, then pairs
+    of pairs and so on: the pairwise (tree) products of every aligned block
+    of 2, 4, 8, ... of them. P_n is the product, taken left to right, of the
+    blocks that the binary digits of n cut [0, n) into (for n = 25 the
+    factors 0-15, 16-23 and 24), every product by _certified_product and
+    the leaves exact. Up to a power of two, which the route never needs, the
+    exact product is P + E with ||E||_F <= r ||P||_F. Along any path to P_n
+    the bound compounds through at most about 2 log2 n products, whatever
+    the grid, and the blocks of every level take under twice the factors'
+    memory."""
+    n_max = grid[-1]
+    x = _normalized(m[:, :n_max].transpose(2, 3, 1, 0), frob_sq[:, :n_max].T)[0]
+    levels = [(x, np.einsum("ij...,ij...->...", x, x), np.zeros((n_max, len(m))))]
+    while levels[-1][0].shape[2] > 1:
+        x, f, r = levels[-1]
+        even, odd = np.s_[0:x.shape[2] // 2 * 2:2], np.s_[1:x.shape[2] // 2 * 2:2]
+        levels.append(_certified_product(x[:, :, even], f[even], r[even], x[:, :, odd], f[odd], r[odd]))
+    chains = []  # (level, index) of each block of [0, n), left to right
+    for n in map(int, grid):
+        bits = [level for level in reversed(range(n.bit_length())) if n >> level & 1]
+        chains.append([(level, (n >> (level + 1)) << 1) for level in bits])
+    identity = (np.broadcast_to(np.eye(2)[:, :, None], (2, 2, len(m))), np.full(len(m), 2.0), np.zeros(len(m)))
+
+    def column(i):
+        """The i-th block of every grid point's chain, (2, 2, G, B), (G, B) and
+        (G, B); the identity past the end of a chain."""
+        picked = [identity if i >= len(c) else tuple(a[..., c[i][1], :] for a in levels[c[i][0]]) for c in chains]
+        return tuple(np.stack(parts, axis=-2) for parts in zip(*picked))
+
+    p, f, r = column(0)
+    for i in range(1, max(map(len, chains))):
+        p, f, rp = _certified_product(p, f, r, *column(i))
+        # times the identity the product is unchanged, exactly, and so is its bound
+        r = np.where(np.array([i >= len(c) for c in chains])[:, None], r, rp)
+    return p.transpose(0, 1, 3, 2), f.T, r.T
+
+
+def _tree_pairs_2x2(factors: np.ndarray, grid) -> np.ndarray:
+    """Complex pairs of the exact product of each row of real 2x2 factors
+    (B, n, 2, 2) at each grid point, (B, len(grid)): all -1 in a row that is
+    not eligible, and -1 at each grid point where the sign of its
+    discriminant is not certain.
+
+    A row is eligible when evolve_stack provably carries it to grid[-1]:
+    every factor clears _bound_clears, so its step takes no SVD test and is
+    regular, has |det m| and ||m||_F^2 normal, so no step drives the product
+    to numerical singularity, and
+    sum_i log(||m_i||_F^2 / |det m_i|) <= SPREAD_HARD_CAP - 1. That sum
+    bounds max t - min t of the step form before every step: a step by a
+    factor or folded block X = L Q moves t_1 - t_2 by log(l11^2 / |det X|),
+    l11 between the singular values of X, so by at most
+    log(sigma_1 / sigma_2) <= log(||X||_F^2 / |det X|), at most the sum over
+    X's factors, and a re-sort keeps the range; the 1 covers rounding.
+    Eligibility is checked first, and a row that is not eligible forms no
+    product.
+
+    An eligible row's P_n carries a certified bound r (_grid_products_2x2):
+    the exact product is P + E, up to a power of two that no sign depends
+    on, with ||E||_F <= r ||P||_F. As disc = ((a - d)/2)^2 + bc has gradient
+    of norm at most ||P||_F and |disc(E)| <= ||E||_F^2 / 2, E moves disc by at
+    most (r + r^2 / 2) ||P||_F^2 <= 2 r ||P||_F^2, and our rounding moves it
+    by at most eps ||P||_F^2 (_pairs_2x2). So where
+    |disc| > (_DISC_MARGIN + 2 r) ||P||_F^2 its sign is that of the exact
+    product: a pair exactly when disc < 0. That decides nearly every row of
+    a product close to rank one, where |disc| is near ||P||_F^2 / 4.
+    """
+    m = factors[:, :grid[-1]]
+    pairs = np.full((len(m), len(grid)), -1)
+    tiny = np.finfo(np.float64).tiny
+    with np.errstate(all="ignore"):
+        frob_sq = np.einsum("...ij,...ij->...", m, m)
+        det = np.abs(m[..., 0, 0] * m[..., 1, 1] - m[..., 0, 1] * m[..., 1, 0])
+        # log(||m||_F^2 / |det m|) from the two logs _bound_clears takes, on the same
+        # values: as negation is exact, it is below -_LOG_REGULAR_BOUND exactly
+        # where _bound_clears clears m
+        cond = np.log(frob_sq) - np.log(det)
+        fine = (cond < -_LOG_REGULAR_BOUND) & (det >= tiny) & (frob_sq >= tiny) & (frob_sq < np.inf)
+        live = np.flatnonzero(np.where(fine, cond, np.inf).sum(axis=1) <= SPREAD_HARD_CAP - 1)
+        if not live.size:
+            return pairs
+        p, f, r = _grid_products_2x2(m[live], frob_sq[live], grid)
+        (a, b), (c, d) = p
+        disc = ((a - d) / 2) ** 2 + b * c
+        certain = np.abs(disc) > (_DISC_MARGIN + 2 * r) * f
+    pairs[live] = np.where(certain, (disc < 0).astype(int), -1)
+    return pairs
 
 
 def _regular(m: np.ndarray, test: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

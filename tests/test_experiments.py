@@ -1,6 +1,7 @@
 import itertools
 import math
 import warnings
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -744,6 +745,177 @@ def test_realprob_deep_ginibre_takes_no_split_and_no_mpmath(monkeypatch):
     res = run_real_probability(cfg(GINIBRE_R2, seed=1630, n_grid=(1, 10, 25, 40, 60), replications=960))
     assert calls == []
     assert [rec.stats["trials"].value for rec in res] == [960] * 5
+
+
+def _step_form_pairs(factors, grid):
+    """Complex pairs at each grid point by the step-form route alone,
+    evolve_stack on every row, then pair_rows on each row alive there; and
+    at each grid point the failure of each -1 row, None where its eigenvalue
+    iteration did not converge."""
+    pairs, lost = np.full((len(factors), len(grid)), -1), []
+    for gi, s in enumerate(exponents.evolve_stack(factors, grid)):
+        rows = np.flatnonzero(s.ok)
+        pairs[rows, gi] = exponents.pair_rows(s.v_frame[rows] @ s.u_frame[rows], s.log_sigma[rows])
+        lost.append(list(s.failure[pairs[:, gi] < 0]))
+    return pairs, lost
+
+
+def _log_conditioning(factors):
+    """log(||m||_F^2 / |det m|) of each real 2x2 factor, inf where det m = 0."""
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+        det = np.abs(factors[..., 0, 0] * factors[..., 1, 1] - factors[..., 0, 1] * factors[..., 1, 0])
+        return np.log(np.einsum("...ij,...ij->...", factors, factors)) - np.log(det)
+
+
+def _eligible(factors):
+    """The tree route's eligibility rule from its statement: every factor
+    clears _bound_clears with |det m| and ||m||_F^2 normal, and the sum of
+    _log_conditioning stays within SPREAD_HARD_CAP - 1."""
+    tiny = np.finfo(np.float64).tiny
+    with np.errstate(over="ignore"):
+        frob = np.einsum("...ij,...ij->...", factors, factors)
+    det = np.abs(factors[..., 0, 0] * factors[..., 1, 1] - factors[..., 0, 1] * factors[..., 1, 0])
+    fine = exponents._bound_clears(factors) & (det >= tiny) & (frob >= tiny) & (frob < np.inf)
+    return fine.all(axis=1) & (_log_conditioning(factors).sum(axis=1) <= exponents.SPREAD_HARD_CAP - 1)
+
+
+def _undecided_rows(rows):
+    """rows real 2x2 sequences of 200 factors whose products have disc = 0 at
+    grid points: the identity, a shear (its powers [[1, n], [0, 1]]) and a
+    rotation by pi/2 (its even powers +-I), each eligible."""
+    shear, quarter = np.array([[1.0, 1.0], [0.0, 1.0]]), np.array([[0.0, -1.0], [1.0, 0.0]])
+    kinds = np.stack([np.eye(2), shear, quarter])
+    return np.broadcast_to(kinds[np.arange(rows) % 3, None], (rows, 200, 2, 2)).copy()
+
+
+TREE_LAWS = ("ginibre", "custom:iid(lognormal(0,1))", "custom:iid(lognormal(0,3))", "truncated-haar:m=3",
+             "truncated-haar:m=6", "haar-scaled:lognormal(0,1)")
+
+
+def test_reality_d2_tree_route_matches_the_step_form_row_by_row(monkeypatch):
+    # past n = 1 every real d = 2 row gets the count of the step-form route it
+    # bypasses (evolve_stack, then pair_rows, called directly), and exactly
+    # the rows that are not eligible, or whose sign is not certain at some
+    # grid point, or whose n = 1 factor takes its step, are handed to the
+    # step form. The six laws to n = 200, 400 rows each; lognormal(0,3) rows
+    # pass the spread rule by n = 200, and the Ginibre batch carries
+    # _undecided_rows. Seeds fixed before the first run
+    handed = []
+    evolve = experiments.evolve_stack
+    monkeypatch.setattr(experiments, "evolve_stack", lambda factors, grid: handed.append(factors) or evolve(factors, grid))
+    grid, routes = (1, 2, 10, 50, 200), Counter()
+    for i, law in enumerate(TREE_LAWS):
+        spec = EnsembleSpec("real", 2, parse_ensemble(law))
+        factors = sample_isotropic_chunk(spec, RngStream(3404, (i,)).generator(), 400, grid[-1])
+        if i == 0:
+            factors = np.concatenate([factors, _undecided_rows(12)])
+        handed.clear()
+        got = experiments._reality_pairs(factors, grid)[0]
+        ref = _step_form_pairs(factors, grid)[0]
+        np.testing.assert_array_equal(got[:, 1:], ref[:, 1:])
+        m = factors[:, 0]
+        first = ~exponents._bound_clears(m) | (exponents.pair_rows(m, np.zeros((len(m), 2))) < 0)
+        eligible = _eligible(factors)
+        tree = exponents._tree_pairs_2x2(factors, grid[1:])
+        assert np.all(tree[~eligible] == -1)
+        undecided = eligible & (tree < 0).any(axis=1)
+        expected = np.flatnonzero(~eligible | undecided | first)
+        assert len(handed) <= 1
+        np.testing.assert_array_equal(np.concatenate(handed) if handed else factors[:0], factors[expected])
+        routes.update(tree=int((eligible & ~undecided).sum()), ineligible=int((~eligible).sum()),
+                      undecided=int(undecided.sum()))
+    assert routes["tree"] > 2000 and routes["ineligible"] > 0 and routes["undecided"] >= 12
+
+
+def test_reality_eligibility_bounds_the_step_form_range():
+    # what eligibility rests on: max t - min t of the step form never passes
+    # the running sum of _log_conditioning, after every step (a grid of every
+    # n, no folds) and at the grid points of a folded run; seeds fixed before
+    # the first run
+    for i, law in enumerate(("ginibre", "custom:iid(lognormal(0,1))", "custom:iid(lognormal(0,3))",
+                             "custom:iid(lognormal(0,10))")):
+        spec = EnsembleSpec("real", 2, parse_ensemble(law))
+        factors = sample_isotropic_chunk(spec, RngStream(3406, (i,)).generator(), 200, 60)
+        running = np.cumsum(_log_conditioning(factors), axis=1)
+        for grid in (tuple(range(1, 61)), (3, 17, 40, 60)):
+            stacks = exponents.evolve_stack(factors, grid)
+            assert any(s.ok.any() for s in stacks)
+            for s in stacks:
+                assert np.all(s.spread[s.ok] <= running[s.ok, s.n - 1] + 1e-9), (law, s.n)
+
+
+def test_reality_exclusions_and_exit_messages_match_the_step_form_route():
+    # rows with exactly singular or zero factors, factors past the
+    # determinant bound (failing the SVD test or not), fixed(1e5,1e-5) rows
+    # that pass the hard cap, and lognormal(0,10) rows: the tree route
+    # excludes exactly the rows that evolving every row excludes, with the
+    # same failures, and counts the same elsewhere
+    gen = RngStream(3407).generator()
+    grid = (1, 5, 20, 40)
+    factors = gen.standard_normal((120, 40, 2, 2))
+    factors[0:10, 3, :, 1] = factors[0:10, 3, :, 0]                                      # singular at step 4
+    factors[10:20, 12] = 0.0
+    factors[20:30, 0] = _conditioned_batch(2, np.full(10, 1e-13), np.zeros(10), seed=3408)   # fails the SVD test
+    factors[30:40, 7] = _conditioned_batch(2, np.full(10, 1e-11), np.zeros(10), seed=3409)   # passes it, not the bound
+    fixed = EnsembleSpec("real", 2, parse_ensemble("custom:fixed(1e5,1e-5)"))
+    factors[40:60] = sample_isotropic_chunk(fixed, gen, 20, 40)
+    factors[60:80] = sample_isotropic_chunk(LOGNORMAL_R2, gen, 20, 40)
+    got, lost = experiments._reality_pairs(factors, grid)
+    ref, ref_lost = _step_form_pairs(factors, grid)
+    np.testing.assert_array_equal(got < 0, ref < 0)
+    np.testing.assert_array_equal(got[:, 1:], ref[:, 1:])
+    for gi in range(len(grid)):
+        assert [(type(f), str(f)) for f in lost[gi]] == [(type(f), str(f)) for f in ref_lost[gi]]
+    kinds = {type(f).__name__ for part in lost for f in part}
+    assert kinds == {"SingularInputError", "SpreadOverflowError"} and (got[80:] >= 0).all()
+
+    # whole runs, as evolving every row gives them: the exit message of a run
+    # whose every row passes the hard cap by n = 40, and excluded counts
+    def run(text, grid):
+        spec = EnsembleSpec("real", 2, parse_ensemble(text))
+        config = experiments.ExperimentConfig(seed=3410, spec=spec, n_grid=grid, replications=300)
+        parts = experiments._observe_chunks(config, experiments._EXP_REALPROB, grid, _step_form_pairs)
+        return config, np.concatenate([p for p, _ in parts]), [f for _, part in parts for f in part[-1]]
+
+    config, ref, lost = run("custom:fixed(1e5,1e-5)", (10, 40))
+    assert (ref[:, 0] >= 0).all() and (ref[:, 1] < 0).all()
+    with pytest.raises(NumericError) as err:
+        run_real_probability(config)
+    assert str(err.value) == f"no classifiable replications at n=40{experiments._commonest_failure(lost)}"
+    assert "300 of 300 rows dropped by SpreadOverflowError" in str(err.value)
+    config, ref, _ = run("custom:iid(lognormal(0,10))", (1, 5, 20))
+    excluded = (ref < 0).sum(axis=0).tolist()
+    assert [rec.stats["excluded"].value for rec in run_real_probability(config)] == excluded
+    assert 0 < excluded[0] < excluded[-1] < 300
+
+
+def _ginibre_reduction_draw(gen):
+    """draw(k) of _reduction_samples for real Ginibre factors: log a, log b
+    and c of R = [[a, c], [0, b]], a ~ chi_2, b ~ chi_1, c ~ N(0, 1)."""
+    return lambda k: (0.5 * np.log(gen.chisquare(2, k)), 0.5 * np.log(gen.chisquare(1, k)), gen.standard_normal(k))
+
+
+def test_realprob_d2_matches_the_triangular_reduction_as_p_nears_one(monkeypatch):
+    # real Ginibre at n = 10, 20 and 30, where p is 0.965 to 0.9995 and the
+    # certified tree product decides nearly every row: p_hat against
+    # _reduction_samples, which takes no product at all. The three grid points
+    # are one family, at verify_passed's family-wise level, z in combined SE;
+    # seeds fixed before the first run
+    handed = []
+    evolve = experiments.evolve_stack
+    monkeypatch.setattr(experiments, "evolve_stack", lambda factors, grid: handed.append(len(factors)) or evolve(factors, grid))
+    grid, reps = (10, 20, 30), 50_000
+    records = run_real_probability(cfg(GINIBRE_R2, seed=3411, n_grid=grid, replications=reps, threads=2))
+    assert sum(handed) <= reps // 1000
+    oracle = _reduction_samples(_ginibre_reduction_draw(RngStream(3411, (0,)).generator()), 400_000, grid)
+    rows = []
+    for rec, sample in zip(records, oracle):
+        p = rec.stats["p_hat"]
+        assert p.count == reps
+        se = math.hypot(p.se, float(experiments._mean_se(sample)))
+        rows.append(experiments._check(GINIBRE_R2, "reduction", 2, rec.n, p.value, float(sample.mean()), se, reps))
+    assert rows[-1].stats["reference"].value > 0.999
+    assert verify_passed(rows), [round(row.stats["z"].value, 2) for row in rows]
 
 
 def test_exponent_rows_count_at_the_grid_points_before_their_singular_factor():

@@ -1217,6 +1217,129 @@ def test_narrow_spectrum_is_plain_lapack(field, d):
     assert d == 1 or state.spread > 12.0
 
 
+# --- certified tree products of real 2x2 factors -----------------------------
+
+
+def _mp_grid_products(factors, grid):
+    """The exact product of each row of factors at each grid point, to 100
+    digits, as mpmath matrices."""
+    import mpmath as mp
+
+    out = []
+    with mp.workdps(100):
+        for row in factors:
+            prod, k, at = mp.eye(2), 0, []
+            for n in grid:
+                while k < n:
+                    prod, k = prod * mp.matrix(row[k].tolist()), k + 1
+                at.append(prod)
+            out.append(at)
+    return out
+
+
+def _scaled(u, ratio, v):
+    """u diag(1, ratio) v for each row of frames u, v and ratios."""
+    return u * np.stack([np.ones_like(ratio), ratio], axis=-1)[:, None, :] @ v
+
+
+def _tree_corpus():
+    """(name, factors, grid) of real 2x2 sequences for the tree bound:
+    Ginibre and lognormal(0,3) laws, factors with sigma_2 / sigma_1 just past
+    the determinant bound (2e-10 to 1e-9), chains of near-cancelling pairs
+    A B = u diag(delta, delta) w with delta from 1e-8 to 1e-3, so that
+    ||A B|| is about delta ||A|| ||B||, and two such pairs with delta from
+    1e-4 to 1e-2 shifted by one factor, so that the tree splits them: a
+    block then rounds a direction that a later product cancels, and the
+    error, as the bound, compounds the two cancellations."""
+    gen = RngStream(3402).generator()
+
+    def frames(k):
+        return sample_haar_unitary(2, "real", gen, size=k)
+
+    rows = 48
+    near = _scaled(frames(rows * 16), np.exp(gen.uniform(math.log(2e-10), math.log(1e-9), rows * 16)), frames(rows * 16))
+    delta = np.exp(gen.uniform(math.log(1e-8), math.log(1e-3), rows * 8))
+    u, v, w = frames(rows * 8), frames(rows * 8), frames(rows * 8)
+    # B = v^T diag(delta, 1) w, its columns and rows swapped to put the 1 first
+    pairs = np.stack([_scaled(u, delta, v), _scaled(v.swapaxes(1, 2)[:, :, ::-1], delta, w[:, ::-1])], axis=1)
+    cancelling = pairs.reshape(rows, 16, 2, 2)
+    mild = np.exp(gen.uniform(math.log(1e-4), math.log(1e-2), rows * 2))
+    u, v, w = frames(rows * 2), frames(rows * 2), frames(rows * 2)
+    split = np.stack([_scaled(u, mild, v), _scaled(v.swapaxes(1, 2)[:, :, ::-1], mild, w[:, ::-1])], axis=1)
+    lognormal = EnsembleSpec("real", 2, parse_ensemble("custom:iid(lognormal(0,3))"))
+    return [
+        ("ginibre", sample_isotropic_chunk(EnsembleSpec("real", 2, Ginibre()), gen, rows, 40), (3, 10, 16, 40)),
+        ("lognormal(0,3)", sample_isotropic_chunk(lognormal, gen, rows, 32), (7, 32)),
+        ("near the bound", near.reshape(rows, 16, 2, 2), (5, 16)),
+        ("near-cancelling pairs", cancelling, (2, 8, 16)),
+        ("near-cancelling pairs, shifted", np.concatenate([frames(rows)[:, None], split.reshape(rows, 4, 2, 2)], axis=1),
+         (3, 5)),
+    ]
+
+
+def test_tree_product_bound_holds_against_mpmath():
+    # every grid product of _grid_products_2x2 against the exact product to
+    # 100 digits: ||P - c P*||_F <= r ||P||_F for some c > 0, the power of two
+    # the route drops; seeds fixed before the first run
+    import mpmath as mp
+
+    worst = {}
+    for name, factors, grid in _tree_corpus():
+        assert exponents._bound_clears(factors).all(), name
+        with np.errstate(all="ignore"):
+            p, f, r = exponents._grid_products_2x2(factors, np.einsum("...ij,...ij->...", factors, factors), grid)
+        assert np.all(r < 1e-3), name
+        exact = _mp_grid_products(factors, grid)
+        with mp.workdps(100):
+            for b, at in enumerate(exact):
+                for k, ref in enumerate(at):
+                    got = mp.matrix(p[:, :, b, k].tolist())
+                    c = sum(got[i, j] * ref[i, j] for i in range(2) for j in range(2)) / mp.mnorm(ref, "f") ** 2
+                    err = mp.mnorm(got - c * ref, "f") / mp.mnorm(got, "f")
+                    assert err <= r[b, k], (name, b, grid[k], float(err), r[b, k])
+                    worst[name] = max(worst.get(name, 0.0), float(err))
+    # the cancelling pairs lose digits the bound must follow: far past what
+    # a bound of a few gamma_2 per level, without the norm ratio, would allow
+    assert worst["near-cancelling pairs"] > 1e-11 and worst["near-cancelling pairs, shifted"] > 1e-13
+
+
+def test_tree_pairs_decide_only_certain_signs_against_mpmath():
+    # two-factor products P = A fl(A^-1 T), A with sigma_2 / sigma_1 = 1e-7 and
+    # T a rotation of [[1, 1], [-s, 1]] (disc -s), s of either sign from 1e-12
+    # to 1e-5: rounding A^-1 T moves the exact disc by about 1e-9 ||P||_F^2,
+    # as much as fl(A B) moves it and inside the margin 2 r ||P||_F^2 that
+    # the bound of fl(A B) certifies. A decided row gets the exact count;
+    # the rows A, J, adj(A), whose exact product det(A) A J A^-1 has disc 0,
+    # are never decided. Random Ginibre pairs are decided and exact too.
+    # Seeds fixed before the first run
+    import mpmath as mp
+
+    gen = RngStream(3403).generator()
+    rows = 400
+    q = sample_haar_unitary(2, "real", gen, size=rows)
+    a = _scaled(q, np.full(rows, 1e-7), sample_haar_unitary(2, "real", gen, size=rows))
+    jordan = np.array([[1.0, 1.0], [0.0, 1.0]])
+    t = np.tile(jordan, (rows, 1, 1))
+    t[:, 1, 0] = np.exp(gen.uniform(math.log(1e-12), math.log(1e-5), rows)) * np.tile([1.0, -1.0], rows // 2)
+    rot = sample_haar_unitary(2, "real", gen, size=rows)
+    inside = np.stack([a, np.linalg.solve(a, rot @ t @ rot.swapaxes(1, 2))], axis=1)
+    adj = np.stack([a[:, 1, 1], -a[:, 0, 1], -a[:, 1, 0], a[:, 0, 0]], axis=-1).reshape(rows, 2, 2)
+    zero = np.stack([a, np.broadcast_to(jordan, a.shape), adj], axis=1)
+    ginibre = sample_isotropic_chunk(EnsembleSpec("real", 2, Ginibre()), gen, rows, 2)
+    exact_counts = {}
+    for name, factors in (("inside", inside), ("zero", zero), ("ginibre", ginibre)):
+        n = factors.shape[1]
+        got = exponents._tree_pairs_2x2(factors, (n,))[:, 0]
+        with mp.workdps(100):
+            disc = [(p[0, 0] - p[1, 1]) ** 2 / 4 + p[0, 1] * p[1, 0] for (p,) in _mp_grid_products(factors, (n,))]
+        decided = np.flatnonzero(got >= 0)
+        assert all(got[b] == int(disc[b] < 0) for b in decided), name
+        exact_counts[name] = (decided.size, {int(d < 0) for d in disc})
+    assert 0 < exact_counts["inside"][0] < rows and exact_counts["inside"][1] == {0, 1}
+    assert exact_counts["zero"][0] == 0
+    assert exact_counts["ginibre"][0] == rows and exact_counts["ginibre"][1] == {0, 1}
+
+
 # --- scaled-Haar degenerate ensemble ------------------------------------
 
 
